@@ -12,7 +12,7 @@
 //! ```
 
 use ligra::{edge_map_recorded, EdgeMapFn, EdgeMapOptions, NoopRecorder, Recorder, VertexSubset};
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Graph, Neighbors, VertexId};
 use ligra_parallel::atomics::cas_u32;
 use ligra_parallel::checked_u32;
 use rayon::prelude::*;
@@ -65,21 +65,26 @@ impl EdgeMapFn for BfsF<'_> {
     }
 }
 
-/// Parallel BFS from `source` with default `edgeMap` options.
-pub fn bfs(g: &Graph, source: VertexId) -> BfsResult {
+/// Parallel BFS from `source` with default `edgeMap` options, over any
+/// unweighted [`Neighbors`] representation (CSR, overlay, compressed).
+pub fn bfs<G: Neighbors<Weight = ()>>(g: &G, source: VertexId) -> BfsResult {
     bfs_traced(g, source, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel BFS with explicit `edgeMap` options (used by the ablation
 /// benches to force sparse-only / dense-only traversal).
-pub fn bfs_with(g: &Graph, source: VertexId, opts: EdgeMapOptions) -> BfsResult {
+pub fn bfs_with<G: Neighbors<Weight = ()>>(
+    g: &G,
+    source: VertexId,
+    opts: EdgeMapOptions,
+) -> BfsResult {
     bfs_traced(g, source, opts, &mut NoopRecorder)
 }
 
 /// Parallel BFS delivering per-round telemetry to any [`Recorder`]
 /// (pass a `&mut TraversalStats` to collect a trace).
-pub fn bfs_traced<R: Recorder>(
-    g: &Graph,
+pub fn bfs_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
     source: VertexId,
     opts: EdgeMapOptions,
     stats: &mut R,

@@ -11,7 +11,7 @@ use ligra::{
     edge_map_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions, NoopRecorder, Recorder,
     VertexSubset,
 };
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::atomics::write_min_u32;
 use ligra_parallel::checked_u32;
 use std::collections::HashMap;
@@ -88,12 +88,16 @@ impl EdgeMapFn for CcF<'_> {
 /// # Panics
 /// Panics if `g` is not symmetric — label propagation computes *undirected*
 /// connectivity; symmetrize directed graphs first (as the paper does).
-pub fn cc(g: &Graph) -> CcResult {
+pub fn cc<G: Neighbors<Weight = ()>>(g: &G) -> CcResult {
     cc_traced(g, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel connected components recording per-round statistics.
-pub fn cc_traced<R: Recorder>(g: &Graph, opts: EdgeMapOptions, stats: &mut R) -> CcResult {
+pub fn cc_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
+    opts: EdgeMapOptions,
+    stats: &mut R,
+) -> CcResult {
     assert!(g.is_symmetric(), "connected components requires a symmetric graph; symmetrize first");
     let n = g.num_vertices();
     let mut ids: Vec<u32> = (0..checked_u32(n)).collect();
@@ -129,7 +133,7 @@ mod tests {
     use ligra::TraversalStats;
     use ligra_graph::generators::rmat::RmatOptions;
     use ligra_graph::generators::{cycle, erdos_renyi, grid3d, path, random_local, rmat, star};
-    use ligra_graph::{build_graph, BuildOptions};
+    use ligra_graph::{build_graph, BuildOptions, Graph};
 
     fn check_against_seq(g: &Graph) {
         let par = cc(g);

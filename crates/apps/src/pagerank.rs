@@ -17,7 +17,7 @@ use ligra::{
     edge_map_recorded, vertex_filter_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions,
     NoopRecorder, Recorder, VertexSubset,
 };
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::atomics::{as_atomic_f64, AtomicF64};
 use ligra_parallel::checked_u32;
 use ligra_parallel::reduce::reduce_with;
@@ -64,13 +64,18 @@ pub struct PageRankResult {
 
 /// Parallel PageRank. `alpha` is the damping factor (paper: 0.85), `eps`
 /// the L1 convergence threshold, `max_iters` a hard cap.
-pub fn pagerank(g: &Graph, alpha: f64, eps: f64, max_iters: usize) -> PageRankResult {
+pub fn pagerank<G: Neighbors<Weight = ()>>(
+    g: &G,
+    alpha: f64,
+    eps: f64,
+    max_iters: usize,
+) -> PageRankResult {
     pagerank_traced(g, alpha, eps, max_iters, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel PageRank recording per-round statistics.
-pub fn pagerank_traced<R: Recorder>(
-    g: &Graph,
+pub fn pagerank_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
     alpha: f64,
     eps: f64,
     max_iters: usize,
@@ -124,13 +129,18 @@ pub fn pagerank_traced<R: Recorder>(
 /// `|delta| > eps2 * rank`. The paper uses a small constant (~1e-2);
 /// smaller values trade running time for accuracy. Terminates when the
 /// active set empties or after `max_iters`.
-pub fn pagerank_delta(g: &Graph, alpha: f64, eps2: f64, max_iters: usize) -> PageRankResult {
+pub fn pagerank_delta<G: Neighbors<Weight = ()>>(
+    g: &G,
+    alpha: f64,
+    eps2: f64,
+    max_iters: usize,
+) -> PageRankResult {
     pagerank_delta_traced(g, alpha, eps2, max_iters, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// [`pagerank_delta`] recording per-round statistics.
-pub fn pagerank_delta_traced<R: Recorder>(
-    g: &Graph,
+pub fn pagerank_delta_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
     alpha: f64,
     eps2: f64,
     max_iters: usize,

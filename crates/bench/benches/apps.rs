@@ -47,16 +47,16 @@ fn bench_extension_apps(c: &mut Criterion) {
 }
 
 fn bench_compressed_apps(c: &mut Criterion) {
-    // Ligra+ (DCC'15): same application, compressed representation.
-    use ligra_compress::{apps as capps, CompressedGraph};
+    // Ligra+ (DCC'15): same application code, compressed representation.
+    use ligra_compress::CompressedGraph;
     let rm = rmat(&RmatOptions::paper(14));
     let cg: CompressedGraph = CompressedGraph::from_graph(&rm);
     let mut group = c.benchmark_group("apps_compressed");
     group.sample_size(10);
-    group.bench_function("bfs/rmat14", |b| b.iter(|| black_box(capps::bfs(&cg, 0))));
-    group.bench_function("cc/rmat14", |b| b.iter(|| black_box(capps::cc(&cg))));
+    group.bench_function("bfs/rmat14", |b| b.iter(|| black_box(apps::bfs(&cg, 0))));
+    group.bench_function("cc/rmat14", |b| b.iter(|| black_box(apps::cc(&cg))));
     group.bench_function("pagerank1/rmat14", |b| {
-        b.iter(|| black_box(capps::pagerank(&cg, 0.85, 0.0, 1)))
+        b.iter(|| black_box(apps::pagerank(&cg, 0.85, 0.0, 1)))
     });
     group.bench_function("compress/rmat14", |b| {
         b.iter(|| black_box(CompressedGraph::<ligra_compress::ByteCode>::from_graph(&rm)))

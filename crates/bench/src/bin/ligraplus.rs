@@ -4,21 +4,22 @@
 //! Ligra+'s headline result: difference-encoded graphs use about half the
 //! space of the plain CSR and run the same applications at comparable
 //! speed (slightly faster on big machines thanks to reduced memory
-//! traffic; expect a modest decode overhead on a laptop). Shape to check:
+//! traffic; expect a modest decode overhead on a laptop). Both columns run
+//! the *same* `ligra_apps` code — only the `Neighbors` representation
+//! handed to it differs. Shape to check:
 //! ratio well below 1 everywhere, smallest on high-locality inputs
 //! (3d-grid), and BFS/PageRank times within a small factor of
 //! uncompressed.
 
 use ligra_apps as apps;
 use ligra_bench::{fmt_secs, inputs, time_best, Scale};
-use ligra_compress::apps as capps;
 use ligra_compress::{ByteCode, ByteRleCode, Codec, CompressedGraph, NibbleCode};
 
 /// One codec's space ratio and BFS time on a graph.
 fn codec_row<C: Codec>(g: &ligra_graph::Graph, source: u32) -> (f64, f64) {
     let cg: CompressedGraph<C> = CompressedGraph::from_graph(g);
     let (_, _, ratio) = cg.space_vs_csr();
-    let bfs = time_best(3, || capps::bfs(&cg, source));
+    let bfs = time_best(3, || apps::bfs(&cg, source));
     (ratio, bfs)
 }
 
@@ -35,9 +36,9 @@ fn main() {
         let (compressed, csr, ratio) = cg.space_vs_csr();
 
         let bfs_u = time_best(3, || apps::bfs(g, input.source));
-        let bfs_c = time_best(3, || capps::bfs(&cg, input.source));
+        let bfs_c = time_best(3, || apps::bfs(&cg, input.source));
         let pr_u = time_best(3, || apps::pagerank(g, 0.85, 0.0, 1));
-        let pr_c = time_best(3, || capps::pagerank(&cg, 0.85, 0.0, 1));
+        let pr_c = time_best(3, || apps::pagerank(&cg, 0.85, 0.0, 1));
 
         println!(
             "{:<14} {:>12} {:>12} {:>7.3} | {:>10} {:>10} | {:>10} {:>10}",

@@ -8,10 +8,11 @@
 //! stay uncompressed, exactly as in Ligra+.
 
 use crate::codec::{ByteCode, Codec};
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Graph, Neighbors, Partitioning, VertexId};
 use ligra_parallel::checked_u32;
 use ligra_parallel::scan::prefix_sums;
 use rayon::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 /// One compressed direction of adjacency.
 #[derive(Debug, Clone)]
@@ -98,8 +99,8 @@ pub struct CompressedGraph<C: Codec = ByteCode> {
     incoming: Option<CompressedAdjacency<C>>,
     num_edges: usize,
     /// Lazily built default-width partitioning for the partitioned
-    /// traversal, mirroring `ligra_graph::Graph::partitioning`.
-    partitions: std::sync::OnceLock<std::sync::Arc<ligra_graph::Partitioning>>,
+    /// traversal.
+    partitions: OnceLock<Arc<Partitioning>>,
 }
 
 impl<C: Codec> CompressedGraph<C> {
@@ -112,42 +113,7 @@ impl<C: Codec> CompressedGraph<C> {
         } else {
             Some(CompressedAdjacency::from_adjacency(g.in_adj()))
         };
-        CompressedGraph {
-            out,
-            incoming,
-            num_edges: g.num_edges(),
-            partitions: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.out.num_vertices()
-    }
-
-    /// Number of directed edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// True when one compressed CSR serves both directions.
-    #[inline]
-    pub fn is_symmetric(&self) -> bool {
-        self.incoming.is_none()
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        self.out.degree(v)
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: VertexId) -> usize {
-        self.in_dir().degree(v)
+        CompressedGraph { out, incoming, num_edges: g.num_edges(), partitions: OnceLock::new() }
     }
 
     /// Streaming out-neighbors of `v`.
@@ -167,57 +133,9 @@ impl<C: Codec> CompressedGraph<C> {
         self.incoming.as_ref().unwrap_or(&self.out)
     }
 
-    /// The cached default-width [`ligra_graph::Partitioning`] for the
-    /// partitioned traversal, built on first use from the stored
-    /// (uncompressed) in-degree array.
-    pub fn partitioning(&self) -> std::sync::Arc<ligra_graph::Partitioning> {
-        self.partitions
-            .get_or_init(|| {
-                let n = self.num_vertices();
-                let bits = ligra_graph::partition::default_bits(n);
-                std::sync::Arc::new(ligra_graph::Partitioning::from_degrees(n, bits, |v| {
-                    self.in_degree(v) as u64
-                }))
-            })
-            .clone()
-    }
-
-    /// Like [`Self::partitioning`] but honoring an explicit width
-    /// request; `None` falls back to the cached default.
-    pub fn partitioning_with(
-        &self,
-        bits: Option<u32>,
-    ) -> std::sync::Arc<ligra_graph::Partitioning> {
-        match bits {
-            None => self.partitioning(),
-            Some(b) => {
-                let cached = self.partitioning();
-                let clamped =
-                    b.clamp(ligra_graph::partition::MIN_BITS, ligra_graph::partition::MAX_BITS);
-                if cached.bits() == clamped {
-                    cached
-                } else {
-                    let n = self.num_vertices();
-                    std::sync::Arc::new(ligra_graph::Partitioning::from_degrees(n, clamped, |v| {
-                        self.in_degree(v) as u64
-                    }))
-                }
-            }
-        }
-    }
-
     /// Decodes `v`'s full out-neighbor list into a vector.
     pub fn decode(&self, v: VertexId) -> Vec<VertexId> {
         self.out.decode(v)
-    }
-
-    /// Sum of out-degrees over a vertex list.
-    pub fn out_degree_sum(&self, vs: &[VertexId]) -> u64 {
-        if vs.len() < 2048 {
-            vs.iter().map(|&v| self.out_degree(v) as u64).sum()
-        } else {
-            vs.par_iter().map(|&v| self.out_degree(v) as u64).sum()
-        }
     }
 
     /// Space report: `(compressed_bytes, csr_bytes, ratio)`. The CSR
@@ -231,6 +149,83 @@ impl<C: Codec> CompressedGraph<C> {
             compressed += inc.total_bytes();
         }
         (compressed, csr, compressed as f64 / csr as f64)
+    }
+}
+
+/// A streamed decoder paired with the unit weight: compressed graphs are
+/// unweighted, so each decoded neighbor is the edge `(neighbor, ())`.
+#[derive(Debug, Clone)]
+pub struct UnitEdges<I>(I);
+
+impl<I: Iterator<Item = VertexId>> Iterator for UnitEdges<I> {
+    type Item = (VertexId, ());
+
+    #[inline]
+    fn next(&mut self) -> Option<(VertexId, ())> {
+        self.0.next().map(|v| (v, ()))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<I: ExactSizeIterator<Item = VertexId>> ExactSizeIterator for UnitEdges<I> {}
+
+/// `edgeMap` and the `ligra-apps` applications run directly over the
+/// compressed form through this impl. Lists are not seekable (the default
+/// `SEEKABLE = false`): a difference-encoded list decodes only from its
+/// head, so kernels hand whole vertices to tasks.
+impl<C: Codec> Neighbors for CompressedGraph<C> {
+    type Weight = ();
+    type Edges<'a> = UnitEdges<C::Iter<'a>>;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.out.num_vertices()
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        self.num_edges
+    }
+
+    /// True when one compressed CSR serves both directions.
+    #[inline]
+    fn is_symmetric(&self) -> bool {
+        self.incoming.is_none()
+    }
+
+    #[inline]
+    fn out_degree(&self, v: VertexId) -> usize {
+        self.out.degree(v)
+    }
+
+    #[inline]
+    fn in_degree(&self, v: VertexId) -> usize {
+        self.in_dir().degree(v)
+    }
+
+    #[inline]
+    fn out_edges(&self, v: VertexId) -> Self::Edges<'_> {
+        UnitEdges(self.out_neighbors(v))
+    }
+
+    #[inline]
+    fn in_edges(&self, v: VertexId) -> Self::Edges<'_> {
+        UnitEdges(self.in_neighbors(v))
+    }
+
+    /// Built on first use from the stored (uncompressed) in-degree array.
+    fn partitioning(&self) -> Arc<Partitioning> {
+        self.partitions
+            .get_or_init(|| {
+                let n = self.num_vertices();
+                let bits = ligra_graph::partition::default_bits(n);
+                Arc::new(Partitioning::from_degrees(n, bits, |v| self.in_degree(v) as u64))
+            })
+            .clone()
     }
 }
 
@@ -265,6 +260,28 @@ mod tests {
         roundtrip(&random_local(2000, 6, 1));
         roundtrip(&rmat(&RmatOptions::paper(10)));
         roundtrip(&erdos_renyi(500, 3000, 2, false)); // directed
+    }
+
+    #[test]
+    fn neighbors_impl_agrees_with_the_csr_impl() {
+        fn check<C: Codec>(g: &Graph) {
+            let cg: CompressedGraph<C> = CompressedGraph::from_graph(g);
+            assert_eq!(Neighbors::is_symmetric(&cg), g.is_symmetric());
+            for v in 0..g.num_vertices() as u32 {
+                assert!(cg.out_edges(v).eq(Neighbors::out_edges(g, v)), "{}: out {v}", C::NAME);
+                assert!(cg.in_edges(v).eq(Neighbors::in_edges(g, v)), "{}: in {v}", C::NAME);
+                assert_eq!(cg.out_edges(v).len(), cg.out_degree(v));
+                assert_eq!(cg.in_edges(v).len(), cg.in_degree(v));
+            }
+            let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
+            assert_eq!(cg.out_degree_sum(&all), g.num_edges() as u64);
+            assert_eq!(cg.partitioning().total_in_edges(), g.num_edges() as u64);
+            assert_eq!(*cg.partitioning_with(Some(7)), *g.partitioning_with(Some(7)));
+        }
+        let g = erdos_renyi(300, 2000, 5, false);
+        check::<ByteCode>(&g);
+        check::<NibbleCode>(&g);
+        check::<ByteRleCode>(&g);
     }
 
     #[test]

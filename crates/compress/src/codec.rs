@@ -16,7 +16,7 @@ use ligra_parallel::checked_u32;
 /// An adjacency-list encoding scheme.
 pub trait Codec: Default + Clone + Send + Sync + 'static {
     /// Streaming decoder for one encoded list.
-    type Iter<'a>: Iterator<Item = VertexId> + 'a;
+    type Iter<'a>: ExactSizeIterator<Item = VertexId> + 'a;
 
     /// Human-readable codec name (for benchmark output).
     const NAME: &'static str;

@@ -7,20 +7,19 @@
 //!
 //! Adjacency lists are stored as difference-encoded byte codes
 //! ([`varint`]): the first neighbor relative to the source vertex, the
-//! rest as gaps. `edgeMap` runs directly over the compressed
-//! representation, decoding on the fly ([`edge_map`]); the claim to
-//! verify is ~2× space reduction at roughly equal traversal time
-//! (see the `ligraplus` bench binary).
+//! rest as gaps. [`CompressedGraph`] implements `ligra_graph::Neighbors`,
+//! so `ligra::edge_map` and the `ligra-apps` applications run directly
+//! over the compressed representation, decoding on the fly — this crate is
+//! the codecs, the container and that one trait impl. The claim to verify
+//! is ~2× space reduction at roughly equal traversal time (see the
+//! `ligraplus` bench binary).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod apps;
 pub mod cgraph;
 pub mod codec;
-pub mod edge_map;
 pub mod varint;
 
 pub use cgraph::{CompressedAdjacency, CompressedGraph};
 pub use codec::{ByteCode, ByteRleCode, Codec, NibbleCode};
-pub use edge_map::{edge_map, edge_map_recorded, edge_map_traced, edge_map_with};

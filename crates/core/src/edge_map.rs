@@ -3,27 +3,29 @@
 //!
 //! `edge_map(G, U, F)` applies `F` to every edge `(u, v)` with `u ∈ U` and
 //! `C(v)`, returning the subset of targets for which `F` returned `true`.
-//! Three concrete traversals implement it:
+//! `G` is any [`Neighbors`] representation — CSR (delta overlays included)
+//! or a compressed graph — and every kernel below is written once against
+//! that trait. Four concrete traversals implement it:
 //!
-//! * [`edge_map_sparse`] (push): the frontier's out-edge range is split into
+//! * **sparse** (push): the frontier's out-edge range is split into
 //!   fixed-size blocks of [`EDGE_BLOCK`] edges (Ligra's granular
 //!   parallel_for), so skewed degree distributions load-balance without
 //!   per-edge task overhead. Each block writes the targets it claims into a
 //!   local buffer; a prefix-sum stitch then copies the buffers into an
 //!   exact-size output — no sentinel-filled `Σ deg⁺(u)` array, no second
 //!   full-array compaction pass, and deduplication folds into the same walk.
-//! * [`edge_map_dense`] (pull): parallel over *all* vertices, scanning each
+//! * **dense** (pull): parallel over *all* vertices, scanning each
 //!   unclaimed target's in-edges sequentially with an early exit as soon as
 //!   `cond` turns false. O(n + m) worst case, but for huge frontiers the
 //!   early exit reads only a small fraction of edges, and no atomics are
 //!   needed because each target has one owner thread. The frontier is the
 //!   packed [`BitSet`]: one bit per source vertex read, and each task owns
 //!   one 64-bit word of the output.
-//! * [`edge_map_dense_forward`] (push over dense frontier): the paper's
+//! * **dense-forward** (push over dense frontier): the paper's
 //!   write-based dense variant — walks every frontier vertex's out-edges,
 //!   needing no transpose but atomic updates and no early exit. Zero words
 //!   of the frontier bitset skip 64 non-members with a single load.
-//! * [`edge_map_partitioned`] (cache-aware scatter/gather): vertices are
+//! * **partitioned** (cache-aware scatter/gather): vertices are
 //!   pre-split into contiguous cache-fitting segments
 //!   (`ligra_graph::partition`). A scatter pass walks the frontier's
 //!   out-edges and appends `(src, dst, weight)` entries into one bin per
@@ -36,6 +38,13 @@
 //!   whose destination state outgrows the LLC, dense pull takes a likely
 //!   miss per edge, while the gather phase touches one cache-sized segment
 //!   of state at a time.
+//!
+//! The one thing a kernel asks of the representation beyond its edge
+//! lists is [`Neighbors::SEEKABLE`]: where a list can be entered at any
+//! offset (CSR), the push kernels split a hub's out-edges across tasks at
+//! [`EDGE_BLOCK`] granularity; where it can only be streamed from its head
+//! (a difference-encoded list), blocks own whole vertices, so each list is
+//! decoded at most once per round. The choice is made from the type.
 //!
 //! The direction heuristic (the paper's `|U| + Σ deg⁺(u) > m/20`) picks
 //! pull for large frontiers and push for small ones, generalizing Beamer
@@ -57,13 +66,11 @@
 
 use crate::options::{EdgeMapOptions, Traversal};
 use crate::race::RaceOracle;
-use crate::stats::{
-    EdgeCounters, Mode, NoopRecorder, Recorder, ReprKind, RoundStat, TraversalStats,
-};
+use crate::stats::{EdgeCounters, Mode, NoopRecorder, Recorder, ReprKind, RoundStat};
 use crate::traits::EdgeMapFn;
 use crate::vertex_subset::VertexSubset;
 use ligra_graph::partition::{partition_min_n, Partitioning};
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::bins::{fragment_row, stitch, Fragments};
 use ligra_parallel::bitvec::{AtomicBitVec, BitSet};
 use ligra_parallel::checked_u32;
@@ -82,88 +89,44 @@ use std::time::Instant;
 /// paying per-vertex task overhead.
 pub const EDGE_BLOCK: usize = 1 << 12;
 
-/// Edge weight for position `j` of a weight slice; `()` graphs carry no
-/// weight memory, so zero-sized `W` short-circuits to the default.
-#[inline(always)]
-fn wt<W: Copy + Default>(ws: &[W], j: usize) -> W {
-    if std::mem::size_of::<W>() == 0 {
-        W::default()
-    } else {
-        ws[j]
-    }
-}
-
 /// `edgeMap` with default options (auto direction, `m/20` threshold).
 ///
 /// The input subset may be converted between representations in place —
 /// that is the conversion caching the original system performs.
-pub fn edge_map<W, F>(g: &Graph<W>, frontier: &mut VertexSubset, f: &F) -> VertexSubset
+pub fn edge_map<G, F>(g: &G, frontier: &mut VertexSubset, f: &F) -> VertexSubset
 where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
+    G: Neighbors,
+    F: EdgeMapFn<G::Weight>,
 {
     edge_map_with(g, frontier, f, EdgeMapOptions::default())
 }
 
 /// `edgeMap` with explicit [`EdgeMapOptions`].
-pub fn edge_map_with<W, F>(
-    g: &Graph<W>,
+pub fn edge_map_with<G, F>(
+    g: &G,
     frontier: &mut VertexSubset,
     f: &F,
     opts: EdgeMapOptions,
 ) -> VertexSubset
 where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
+    G: Neighbors,
+    F: EdgeMapFn<G::Weight>,
 {
-    edge_map_impl(g, frontier, f, opts, &mut NoopRecorder)
-}
-
-/// `edgeMap` recording one [`RoundStat`] into `stats`.
-///
-/// Equivalent to [`edge_map_recorded`] with a [`TraversalStats`] sink; kept
-/// as the conventional entry point for the applications.
-pub fn edge_map_traced<W, F>(
-    g: &Graph<W>,
-    frontier: &mut VertexSubset,
-    f: &F,
-    opts: EdgeMapOptions,
-    stats: &mut TraversalStats,
-) -> VertexSubset
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-{
-    edge_map_impl(g, frontier, f, opts, stats)
+    edge_map_recorded(g, frontier, f, opts, &mut NoopRecorder)
 }
 
 /// `edgeMap` delivering one timed, counter-annotated [`RoundStat`] to an
-/// arbitrary [`Recorder`].
-pub fn edge_map_recorded<W, F, R>(
-    g: &Graph<W>,
+/// arbitrary [`Recorder`] (a `&mut TraversalStats` collects a trace).
+pub fn edge_map_recorded<G, F, R>(
+    g: &G,
     frontier: &mut VertexSubset,
     f: &F,
     opts: EdgeMapOptions,
     rec: &mut R,
 ) -> VertexSubset
 where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-    R: Recorder,
-{
-    edge_map_impl(g, frontier, f, opts, rec)
-}
-
-fn edge_map_impl<W, F, R>(
-    g: &Graph<W>,
-    frontier: &mut VertexSubset,
-    f: &F,
-    opts: EdgeMapOptions,
-    rec: &mut R,
-) -> VertexSubset
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
+    G: Neighbors,
+    F: EdgeMapFn<G::Weight>,
     R: Recorder,
 {
     let n = g.num_vertices();
@@ -214,7 +177,7 @@ where
 
     let input_sparse = frontier.is_sparse();
     let counters = tracing.then(EdgeCounters::new);
-    let c = counters.as_ref();
+    let hooks = Hooks { counters: counters.as_ref(), oracle: opts.oracle };
 
     // A new round starts: reset the oracle's per-round win ledger so a
     // Claim-contract function may legitimately re-win targets it claimed
@@ -240,18 +203,12 @@ where
         VertexSubset::empty(n)
     } else {
         match mode {
-            Mode::Sparse => {
-                let vs = frontier.as_slice();
-                sparse_impl(g, vs, f, opts.deduplicate, opts.output, c, opts.oracle)
-            }
-            Mode::Dense => dense_impl(g, frontier.as_bits(), f, opts.output, c, opts.oracle),
-            Mode::DenseForward => {
-                dense_forward_impl(g, frontier.as_bits(), f, opts.output, c, opts.oracle)
-            }
+            Mode::Sparse => sparse(g, frontier.as_slice(), f, opts.deduplicate, opts.output, hooks),
+            Mode::Dense => dense(g, frontier.as_bits(), f, opts.output, hooks),
+            Mode::DenseForward => dense_forward(g, frontier.as_bits(), f, opts.output, hooks),
             Mode::Partitioned => {
                 let part = g.partitioning_with(opts.partition_bits);
-                let (res, ps) =
-                    partitioned_impl(g, frontier.as_bits(), f, opts.output, &part, c, opts.oracle);
+                let (res, ps) = partitioned(g, frontier.as_bits(), f, opts.output, &part, hooks);
                 pstats = ps;
                 res
             }
@@ -281,6 +238,7 @@ where
                 }
             }
         };
+        let c = counters.as_ref();
         rec.record(RoundStat {
             op: crate::stats::Op::EdgeMap,
             frontier_vertices,
@@ -307,63 +265,114 @@ where
     result
 }
 
+/// What a kernel reports into besides its result: the round's striped
+/// counters (present iff the round is recorded) and the race oracle
+/// (consulted only in `race-check` builds). Every per-edge user-function
+/// call goes through one of the two `apply_*` methods, so the hook and
+/// counter protocol is written once.
+#[derive(Clone, Copy)]
+struct Hooks<'a> {
+    counters: Option<&'a EdgeCounters>,
+    #[cfg_attr(not(feature = "race-check"), allow(dead_code))]
+    oracle: Option<&'a RaceOracle>,
+}
+
+impl Hooks<'_> {
+    /// [`EdgeMapFn::update_atomic`] on a racy (push) edge, bracketed by
+    /// the oracle's atomic-entry hooks and counted as a CAS attempt/win.
+    #[inline(always)]
+    fn apply_atomic<W, F: EdgeMapFn<W>>(&self, f: &F, u: VertexId, v: VertexId, w: W) -> bool {
+        #[cfg(feature = "race-check")]
+        if let Some(o) = self.oracle {
+            o.enter_atomic(u, v);
+        }
+        let won = f.update_atomic(u, v, w);
+        #[cfg(feature = "race-check")]
+        if let Some(o) = self.oracle {
+            o.exit_atomic(u, v, won);
+        }
+        if let Some(c) = self.counters {
+            c.cas_attempts.incr();
+            if won {
+                c.cas_wins.incr();
+            }
+        }
+        won
+    }
+
+    /// [`EdgeMapFn::update`] on an edge whose target this task owns (pull
+    /// and gather), bracketed by the oracle's exclusive-entry hooks.
+    #[inline(always)]
+    fn apply_exclusive<W, F: EdgeMapFn<W>>(&self, f: &F, u: VertexId, v: VertexId, w: W) -> bool {
+        #[cfg(feature = "race-check")]
+        if let Some(o) = self.oracle {
+            o.enter_exclusive(u, v);
+        }
+        let won = f.update(u, v, w);
+        #[cfg(feature = "race-check")]
+        if let Some(o) = self.oracle {
+            o.exit_exclusive(u, v, won);
+        }
+        won
+    }
+
+    #[inline]
+    fn scanned(&self, edges: u64) {
+        if let Some(c) = self.counters {
+            c.edges_scanned.add(edges);
+        }
+    }
+
+    #[inline]
+    fn skipped(&self, edges: u64) {
+        if let Some(c) = self.counters {
+            c.edges_skipped.add(edges);
+        }
+    }
+}
+
+/// The members of one frontier-bitset word, ascending.
+#[inline]
+fn word_members(wi: usize, mut w: u64) -> impl Iterator<Item = VertexId> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let v = checked_u32(wi * 64) + w.trailing_zeros();
+            w &= w - 1;
+            v
+        })
+    })
+}
+
 /// `|U|`'s incident out-edge count, from whichever representation the
 /// frontier currently has (no conversion). The dense pass decodes the
 /// bitset word-at-a-time, skipping 64 non-members per zero word.
-fn frontier_degree_sum<W: Copy + Send + Sync>(g: &Graph<W>, frontier: &VertexSubset) -> u64 {
+fn frontier_degree_sum<G: Neighbors>(g: &G, frontier: &VertexSubset) -> u64 {
     if let Some(vs) = frontier.sparse() {
         g.out_degree_sum(vs)
     } else if let Some(bits) = frontier.dense() {
         bits.words()
             .par_iter()
             .enumerate()
-            .map(|(wi, &w0)| {
-                let mut sum = 0u64;
-                let mut w = w0;
-                while w != 0 {
-                    let v = checked_u32(wi * 64) + w.trailing_zeros();
-                    w &= w - 1;
-                    sum += g.out_degree(v) as u64;
-                }
-                sum
-            })
+            .map(|(wi, &w)| word_members(wi, w).map(|v| g.out_degree(v) as u64).sum::<u64>())
             .sum()
     } else {
         unreachable!()
     }
 }
 
-/// Push traversal over a sparse frontier. Public for the ablation benches;
-/// use [`edge_map_with`] with [`Traversal::Sparse`] in normal code.
-pub fn edge_map_sparse<W, F>(
-    g: &Graph<W>,
+/// Push traversal over a sparse frontier.
+fn sparse<G, F>(
+    g: &G,
     vs: &[VertexId],
     f: &F,
     deduplicate: bool,
     output: bool,
+    hooks: Hooks<'_>,
 ) -> VertexSubset
 where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
+    G: Neighbors,
+    F: EdgeMapFn<G::Weight>,
 {
-    sparse_impl(g, vs, f, deduplicate, output, None, None)
-}
-
-fn sparse_impl<W, F>(
-    g: &Graph<W>,
-    vs: &[VertexId],
-    f: &F,
-    deduplicate: bool,
-    output: bool,
-    counters: Option<&EdgeCounters>,
-    oracle: Option<&RaceOracle>,
-) -> VertexSubset
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-{
-    #[cfg(not(feature = "race-check"))]
-    let _ = oracle;
     let n = g.num_vertices();
     // Offsets of each source's run within the frontier's edge range.
     let degrees: Vec<u64> = vs.par_iter().map(|&u| g.out_degree(u) as u64).collect();
@@ -378,61 +387,51 @@ where
     // at the source instead of in a second pass over the output.
     let seen = (deduplicate && output).then(|| AtomicBitVec::new(n));
 
-    // Edge-balanced blocks: block `b` owns edges [b*EDGE_BLOCK, ...) of the
-    // frontier's concatenated edge range, locating its first source by
-    // binary search on the offsets (offsets[0] == 0, so the partition point
-    // is never 0). Winners go to a block-local buffer; no shared output
-    // array, no sentinels.
+    // Edge-balanced blocks: block `b` covers edges [b*EDGE_BLOCK, ...) of
+    // the frontier's concatenated edge range. On a seekable representation
+    // it owns exactly those edges, entering its first source mid-list
+    // (offsets[0] == 0, so that partition point is never 0); on a streamed
+    // one it owns the sources whose runs *start* in the range and walks
+    // each to its end. Winners go to a block-local buffer; no shared
+    // output array, no sentinels.
     let nblocks = total.div_ceil(EDGE_BLOCK);
     let buffers: Vec<Vec<u32>> = (0..nblocks)
         .into_par_iter()
         .map(|b| {
             let lo = (b * EDGE_BLOCK) as u64;
             let hi = (((b + 1) * EDGE_BLOCK).min(total)) as u64;
-            let mut i = offsets.partition_point(|&o| o <= lo) - 1;
+            let first = if G::SEEKABLE {
+                offsets.partition_point(|&o| o <= lo) - 1
+            } else {
+                offsets.partition_point(|&o| o < lo)
+            };
             let mut buf: Vec<u32> =
                 if output { Vec::with_capacity((hi - lo) as usize) } else { Vec::new() };
             let mut scanned = 0u64;
-            while i < vs.len() {
-                let base = offsets[i];
+            for i in first..vs.len() {
+                let (u, base, deg) = (vs[i], offsets[i], degrees[i] as usize);
                 if base >= hi {
                     break;
                 }
-                let u = vs[i];
-                let ns = g.out_neighbors(u);
-                let ws = g.out_weights(u);
-                // This block's sub-range of u's edges (empty for the
+                // This block's share of u's edges (empty for the
                 // zero-degree sources sharing an offset).
-                let j0 = lo.saturating_sub(base) as usize;
-                let j1 = ns.len().min((hi - base) as usize);
-                for (j, &v) in ns.iter().enumerate().take(j1).skip(j0) {
-                    if f.cond(v) {
-                        #[cfg(feature = "race-check")]
-                        if let Some(o) = oracle {
-                            o.enter_atomic(u, v);
-                        }
-                        let won = f.update_atomic(u, v, wt(ws, j));
-                        #[cfg(feature = "race-check")]
-                        if let Some(o) = oracle {
-                            o.exit_atomic(u, v, won);
-                        }
-                        if let Some(c) = counters {
-                            c.cas_attempts.incr();
-                            if won {
-                                c.cas_wins.incr();
-                            }
-                        }
-                        if won && output && seen.as_ref().is_none_or(|s| s.set(v as usize)) {
-                            buf.push(v);
-                        }
+                let range = if G::SEEKABLE {
+                    lo.saturating_sub(base) as usize..deg.min((hi - base) as usize)
+                } else {
+                    0..deg
+                };
+                scanned += range.len() as u64;
+                for (v, w) in g.out_edges_range(u, range) {
+                    if f.cond(v)
+                        && hooks.apply_atomic(f, u, v, w)
+                        && output
+                        && seen.as_ref().is_none_or(|s| s.set(v as usize))
+                    {
+                        buf.push(v);
                     }
                 }
-                scanned += (j1 - j0) as u64;
-                i += 1;
             }
-            if let Some(c) = counters {
-                c.edges_scanned.add(scanned);
-            }
+            hooks.scanned(scanned);
             buf
         })
         .collect();
@@ -470,28 +469,11 @@ where
 /// stops as soon as `cond` fails (BFS: parent found). Frontier membership
 /// is one packed bit per source; each task owns one output word, so the
 /// produced bitset needs no atomics either.
-pub fn edge_map_dense<W, F>(g: &Graph<W>, bits: &BitSet, f: &F, output: bool) -> VertexSubset
+fn dense<G, F>(g: &G, bits: &BitSet, f: &F, output: bool, hooks: Hooks<'_>) -> VertexSubset
 where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
+    G: Neighbors,
+    F: EdgeMapFn<G::Weight>,
 {
-    dense_impl(g, bits, f, output, None, None)
-}
-
-fn dense_impl<W, F>(
-    g: &Graph<W>,
-    bits: &BitSet,
-    f: &F,
-    output: bool,
-    counters: Option<&EdgeCounters>,
-    oracle: Option<&RaceOracle>,
-) -> VertexSubset
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-{
-    #[cfg(not(feature = "race-check"))]
-    let _ = oracle;
     let n = g.num_vertices();
     debug_assert_eq!(bits.len(), n);
     let nwords = bits.words().len();
@@ -505,38 +487,29 @@ where
             let mut skipped_w = 0u64;
             for v in lo..hi {
                 let vid = checked_u32(v);
-                let ns = g.in_neighbors(vid);
-                let mut scanned = 0usize;
                 if f.cond(vid) {
-                    let ws = g.in_weights(vid);
-                    for (j, &u) in ns.iter().enumerate() {
-                        scanned = j + 1;
-                        if bits.get(u as usize) {
-                            #[cfg(feature = "race-check")]
-                            if let Some(o) = oracle {
-                                o.enter_exclusive(u, vid);
-                            }
-                            let won = f.update(u, vid, wt(ws, j));
-                            #[cfg(feature = "race-check")]
-                            if let Some(o) = oracle {
-                                o.exit_exclusive(u, vid, won);
-                            }
-                            if won && output {
-                                out_w |= 1u64 << (v - lo);
-                            }
+                    let edges = g.in_edges(vid);
+                    let deg = edges.len() as u64;
+                    let mut scanned = 0u64;
+                    for (u, w) in edges {
+                        scanned += 1;
+                        if bits.get(u as usize) && hooks.apply_exclusive(f, u, vid, w) && output {
+                            out_w |= 1u64 << (v - lo);
                         }
                         if !f.cond(vid) {
                             break;
                         }
                     }
+                    scanned_w += scanned;
+                    skipped_w += deg - scanned;
+                } else if hooks.counters.is_some() {
+                    // An already-claimed target: its whole list is skipped,
+                    // and only a recorded round pays to learn how long it was.
+                    skipped_w += g.in_degree(vid) as u64;
                 }
-                scanned_w += scanned as u64;
-                skipped_w += (ns.len() - scanned) as u64;
             }
-            if let Some(c) = counters {
-                c.edges_scanned.add(scanned_w);
-                c.edges_skipped.add(skipped_w);
-            }
+            hooks.scanned(scanned_w);
+            hooks.skipped(skipped_w);
             out_w
         })
         .collect();
@@ -550,85 +523,38 @@ where
 /// Write-based dense traversal: walk the out-edges of every frontier
 /// vertex using the dense representation. No transpose required, but
 /// updates race (atomic variant used) and there is no early exit. A zero
-/// frontier word skips 64 non-members with a single load; hub vertices
-/// split their out-edges into [`EDGE_BLOCK`]-sized blocks.
-pub fn edge_map_dense_forward<W, F>(
-    g: &Graph<W>,
-    bits: &BitSet,
-    f: &F,
-    output: bool,
-) -> VertexSubset
+/// frontier word skips 64 non-members with a single load; on a seekable
+/// representation hub vertices split their out-edges into
+/// [`EDGE_BLOCK`]-sized blocks.
+fn dense_forward<G, F>(g: &G, bits: &BitSet, f: &F, output: bool, hooks: Hooks<'_>) -> VertexSubset
 where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
+    G: Neighbors,
+    F: EdgeMapFn<G::Weight>,
 {
-    dense_forward_impl(g, bits, f, output, None, None)
-}
-
-fn dense_forward_impl<W, F>(
-    g: &Graph<W>,
-    bits: &BitSet,
-    f: &F,
-    output: bool,
-    counters: Option<&EdgeCounters>,
-    oracle: Option<&RaceOracle>,
-) -> VertexSubset
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-{
-    #[cfg(not(feature = "race-check"))]
-    let _ = oracle;
     let n = g.num_vertices();
     debug_assert_eq!(bits.len(), n);
     let mut next = BitSet::new(n);
     {
         let anext = next.as_atomic();
         bits.words().par_iter().enumerate().for_each(|(wi, &w0)| {
-            if w0 == 0 {
-                return;
-            }
-            let mut w = w0;
-            while w != 0 {
-                let u = checked_u32(wi * 64) + w.trailing_zeros();
-                w &= w - 1;
-                let ns = g.out_neighbors(u);
-                let ws = g.out_weights(u);
-                if let Some(c) = counters {
-                    c.edges_scanned.add(ns.len() as u64);
-                }
-                let body = |j: usize| {
-                    let v = ns[j];
-                    if f.cond(v) {
-                        #[cfg(feature = "race-check")]
-                        if let Some(o) = oracle {
-                            o.enter_atomic(u, v);
-                        }
-                        let won = f.update_atomic(u, v, wt(ws, j));
-                        #[cfg(feature = "race-check")]
-                        if let Some(o) = oracle {
-                            o.exit_atomic(u, v, won);
-                        }
-                        if let Some(c) = counters {
-                            c.cas_attempts.incr();
-                            if won {
-                                c.cas_wins.incr();
-                            }
-                        }
-                        if won && output {
+            for u in word_members(wi, w0) {
+                let edges = g.out_edges(u);
+                let deg = edges.len();
+                hooks.scanned(deg as u64);
+                let push = |edges: G::Edges<'_>| {
+                    for (v, w) in edges {
+                        if f.cond(v) && hooks.apply_atomic(f, u, v, w) && output {
                             anext[(v >> 6) as usize].fetch_or(1u64 << (v & 63), Ordering::Relaxed);
                         }
                     }
                 };
-                if ns.len() > EDGE_BLOCK {
-                    let nb = ns.len().div_ceil(EDGE_BLOCK);
-                    (0..nb).into_par_iter().for_each(|b| {
-                        let lo = b * EDGE_BLOCK;
-                        let hi = ((b + 1) * EDGE_BLOCK).min(ns.len());
-                        (lo..hi).for_each(&body);
+                if G::SEEKABLE && deg > EDGE_BLOCK {
+                    (0..deg.div_ceil(EDGE_BLOCK)).into_par_iter().for_each(|b| {
+                        let range = b * EDGE_BLOCK..((b + 1) * EDGE_BLOCK).min(deg);
+                        push(g.out_edges_range(u, range));
                     });
                 } else {
-                    (0..ns.len()).for_each(&body);
+                    push(edges);
                 }
             }
         });
@@ -664,33 +590,19 @@ struct PartitionedRoundStats {
     scatter_bytes: u64,
 }
 
-/// Cache-aware scatter/gather traversal over a dense frontier. Public for
-/// the ablation benches; use [`edge_map_with`] with
-/// [`Traversal::Partitioned`] in normal code. Uses the graph's cached
-/// default-width partitioning.
-pub fn edge_map_partitioned<W, F>(g: &Graph<W>, bits: &BitSet, f: &F, output: bool) -> VertexSubset
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-{
-    partitioned_impl(g, bits, f, output, &g.partitioning(), None, None).0
-}
-
-fn partitioned_impl<W, F>(
-    g: &Graph<W>,
+/// Cache-aware scatter/gather traversal over a dense frontier.
+fn partitioned<G, F>(
+    g: &G,
     bits: &BitSet,
     f: &F,
     output: bool,
     part: &Partitioning,
-    counters: Option<&EdgeCounters>,
-    oracle: Option<&RaceOracle>,
+    hooks: Hooks<'_>,
 ) -> (VertexSubset, PartitionedRoundStats)
 where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
+    G: Neighbors,
+    F: EdgeMapFn<G::Weight>,
 {
-    #[cfg(not(feature = "race-check"))]
-    let _ = oracle;
     let n = g.num_vertices();
     debug_assert_eq!(bits.len(), n);
     debug_assert_eq!(part.num_vertices(), n, "partitioning built for a different graph");
@@ -700,32 +612,27 @@ where
     // fragments. No `cond`, no destination state is read — touching
     // `dst`-indexed data here would reintroduce exactly the random
     // accesses this traversal exists to avoid. Entries land in bins in
-    // (chunk, bit) order, i.e. ascending source.
+    // (chunk, bit) order, i.e. ascending source; each frontier vertex's
+    // list is walked (decoded) exactly once.
     let fwords = bits.words();
     let nchunks = fwords.len().div_ceil(SCATTER_WORDS).max(1);
-    let frags: Fragments<BinEntry<W>> = (0..nchunks)
+    let frags: Fragments<BinEntry<G::Weight>> = (0..nchunks)
         .into_par_iter()
         .map(|ci| {
-            let mut row = fragment_row::<BinEntry<W>>(nparts);
+            let mut row = fragment_row::<BinEntry<G::Weight>>(nparts);
             let mut scanned = 0u64;
             let lo = ci * SCATTER_WORDS;
             let hi = (lo + SCATTER_WORDS).min(fwords.len());
             for (wi, &w0) in fwords.iter().enumerate().take(hi).skip(lo) {
-                let mut w = w0;
-                while w != 0 {
-                    let u = checked_u32(wi * 64) + w.trailing_zeros();
-                    w &= w - 1;
-                    let ns = g.out_neighbors(u);
-                    let ws = g.out_weights(u);
-                    scanned += ns.len() as u64;
-                    for (j, &v) in ns.iter().enumerate() {
-                        row[part.partition_of(v)].push(BinEntry { src: u, dst: v, w: wt(ws, j) });
+                for u in word_members(wi, w0) {
+                    let edges = g.out_edges(u);
+                    scanned += edges.len() as u64;
+                    for (v, w) in edges {
+                        row[part.partition_of(v)].push(BinEntry { src: u, dst: v, w });
                     }
                 }
             }
-            if let Some(c) = counters {
-                c.edges_scanned.add(scanned);
-            }
+            hooks.scanned(scanned);
             row
         })
         .collect();
@@ -734,7 +641,7 @@ where
     let pstats = PartitionedRoundStats {
         partitions: nparts as u64,
         bins_flushed,
-        scatter_bytes: (entries * std::mem::size_of::<BinEntry<W>>()) as u64,
+        scatter_bytes: (entries * std::mem::size_of::<BinEntry<G::Weight>>()) as u64,
     };
 
     // --- Gather: parallel over partitions, sequential within one. Every
@@ -747,29 +654,16 @@ where
         let base = part.range(p).start;
         let mut skipped = 0u64;
         for e in &bins[p] {
-            if f.cond(e.dst) {
-                #[cfg(feature = "race-check")]
-                if let Some(o) = oracle {
-                    o.enter_exclusive(e.src, e.dst);
-                }
-                let won = f.update(e.src, e.dst, e.w);
-                #[cfg(feature = "race-check")]
-                if let Some(o) = oracle {
-                    o.exit_exclusive(e.src, e.dst, won);
-                }
-                if won {
-                    if let Some(words) = out_words.as_deref_mut() {
-                        let local = e.dst as usize - base;
-                        words[local >> 6] |= 1u64 << (local & 63);
-                    }
-                }
-            } else {
+            if !f.cond(e.dst) {
                 skipped += 1;
+            } else if hooks.apply_exclusive(f, e.src, e.dst, e.w) {
+                if let Some(words) = out_words.as_deref_mut() {
+                    let local = e.dst as usize - base;
+                    words[local >> 6] |= 1u64 << (local & 63);
+                }
             }
         }
-        if let Some(c) = counters {
-            c.edges_skipped.add(skipped);
-        }
+        hooks.skipped(skipped);
     };
 
     let result = if output {
@@ -792,9 +686,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::TraversalStats;
     use crate::traits::edge_fn;
     use ligra_graph::generators::{erdos_renyi, star};
-    use ligra_graph::{build_graph, BuildOptions};
+    use ligra_graph::{build_graph, BuildOptions, Graph};
 
     /// Frontier's neighborhood, computed three ways, must agree.
     fn neighborhood_via(g: &Graph, frontier: &[u32], traversal: Traversal) -> Vec<u32> {
@@ -874,11 +769,11 @@ mod tests {
         let mut stats = TraversalStats::new();
 
         let mut tiny = VertexSubset::single(2000, 0);
-        let _ = edge_map_traced(&g, &mut tiny, &f, EdgeMapOptions::new(), &mut stats);
+        let _ = edge_map_recorded(&g, &mut tiny, &f, EdgeMapOptions::new(), &mut stats);
         assert_eq!(stats.rounds[0].mode, Mode::Sparse);
 
         let mut huge = VertexSubset::all(2000);
-        let _ = edge_map_traced(&g, &mut huge, &f, EdgeMapOptions::new(), &mut stats);
+        let _ = edge_map_recorded(&g, &mut huge, &f, EdgeMapOptions::new(), &mut stats);
         assert_eq!(stats.rounds[1].mode, Mode::Dense);
     }
 
@@ -889,11 +784,11 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::single(1000, 0);
         // Threshold 0: any nonempty frontier exceeds it -> dense.
-        let _ = edge_map_traced(&g, &mut fr, &f, EdgeMapOptions::new().threshold(0), &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, EdgeMapOptions::new().threshold(0), &mut stats);
         assert_eq!(stats.rounds[0].mode, Mode::Dense);
         // Huge threshold -> sparse even for the full set.
         let mut all = VertexSubset::all(1000);
-        let _ = edge_map_traced(
+        let _ = edge_map_recorded(
             &g,
             &mut all,
             &f,
@@ -983,6 +878,25 @@ mod tests {
     }
 
     #[test]
+    fn weighted_hub_blocks_carry_their_own_weights() {
+        use ligra_graph::build_weighted_graph;
+        // A hub split across several EDGE_BLOCKs: every block must see the
+        // weights of *its* edge range, not the head of the hub's list.
+        let hub_deg = 2 * EDGE_BLOCK + 9;
+        let edges: Vec<(u32, u32)> = (0..hub_deg as u32).map(|j| (0, j + 1)).collect();
+        let weights: Vec<i32> = (0..hub_deg as i32).map(|j| j + 1).collect();
+        let g = build_weighted_graph(hub_deg + 1, &edges, &weights, BuildOptions::directed());
+        // Edge (0, v) was built with weight v; keep the odd ones.
+        let f = edge_fn(|_, d: u32, w: i32| w == d as i32 && w % 2 == 1, |_| true);
+        let expect: Vec<u32> = (1..=hub_deg as u32).filter(|v| v % 2 == 1).collect();
+        for t in Traversal::ALL {
+            let mut fr = VertexSubset::single(hub_deg + 1, 0);
+            let out = edge_map_with(&g, &mut fr, &f, EdgeMapOptions::new().traversal(t));
+            assert_eq!(out.to_vec_sorted(), expect, "traversal {t:?}");
+        }
+    }
+
+    #[test]
     fn cancelled_round_is_a_recordless_no_op() {
         use crate::cancel::CancelToken;
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1000,7 +914,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::single(16, 0);
         let out =
-            edge_map_traced(&g, &mut fr, &f, EdgeMapOptions::new().cancel(&token), &mut stats);
+            edge_map_recorded(&g, &mut fr, &f, EdgeMapOptions::new().cancel(&token), &mut stats);
         assert!(out.is_empty(), "cancelled round must produce an empty frontier");
         assert_eq!(hits.load(Ordering::Relaxed), 0, "no edge may be touched");
         assert_eq!(stats.num_rounds(), 0, "a skipped round records nothing");
@@ -1027,7 +941,7 @@ mod tests {
         let f = edge_fn(|_, _, _: ()| true, |_| true);
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::from_sparse(1000, vec![0, 1, 2]);
-        let _ = edge_map_traced(&g, &mut fr, &f, EdgeMapOptions::new(), &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, EdgeMapOptions::new(), &mut stats);
         let r = stats.rounds[0];
         assert_eq!(r.frontier_vertices, 3);
         assert_eq!(r.work, r.frontier_vertices + r.frontier_out_edges);
@@ -1046,7 +960,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::from_sparse(500, vec![0, 1]);
         let opts = EdgeMapOptions::new().traversal(Traversal::Dense);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         let r = stats.rounds[0];
         assert_eq!(r.input_repr, ReprKind::Sparse);
         assert!(r.converted);
@@ -1057,7 +971,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::from_sparse(500, vec![0, 1]);
         let opts = EdgeMapOptions::new().traversal(Traversal::Sparse);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         assert!(!stats.rounds[0].converted);
     }
 
@@ -1069,7 +983,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::single(8, 0);
         let opts = EdgeMapOptions::new().traversal(Traversal::Sparse);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         let r = stats.rounds[0];
         assert_eq!(r.edges_scanned, 7, "all out-edges walked");
         assert_eq!(r.cas_attempts, 3, "targets 2, 4, 6 pass cond");
@@ -1094,7 +1008,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::all(64);
         let opts = EdgeMapOptions::new().traversal(Traversal::Dense);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         let r = stats.rounds[0];
         let total_in_edges = g.num_edges() as u64;
         assert_eq!(r.edges_scanned + r.edges_skipped, total_in_edges);
@@ -1116,7 +1030,7 @@ mod tests {
         // Traced + forced: the degree sum must still be recorded.
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::single(16, 0);
-        let _ = edge_map_traced(
+        let _ = edge_map_recorded(
             &g,
             &mut fr,
             &f,
@@ -1133,7 +1047,7 @@ mod tests {
         let f = edge_fn(|_, _, _: ()| true, |_| true);
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::single(200, 0);
-        let _ = edge_map_traced(&g, &mut fr, &f, EdgeMapOptions::new(), &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, EdgeMapOptions::new(), &mut stats);
         assert!(stats.rounds[0].time_ns > 0);
     }
 
@@ -1179,7 +1093,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::single(8, 0);
         let opts = EdgeMapOptions::new().traversal(Traversal::Sparse);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         let r = stats.rounds[0];
         assert_eq!(r.output_vertices, 3);
         assert_eq!(r.frontier_bytes, 4 * (1 + 3));
@@ -1193,7 +1107,7 @@ mod tests {
         let mut fr = VertexSubset::all(500);
         // Width 6 -> 64-vertex partitions -> ceil(500/64) = 8 of them.
         let opts = EdgeMapOptions::new().traversal(Traversal::Partitioned).partition_bits(6);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         let r = stats.rounds[0];
         assert_eq!(r.mode, Mode::Partitioned);
         assert!(r.forced);
@@ -1208,7 +1122,7 @@ mod tests {
         // The classic traversals must keep the new columns at zero.
         let mut fr = VertexSubset::all(500);
         let opts = EdgeMapOptions::new().traversal(Traversal::Dense);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         let r = stats.rounds[1];
         assert_eq!((r.partitions, r.bins_flushed, r.scatter_bytes), (0, 0, 0));
     }
@@ -1220,7 +1134,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::single(80, 0);
         let opts = EdgeMapOptions::new().traversal(Traversal::Partitioned).partition_bits(6);
-        let out = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let out = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         assert_eq!(out.len(), 39, "targets 2,4,...,78");
         let r = stats.rounds[0];
         assert_eq!(r.edges_scanned, 79, "scatter bins every out-edge");
@@ -1236,21 +1150,21 @@ mod tests {
         // (work > m/20) and miss-bound (out-edges > m/4).
         let opts = EdgeMapOptions::new().partition_min_vertices(1);
         let mut huge = VertexSubset::all(2000);
-        let _ = edge_map_traced(&g, &mut huge, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut huge, &f, opts, &mut stats);
         assert_eq!(stats.rounds[0].mode, Mode::Partitioned);
         assert!(!stats.rounds[0].forced, "Auto decided, not a forced policy");
         // A tiny frontier still takes the sparse path.
         let mut tiny = VertexSubset::single(2000, 0);
-        let _ = edge_map_traced(&g, &mut tiny, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut tiny, &f, opts, &mut stats);
         assert_eq!(stats.rounds[1].mode, Mode::Sparse);
         // At the production floor this graph is far too small to upgrade.
         let mut huge = VertexSubset::all(2000);
-        let _ = edge_map_traced(&g, &mut huge, &f, EdgeMapOptions::new(), &mut stats);
+        let _ = edge_map_recorded(&g, &mut huge, &f, EdgeMapOptions::new(), &mut stats);
         assert_eq!(stats.rounds[2].mode, Mode::Dense);
         // Raising the partition threshold vetoes the upgrade even when big.
         let mut huge = VertexSubset::all(2000);
         let opts = EdgeMapOptions::new().partition_min_vertices(1).partition_threshold(u64::MAX);
-        let _ = edge_map_traced(&g, &mut huge, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut huge, &f, opts, &mut stats);
         assert_eq!(stats.rounds[3].mode, Mode::Dense);
     }
 
@@ -1278,13 +1192,13 @@ mod tests {
         let mut stats = TraversalStats::new();
         let mut fr = VertexSubset::all(1000);
         let opts = EdgeMapOptions::new().traversal(Traversal::Dense);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts, &mut stats);
         let words = 1000usize.div_ceil(64) as u64 * 8;
         assert_eq!(stats.rounds[0].frontier_bytes, 2 * words, "input + output bitset");
 
         // Without output only the input side is streamed.
         let mut fr = VertexSubset::all(1000);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts.no_output(), &mut stats);
+        let _ = edge_map_recorded(&g, &mut fr, &f, opts.no_output(), &mut stats);
         assert_eq!(stats.rounds[1].frontier_bytes, words);
     }
 }

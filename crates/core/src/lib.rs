@@ -62,10 +62,7 @@ pub mod vertex_map;
 pub mod vertex_subset;
 
 pub use crate::cancel::CancelToken;
-pub use crate::edge_map::{
-    edge_map, edge_map_dense, edge_map_dense_forward, edge_map_partitioned, edge_map_recorded,
-    edge_map_sparse, edge_map_traced, edge_map_with,
-};
+pub use crate::edge_map::{edge_map, edge_map_recorded, edge_map_with};
 pub use crate::fault::{FaultAction, FaultError, FaultPlan, FaultPoint};
 pub use crate::lockdep::{EdgeWitness, LockOracle, LockReport, LockViolation};
 pub use crate::options::{EdgeMapOptions, Traversal};

@@ -481,16 +481,6 @@ impl<W: Copy + Send + Sync> Graph<W> {
         self.incoming.as_deref().unwrap_or_else(|| self.out.as_ref())
     }
 
-    /// Sum of out-degrees over `vs` — the `|U| + Σ deg⁺(u)` quantity of the
-    /// paper's direction heuristic is `vs.len() + graph.degree_sum(vs)`.
-    pub fn out_degree_sum(&self, vs: &[VertexId]) -> u64 {
-        if vs.len() < 2048 {
-            vs.iter().map(|&v| self.out_degree(v) as u64).sum()
-        } else {
-            vs.par_iter().map(|&v| self.out_degree(v) as u64).sum()
-        }
-    }
-
     /// The default-width vertex partitioning over this graph's
     /// in-direction, built on first use and cached (clones made after
     /// that share it). The width comes from
@@ -503,26 +493,6 @@ impl<W: Copy + Send + Sync> Graph<W> {
                 std::sync::Arc::new(crate::partition::Partitioning::of(self.in_adj(), bits))
             })
             .clone()
-    }
-
-    /// A partitioning at an explicit width: serves the cached one when
-    /// the widths agree, otherwise builds a throwaway one at `bits`.
-    pub fn partitioning_with(
-        &self,
-        bits: Option<u32>,
-    ) -> std::sync::Arc<crate::partition::Partitioning> {
-        match bits {
-            None => self.partitioning(),
-            Some(b) => {
-                let cached = self.partitioning();
-                if cached.bits() == b.clamp(crate::partition::MIN_BITS, crate::partition::MAX_BITS)
-                {
-                    cached
-                } else {
-                    std::sync::Arc::new(crate::partition::Partitioning::of(self.in_adj(), b))
-                }
-            }
-        }
     }
 
     /// Maximum out-degree and one vertex attaining it; `(0, 0)` on an
@@ -721,10 +691,8 @@ mod tests {
     }
 
     #[test]
-    fn degree_sum_and_max_degree() {
+    fn max_degree() {
         let g = small_directed();
-        assert_eq!(g.out_degree_sum(&[0, 1, 2]), 3);
-        assert_eq!(g.out_degree_sum(&[2]), 0);
         let (v, d) = g.max_out_degree();
         assert_eq!((v, d), (0, 2));
     }
@@ -804,12 +772,8 @@ mod tests {
         let g = small_directed();
         let p1 = g.partitioning();
         assert!(std::sync::Arc::ptr_eq(&p1, &g.partitioning()));
-        assert!(std::sync::Arc::ptr_eq(&p1, &g.partitioning_with(None)));
         assert_eq!(p1.num_vertices(), 3);
         assert_eq!(p1.total_in_edges(), 3, "counts come from the in-CSR");
-        let wide = g.partitioning_with(Some(7));
-        assert_eq!(wide.bits(), 7);
-        assert!(!std::sync::Arc::ptr_eq(&p1, &wide));
         // The reversed graph partitions over the opposite direction.
         let r = g.reversed();
         assert_eq!(r.partitioning().total_in_edges(), 3);

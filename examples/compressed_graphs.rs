@@ -6,7 +6,7 @@
 //! ```
 
 use ligra_apps as apps;
-use ligra_compress::{CompressedGraph, apps as capps};
+use ligra_compress::CompressedGraph;
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{grid3d, random_local, rmat};
 
@@ -41,26 +41,21 @@ fn main() {
     let cg: CompressedGraph = CompressedGraph::from_graph(g);
 
     let unc = apps::bfs(g, 0);
-    let (cparent, crounds) = capps::bfs(&cg, 0);
-    let creached = cparent.iter().filter(|&&p| p != capps::UNREACHED).count();
-    assert_eq!(crounds, unc.rounds);
-    assert_eq!(creached, unc.reached);
-    println!("\nBFS parity on rMat(2^16): {} rounds, {} reached — identical ✓", crounds, creached);
+    let com = apps::bfs(&cg, 0);
+    assert_eq!(com.dist, unc.dist);
+    assert_eq!(com.rounds, unc.rounds);
+    println!(
+        "\nBFS parity on rMat(2^16): {} rounds, {} reached — identical ✓",
+        com.rounds, com.reached
+    );
 
-    let labels_u = apps::cc(g).label;
-    let labels_c = capps::cc(&cg);
-    assert_eq!(labels_u, labels_c);
-    let ncomp = {
-        let mut l = labels_c.clone();
-        l.sort_unstable();
-        l.dedup();
-        l.len()
-    };
-    println!("Components parity: {ncomp} components — identical ✓");
+    let labels = apps::cc(&cg);
+    assert_eq!(labels.label, apps::cc(g).label);
+    println!("Components parity: {} components — identical ✓", labels.num_components());
 
     let pr_u = apps::pagerank(g, 0.85, 1e-9, 100);
-    let (pr_c, iters) = capps::pagerank(&cg, 0.85, 1e-9, 100);
-    let l1: f64 = pr_u.rank.iter().zip(&pr_c).map(|(a, b)| (a - b).abs()).sum();
-    println!("PageRank parity: {iters} iterations, L1 divergence {l1:.2e} ✓");
+    let pr_c = apps::pagerank(&cg, 0.85, 1e-9, 100);
+    let l1: f64 = pr_u.rank.iter().zip(&pr_c.rank).map(|(a, b)| (a - b).abs()).sum();
+    println!("PageRank parity: {} iterations, L1 divergence {l1:.2e} ✓", pr_c.iterations);
     assert!(l1 < 1e-8);
 }

@@ -104,6 +104,23 @@ fn sweep_seeds_and_points_every_query_terminal_no_worker_dies() {
     }
 }
 
+/// The round-boundary fault point belongs to the one generic dispatcher,
+/// so it fires whatever representation is traversed — including a
+/// compressed graph, which the engine does not serve (library call).
+#[test]
+fn edgemap_round_fault_fires_on_a_compressed_traversal() {
+    let cg: ligra_compress::CompressedGraph =
+        ligra_compress::CompressedGraph::from_graph(&grid3d(4));
+    let plan = FaultPlan::seeded(1).arm_at(FaultPoint::EdgemapRound, FaultAction::Error, 2);
+    let opts = ligra::EdgeMapOptions::new().fault_plan(&plan);
+    let unwound =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| apps::bfs_with(&cg, 0, opts)))
+            .expect_err("the armed second round must unwind");
+    let fault = unwound.downcast_ref::<ligra::FaultError>().expect("typed FaultError payload");
+    assert_eq!((fault.point, fault.hit), (FaultPoint::EdgemapRound, 2));
+    assert_eq!(plan.injected(FaultPoint::EdgemapRound), 1);
+}
+
 #[test]
 fn injected_panic_is_typed_and_the_same_worker_keeps_serving() {
     for &seed in &SEEDS {

@@ -2,11 +2,14 @@
 //! extra Ligra-release applications (k-core, MIS, triangles) and the
 //! Ligra+ compressed representation.
 
+use ligra::{edge_fn, EdgeMapOptions, Mode, NoopRecorder, Traversal, TraversalStats, VertexSubset};
 use ligra_apps as apps;
-use ligra_compress::apps as capps;
-use ligra_compress::CompressedGraph;
+use ligra_apps::seq;
+use ligra_compress::{ByteCode, ByteRleCode, CompressedGraph, NibbleCode};
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{erdos_renyi, grid3d, random_local, rmat};
+use ligra_graph::{apply_batch, build_graph, BuildOptions, DeltaBatch, Graph, Neighbors};
+use ligra_parallel::{checked_u32, hash32};
 
 #[test]
 fn kcore_mis_triangle_consistency() {
@@ -34,35 +37,189 @@ fn kcore_mis_triangle_consistency() {
     assert!(set.size() >= g.num_vertices() / (dmax + 1));
 }
 
-#[test]
-fn compressed_graph_runs_the_same_cc() {
-    for g in [grid3d(6), random_local(3000, 6, 5), erdos_renyi(2000, 3000, 9, true)] {
-        let cg: CompressedGraph = CompressedGraph::from_graph(&g);
-        assert_eq!(capps::cc(&cg), apps::cc(&g).label);
+/// The representations a logical graph can be traversed through: clean
+/// CSR, CSR under a live delta overlay, and each compressed codec.
+struct Reps {
+    csr: Graph,
+    overlay: Graph,
+    byte: CompressedGraph<ByteCode>,
+    nibble: CompressedGraph<NibbleCode>,
+    rle: CompressedGraph<ByteRleCode>,
+}
+
+impl Reps {
+    /// `base` plus a batch of chords applied as an overlay; the other
+    /// representations hold the same logical graph, compacted.
+    fn of(base: &Graph) -> Reps {
+        let n = checked_u32(base.num_vertices());
+        let batch = (0..40u32)
+            .fold(DeltaBatch::new(), |b, i| b.add_edge(hash32(i) % n, hash32(i ^ 0x5eed) % n));
+        let (overlay, _, _) = apply_batch(base, &batch).expect("in-range batch");
+        assert!(overlay.has_overlay());
+        let csr = overlay.compacted();
+        Reps {
+            byte: CompressedGraph::from_graph(&csr),
+            nibble: CompressedGraph::from_graph(&csr),
+            rle: CompressedGraph::from_graph(&csr),
+            csr,
+            overlay,
+        }
+    }
+
+    /// The applications' answers under `opts`, per representation.
+    fn answers(&self, opts: EdgeMapOptions) -> [(&'static str, Answers); 5] {
+        [
+            ("csr", Answers::of(&self.csr, opts)),
+            ("overlay", Answers::of(&self.overlay, opts)),
+            ("byte", Answers::of(&self.byte, opts)),
+            ("nibble", Answers::of(&self.nibble, opts)),
+            ("byte-rle", Answers::of(&self.rle, opts)),
+        ]
     }
 }
 
-#[test]
-fn compressed_bfs_reaches_the_same_set_in_the_same_rounds() {
-    for g in [grid3d(6), rmat(&RmatOptions::paper(10))] {
-        let cg: CompressedGraph = CompressedGraph::from_graph(&g);
-        let unc = apps::bfs(&g, 0);
-        let (parent, rounds) = capps::bfs(&cg, 0);
-        assert_eq!(rounds, unc.rounds);
-        for (v, &p) in parent.iter().enumerate() {
-            assert_eq!(p == capps::UNREACHED, unc.dist[v] == apps::UNREACHED, "vertex {v}");
+/// What the three generic applications compute on one representation
+/// under one traversal policy.
+struct Answers {
+    bfs_dist: Vec<u32>,
+    bfs_rounds: usize,
+    cc_label: Option<Vec<u32>>,
+    rank: Vec<f64>,
+}
+
+impl Answers {
+    fn of<G: Neighbors<Weight = ()>>(g: &G, opts: EdgeMapOptions) -> Answers {
+        let bfs = apps::bfs_with(g, 0, opts);
+        Answers {
+            bfs_dist: bfs.dist,
+            bfs_rounds: bfs.rounds,
+            cc_label: g.is_symmetric().then(|| apps::cc_traced(g, opts, &mut NoopRecorder).label),
+            rank: apps::pagerank_traced(g, 0.85, 0.0, 12, opts, &mut NoopRecorder).rank,
         }
     }
 }
 
+/// One differential sweep: input family × representation × traversal
+/// policy, every answer checked against the sequential references, and
+/// BFS round counts checked across representations.
 #[test]
-fn compressed_pagerank_matches_uncompressed() {
-    let g = rmat(&RmatOptions::paper(9));
+fn every_representation_and_policy_agrees_with_the_sequential_references() {
+    let inputs = [
+        ("grid3d", grid3d(5)),
+        ("rmat", rmat(&RmatOptions::paper(9))),
+        ("directed-er", erdos_renyi(400, 3000, 7, false)),
+    ];
+    for (family, base) in &inputs {
+        let reps = Reps::of(base);
+        let (dist, _) = seq::seq_bfs(&reps.csr, 0);
+        let label = reps.csr.is_symmetric().then(|| seq::seq_cc(&reps.csr));
+        let (rank, _) = seq::seq_pagerank(&reps.csr, 0.85, 0.0, 12);
+        for t in Traversal::ALL {
+            let mut rounds = None;
+            for (rep, got) in reps.answers(EdgeMapOptions::new().traversal(t)) {
+                let at = format!("{family}/{rep}/{t}");
+                assert_eq!(got.bfs_dist, dist, "{at}: BFS distances");
+                assert_eq!(got.cc_label, label, "{at}: CC labels");
+                let l1: f64 = got.rank.iter().zip(&rank).map(|(a, b)| (a - b).abs()).sum();
+                assert!(l1 < 1e-9, "{at}: PageRank L1 divergence {l1}");
+                assert_eq!(*rounds.get_or_insert(got.bfs_rounds), got.bfs_rounds, "{at}: rounds");
+            }
+        }
+    }
+}
+
+/// A frontier's out-neighborhood through `edgeMap` under one policy.
+fn neighborhood<G: Neighbors<Weight = ()>>(g: &G, frontier: &[u32], t: Traversal) -> Vec<u32> {
+    let f = edge_fn(|_s, _d, _w: ()| true, |_| true);
+    let mut fr = VertexSubset::from_sparse(g.num_vertices(), frontier.to_vec());
+    let opts = EdgeMapOptions::new().traversal(t).deduplicate(true);
+    ligra::edge_map_with(g, &mut fr, &f, opts).to_vec_sorted()
+}
+
+#[test]
+fn compressed_edge_map_agrees_with_csr_on_every_traversal() {
+    let g = erdos_renyi(400, 3000, 1, true);
     let cg: CompressedGraph = CompressedGraph::from_graph(&g);
-    let unc = apps::pagerank(&g, 0.85, 1e-10, 150);
-    let (p, _) = capps::pagerank(&cg, 0.85, 1e-10, 150);
-    let l1: f64 = unc.rank.iter().zip(&p).map(|(a, b)| (a - b).abs()).sum();
-    assert!(l1 < 1e-8, "L1 divergence {l1}");
+    let frontier: Vec<u32> = (0..400u32).filter(|v| v.is_multiple_of(9)).collect();
+    let reference = neighborhood(&g, &frontier, Traversal::Auto);
+    for t in Traversal::ALL {
+        assert_eq!(neighborhood(&cg, &frontier, t), reference, "traversal {t:?}");
+    }
+}
+
+#[test]
+fn directed_compressed_dense_uses_the_transpose() {
+    let g = erdos_renyi(200, 1500, 4, false);
+    let cg: CompressedGraph = CompressedGraph::from_graph(&g);
+    let frontier: Vec<u32> = (0..200u32).filter(|v| v.is_multiple_of(5)).collect();
+    let mut expect: Vec<u32> =
+        frontier.iter().flat_map(|&u| g.out_neighbors(u).iter().copied()).collect();
+    expect.sort_unstable();
+    expect.dedup();
+    assert_eq!(neighborhood(&cg, &frontier, Traversal::Dense), expect);
+}
+
+#[test]
+fn compressed_sparse_blocks_own_whole_hub_lists() {
+    // A hub spanning several EDGE_BLOCKs plus a tail: a streamed list is
+    // never split, so the block its run starts in must walk all of it.
+    let hub_deg = 3 * ligra::edge_map::EDGE_BLOCK + 17;
+    let n = hub_deg + 10;
+    let mut edges: Vec<(u32, u32)> = (0..hub_deg as u32).map(|j| (0, j + 1)).collect();
+    edges.extend((0..9u32).map(|k| (1 + k, n as u32 - 1)));
+    let g = build_graph(n, &edges, BuildOptions::directed());
+    let cg: CompressedGraph = CompressedGraph::from_graph(&g);
+    let frontier: Vec<u32> = (0..10u32).collect();
+    let expect = neighborhood(&g, &frontier, Traversal::Sparse);
+    assert_eq!(expect.len(), hub_deg + 1, "the hub's targets plus the tail's shared one");
+    for t in [Traversal::Sparse, Traversal::DenseForward] {
+        assert_eq!(neighborhood(&cg, &frontier, t), expect, "traversal {t:?}");
+    }
+}
+
+#[test]
+fn compressed_partitioned_traversal_records_bin_telemetry() {
+    let g = erdos_renyi(400, 3000, 2, true);
+    let cg: CompressedGraph = CompressedGraph::from_graph(&g);
+    let frontier: Vec<u32> = (0..400u32).collect();
+    let expect = neighborhood(&cg, &frontier, Traversal::Auto);
+
+    let f = edge_fn(|_s, _d, _w: ()| true, |_| true);
+    let mut stats = TraversalStats::new();
+    let mut fr = VertexSubset::from_sparse(400, frontier);
+    let opts = EdgeMapOptions::new().traversal(Traversal::Partitioned).partition_bits(6);
+    let out = ligra::edge_map_recorded(&cg, &mut fr, &f, opts, &mut stats);
+    assert_eq!(out.to_vec_sorted(), expect);
+
+    let r = stats.rounds[0];
+    assert_eq!(r.mode, Mode::Partitioned);
+    assert_eq!(r.partitions, 400u64.div_ceil(64));
+    assert!(r.bins_flushed > 0);
+    // 8 bytes per binned (src, dst) entry, one entry per frontier
+    // out-edge.
+    assert_eq!(r.scatter_bytes, 8 * r.frontier_out_edges);
+    assert_eq!(r.edges_scanned, r.frontier_out_edges);
+}
+
+#[test]
+fn compressed_trace_matches_uncompressed_schema() {
+    let g = erdos_renyi(300, 2400, 6, true);
+    let cg: CompressedGraph = CompressedGraph::from_graph(&g);
+    let f = edge_fn(|_s, _d, _w: ()| true, |_| true);
+    let mut stats = TraversalStats::new();
+    let mut fr = VertexSubset::from_sparse(300, vec![0, 5, 9]);
+    let _ = ligra::edge_map_recorded(&cg, &mut fr, &f, EdgeMapOptions::new(), &mut stats);
+    let r = stats.rounds[0];
+    assert_eq!(r.frontier_vertices, 3);
+    assert_eq!(r.work, r.frontier_vertices + r.frontier_out_edges);
+    assert_eq!(r.threshold, cg.num_edges() as u64 / 20);
+    assert_eq!(r.mode, Mode::Sparse, "three sources are far below m/20");
+    assert!(r.time_ns > 0);
+    // Sparse mode walks every decoded out-edge.
+    assert_eq!(r.edges_scanned, r.frontier_out_edges);
+    // Exported trace from a compressed run round-trips like any other.
+    let back = ligra::trace::from_json_lines(&ligra::trace::to_json_lines(&stats)).unwrap();
+    assert_eq!(back, stats);
 }
 
 #[test]

@@ -121,14 +121,17 @@ fn bfs_certifies_on_every_forced_traversal() {
 }
 
 #[test]
-fn compressed_push_traversals_certify_under_claim() {
+fn compressed_traversals_certify_under_claim() {
     use ligra_parallel::atomics::{as_atomic_u32, cas_u32};
     use std::sync::atomic::Ordering;
 
     let g = erdos_renyi(600, 4000, 10, true);
     let cg: ligra_compress::CompressedGraph = ligra_compress::CompressedGraph::from_graph(&g);
     let n = g.num_vertices();
-    for t in [Traversal::Sparse, Traversal::DenseForward] {
+    // Every forced policy: sparse and dense-forward go through the
+    // atomic-entry hooks, dense and partitioned through the exclusive ones.
+    for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward, Traversal::Partitioned]
+    {
         let oracle = RaceOracle::new(n, WinContract::Claim);
         let mut parent = vec![u32::MAX; n];
         parent[0] = 0;
@@ -140,7 +143,7 @@ fn compressed_push_traversals_certify_under_claim() {
             );
             let mut frontier = VertexSubset::single(n, 0);
             while !frontier.is_empty() {
-                frontier = ligra_compress::edge_map_with(
+                frontier = ligra::edge_map_with(
                     &cg,
                     &mut frontier,
                     &f,
