@@ -28,12 +28,11 @@ pub struct CcResult {
 }
 
 impl CcResult {
-    /// Number of distinct components.
+    /// Number of distinct components: every label is the minimum vertex
+    /// ID of its component, so exactly one vertex per component carries
+    /// its own ID.
     pub fn num_components(&self) -> usize {
-        let mut set: Vec<u32> = self.label.clone();
-        set.sort_unstable();
-        set.dedup();
-        set.len()
+        self.label.iter().enumerate().filter(|&(v, &l)| l as usize == v).count()
     }
 
     /// Sizes of components keyed by label.

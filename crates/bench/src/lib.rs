@@ -6,7 +6,6 @@
 //! `LIGRA_SCALE=large` for bigger inputs (paper-shaped, minutes of
 //! runtime) or `LIGRA_SCALE=tiny` for smoke tests.
 
-use ligra::Traversal;
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{grid3d, random_local, rmat};
 use ligra_graph::{Graph, GraphStats};
@@ -71,19 +70,6 @@ pub fn inputs(scale: Scale) -> Vec<Input> {
     out.push(Input { name: "rMat-sk", graph: sk, source: hub });
 
     out
-}
-
-/// Traversal-policy override read from `LIGRA_TRAVERSAL` (canonical
-/// names or the historical bench aliases — anything
-/// `Traversal::from_str` accepts). Unset or empty means the paper's
-/// hybrid (`Auto`); an unparseable value aborts with the parser's
-/// message rather than silently timing the wrong policy.
-pub fn traversal_from_env() -> Traversal {
-    match std::env::var("LIGRA_TRAVERSAL") {
-        Err(_) => Traversal::Auto,
-        Ok(s) if s.trim().is_empty() => Traversal::Auto,
-        Ok(s) => s.parse().unwrap_or_else(|e| panic!("LIGRA_TRAVERSAL: {e}")),
-    }
 }
 
 /// Wall-clock seconds for one invocation of `f`.

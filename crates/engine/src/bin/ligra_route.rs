@@ -27,28 +27,21 @@
 //! `--fault route.forward:action[:nth]` arms a deterministic fault on
 //! the router→backend hop (`fault-inject` builds only) so the chaos
 //! suite can error or lag forwards and assert failover behavior.
+//!
+//! This file is flag parsing; the routing logic is `ligra_engine::route`
+//! and the connection loop, listeners and shutdown drain are
+//! `ligra_engine::serve`, shared with `ligra-serve`.
 
-use ligra_engine::metrics::render_router;
-use ligra_engine::route::{drain_until, install_sigterm_latch, sigterm_received};
-use ligra_engine::wire::{read_request_line, MAX_REQUEST_LINE_BYTES};
-use ligra_engine::{error_response, FaultPlan, Router, RouterConfig};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ligra_engine::serve::{fault_plan, install_sigterm_latch};
+use ligra_engine::{Router, RouterConfig, Server};
 use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
     listen: String,
-    backends: Vec<String>,
     metrics_addr: Option<String>,
-    max_inflight: usize,
-    probe_interval: Duration,
-    probe_deadline: Duration,
-    request_deadline: Duration,
-    journal_capacity: usize,
-    down_after: u32,
-    retries: u32,
+    /// The router's own knobs; `fault` is filled in from the specs.
+    router: RouterConfig,
     drain_deadline: Duration,
     fault_specs: Vec<String>,
     fault_seed: u64,
@@ -73,24 +66,17 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Args {
-    let defaults = RouterConfig::default();
     let mut args = Args {
         listen: "127.0.0.1:7200".to_string(),
-        backends: Vec::new(),
         metrics_addr: None,
-        max_inflight: defaults.max_inflight,
-        probe_interval: defaults.probe_interval,
-        probe_deadline: defaults.probe_deadline,
-        request_deadline: defaults.request_deadline,
-        journal_capacity: defaults.journal_capacity,
-        down_after: defaults.down_after,
-        retries: defaults.retries,
+        router: RouterConfig::default(),
         drain_deadline: Duration::from_millis(5_000),
         fault_specs: Vec::new(),
         fault_seed: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let cfg = &mut args.router;
         let mut value =
             |name: &str| it.next().unwrap_or_else(|| fatal(&format!("{name} needs a value")));
         fn parsed<T: std::str::FromStr>(name: &str, raw: &str) -> T {
@@ -101,25 +87,25 @@ fn parse_args() -> Args {
         }
         match a.as_str() {
             "--listen" => args.listen = value("--listen"),
-            "--backend" => args.backends.push(value("--backend")),
+            "--backend" => cfg.backends.push(value("--backend")),
             "--metrics-addr" => args.metrics_addr = Some(value("--metrics-addr")),
             "--max-inflight" => {
-                args.max_inflight = parsed("--max-inflight", &value("--max-inflight"))
+                cfg.max_inflight = parsed("--max-inflight", &value("--max-inflight"))
             }
             "--probe-interval-ms" => {
-                args.probe_interval = ms("--probe-interval-ms", &value("--probe-interval-ms"))
+                cfg.probe_interval = ms("--probe-interval-ms", &value("--probe-interval-ms"))
             }
             "--probe-deadline-ms" => {
-                args.probe_deadline = ms("--probe-deadline-ms", &value("--probe-deadline-ms"))
+                cfg.probe_deadline = ms("--probe-deadline-ms", &value("--probe-deadline-ms"))
             }
             "--request-deadline-ms" => {
-                args.request_deadline = ms("--request-deadline-ms", &value("--request-deadline-ms"))
+                cfg.request_deadline = ms("--request-deadline-ms", &value("--request-deadline-ms"))
             }
             "--journal-capacity" => {
-                args.journal_capacity = parsed("--journal-capacity", &value("--journal-capacity"))
+                cfg.journal_capacity = parsed("--journal-capacity", &value("--journal-capacity"))
             }
-            "--down-after" => args.down_after = parsed("--down-after", &value("--down-after")),
-            "--retries" => args.retries = parsed("--retries", &value("--retries")),
+            "--down-after" => cfg.down_after = parsed("--down-after", &value("--down-after")),
+            "--retries" => cfg.retries = parsed("--retries", &value("--retries")),
             "--drain-deadline-ms" => {
                 args.drain_deadline = ms("--drain-deadline-ms", &value("--drain-deadline-ms"))
             }
@@ -132,192 +118,42 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.backends.is_empty() {
+    if args.router.backends.is_empty() {
         eprintln!("at least one --backend is required");
         usage();
     }
-    if args.max_inflight == 0 {
+    if args.router.max_inflight == 0 {
         fatal("--max-inflight must be at least 1");
     }
     args
 }
 
-/// Builds the router's fault plan from `--fault` specs; rejected at
-/// startup when the hooks are compiled out, mirroring `ligra-serve`.
-fn build_fault_plan(args: &Args) -> Result<Option<Arc<FaultPlan>>, String> {
-    if args.fault_specs.is_empty() {
-        return Ok(None);
+fn main() {
+    let args = parse_args();
+    let fault = fault_plan(&args.fault_specs, args.fault_seed).unwrap_or_else(|e| fatal(&e));
+    let router = Router::start(RouterConfig { fault, ..args.router }).unwrap_or_else(|e| fatal(&e));
+    let server = Server::new(Arc::clone(&router));
+    if let Some(addr) = &args.metrics_addr {
+        let bound = server
+            .listen_metrics(addr)
+            .unwrap_or_else(|e| fatal(&format!("bind metrics addr {addr}: {e}")));
+        eprintln!("ligra-route: metrics on http://{bound}/metrics");
     }
-    if !cfg!(feature = "fault-inject") {
-        return Err(
-            "--fault requires a ligra-route build with the fault-inject feature".to_string()
-        );
+    install_sigterm_latch();
+    let bound = server
+        .listen(&args.listen)
+        .unwrap_or_else(|e| fatal(&format!("bind {}: {e}", args.listen)));
+    eprintln!("ligra-route: listening on {bound} over {} backend(s)", router.num_backends());
+
+    // Graceful stop (`shutdown` op or SIGTERM): stop accepting, wait for
+    // outstanding forwards to finish up to the drain deadline, exit 0.
+    if server.wait_for_stop() {
+        eprintln!("ligra-route: SIGTERM received");
     }
-    let mut plan = FaultPlan::seeded(args.fault_seed);
-    for spec in &args.fault_specs {
-        plan = plan.arm_spec(spec).map_err(|e| format!("--fault {spec:?}: {e}"))?;
-    }
-    Ok(Some(Arc::new(plan)))
-}
-
-/// Serves one client connection; returns false when `shutdown` was
-/// acknowledged (the caller then drains the fleet and exits 0).
-fn serve_conn<R: BufRead, W: Write>(router: &Router, mut reader: R, mut writer: W) -> bool {
-    loop {
-        let line = match read_request_line(&mut reader, MAX_REQUEST_LINE_BYTES) {
-            Ok(None) => break, // clean EOF
-            Err(_) => break,   // transport failure; nothing to answer on
-            Ok(Some(Err(e))) => {
-                router.metrics().wire_malformed.incr();
-                if write_response(&mut writer, &error_response(&e)).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Ok(Some(Ok(l))) => l,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (resp, keep_going) = router.handle_line(&line);
-        if write_response(&mut writer, &resp).is_err() {
-            break;
-        }
-        if !keep_going {
-            return false;
-        }
-    }
-    true
-}
-
-fn write_response<W: Write>(writer: &mut W, resp: &str) -> std::io::Result<()> {
-    writeln!(writer, "{resp}").and_then(|()| writer.flush())
-}
-
-/// Answers one Prometheus scrape with the router vocabulary
-/// (`ROUTE_FAMILIES`), HTTP/1.0 framing, connection close.
-fn answer_scrape(router: &Router, stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?; // request line
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
-    }
-    let body = render_router(router.metrics());
-    let mut w = BufWriter::new(stream);
-    write!(
-        w,
-        "HTTP/1.0 200 OK\r\n\
-         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n{}",
-        body.len(),
-        body
-    )?;
-    w.flush()
-}
-
-fn spawn_metrics_listener(router: Arc<Router>, addr: &str) {
-    let listener = TcpListener::bind(addr)
-        .unwrap_or_else(|e| fatal(&format!("bind metrics addr {addr}: {e}")));
-    match listener.local_addr() {
-        Ok(a) => eprintln!("ligra-route: metrics on http://{a}/metrics"),
-        Err(_) => eprintln!("ligra-route: metrics listener bound"),
-    }
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let router = Arc::clone(&router);
-            std::thread::spawn(move || {
-                if let Err(e) = answer_scrape(&router, stream) {
-                    eprintln!("ligra-route: metrics scrape: {e}");
-                }
-            });
-        }
-    });
-}
-
-/// Accept-gate for graceful shutdown, mirroring `ligra-serve`.
-static SHUTTING_DOWN: AtomicBool = AtomicBool::new(false);
-
-/// Graceful stop: stop accepting, wait for outstanding forwards to
-/// finish up to the drain deadline, exit 0.
-fn drain_and_exit(router: &Router, deadline: Duration) -> ! {
-    SHUTTING_DOWN.store(true, Ordering::Release);
-    router.begin_shutdown();
     eprintln!("ligra-route: draining {} outstanding forwards", router.outstanding_total());
-    let drained = drain_until(|| router.outstanding_total() == 0, deadline);
-    if drained {
+    if server.quiesce(args.drain_deadline) {
         eprintln!("ligra-route: drained; exiting");
     } else {
         eprintln!("ligra-route: drain deadline hit with forwards still in flight; exiting");
-    }
-    std::process::exit(0);
-}
-
-fn main() {
-    let args = parse_args();
-    let fault = match build_fault_plan(&args) {
-        Ok(f) => f,
-        Err(e) => fatal(&e),
-    };
-    let router = Router::start(RouterConfig {
-        backends: args.backends.clone(),
-        max_inflight: args.max_inflight,
-        probe_interval: args.probe_interval,
-        probe_deadline: args.probe_deadline,
-        request_deadline: args.request_deadline,
-        journal_capacity: args.journal_capacity,
-        down_after: args.down_after,
-        retries: args.retries,
-        fault,
-    })
-    .unwrap_or_else(|e| fatal(&e));
-
-    if let Some(addr) = &args.metrics_addr {
-        spawn_metrics_listener(Arc::clone(&router), addr);
-    }
-
-    install_sigterm_latch();
-    {
-        let router = Arc::clone(&router);
-        let deadline = args.drain_deadline;
-        std::thread::spawn(move || loop {
-            if sigterm_received() {
-                eprintln!("ligra-route: SIGTERM received");
-                drain_and_exit(&router, deadline);
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
-
-    let listener = TcpListener::bind(&args.listen)
-        .unwrap_or_else(|e| fatal(&format!("bind {}: {e}", args.listen)));
-    eprintln!(
-        "ligra-route: listening on {} over {} backend(s)",
-        listener.local_addr().expect("bound listener has a local addr"),
-        router.num_backends()
-    );
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if SHUTTING_DOWN.load(Ordering::Acquire) {
-            drop(stream);
-            continue;
-        }
-        let router = Arc::clone(&router);
-        let deadline = args.drain_deadline;
-        std::thread::spawn(move || {
-            let reader = BufReader::new(stream.try_clone().expect("clone stream"));
-            let keep = serve_conn(&router, reader, BufWriter::new(stream));
-            if !keep {
-                drain_and_exit(&router, deadline);
-            }
-        });
     }
 }

@@ -1,21 +1,20 @@
 //! LRU result cache keyed on `(graph epoch, query)`.
 //!
-//! A hit hands back the same `Arc<QueryOutput>` the first run produced,
-//! so repeated queries against an unchanged snapshot cost one hash-map
-//! probe instead of a traversal. Keying on the epoch makes invalidation
+//! A hit hands back the same `Arc<QueryOutput>` the first run produced
+//! (and the reply summary computed with it), so repeated queries against
+//! an unchanged snapshot cost one hash-map probe instead of a traversal. Keying on the epoch makes invalidation
 //! implicit: installing a new graph bumps the epoch and every old entry
 //! simply stops matching (and ages out of the LRU). Hit/miss counters
 //! feed the engine's trace summary.
 
-use crate::query::{Query, QueryOutput};
+use crate::query::{Answer, Query};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Cache key: the snapshot epoch plus the full typed query.
 pub type CacheKey = (u64, Query);
 
 struct Entry {
-    value: Arc<QueryOutput>,
+    value: Answer,
     last_used: u64,
 }
 
@@ -39,14 +38,14 @@ impl ResultCache {
     }
 
     /// Probes for a cached result, counting a hit or a miss.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<QueryOutput>> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<Answer> {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(key) {
             Some(e) => {
                 e.last_used = tick;
                 self.hits += 1;
-                Some(Arc::clone(&e.value))
+                Some(e.value.clone())
             }
             None => {
                 self.misses += 1;
@@ -57,7 +56,7 @@ impl ResultCache {
 
     /// Inserts a result, evicting the least-recently-used entry when at
     /// capacity.
-    pub fn insert(&mut self, key: CacheKey, value: Arc<QueryOutput>) {
+    pub fn insert(&mut self, key: CacheKey, value: Answer) {
         if self.capacity == 0 {
             return;
         }
@@ -104,10 +103,12 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryOutput;
     use ligra_apps::CcResult;
+    use std::sync::Arc;
 
-    fn out(rounds: usize) -> Arc<QueryOutput> {
-        Arc::new(QueryOutput::Cc(CcResult { label: vec![], rounds }))
+    fn out(rounds: usize) -> Answer {
+        Answer::new(QueryOutput::Cc(CcResult { label: vec![], rounds }))
     }
 
     #[test]
@@ -116,9 +117,10 @@ mod tests {
         let key = (1, Query::Cc);
         assert!(c.get(&key).is_none());
         let v = out(3);
-        c.insert(key.clone(), Arc::clone(&v));
+        c.insert(key.clone(), v.clone());
         let got = c.get(&key).unwrap();
-        assert!(Arc::ptr_eq(&got, &v));
+        assert!(Arc::ptr_eq(&got.output, &v.output));
+        assert!(Arc::ptr_eq(&got.summary, &v.summary));
         assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 

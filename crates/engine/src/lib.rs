@@ -29,13 +29,18 @@
 //!   validation failures, injected transient faults, and caught panics;
 //! * [`wire`] — the flat-JSONL request/response format spoken by the
 //!   `ligra-serve` binary;
+//! * [`handler`] — [`Replica`]: one request line in, one response line
+//!   out, the whole of what `ligra-serve` answers, callable in-process;
+//! * [`serve`] — the front-end both binaries share: connection loop,
+//!   accept loop with its shutdown gate, Prometheus scrape listener,
+//!   `--fault` plan builder, SIGTERM latch and drain;
 //! * [`backoff`] — the deterministic jittered-exponential retry
 //!   schedule shared by the serve client pump and the router's
 //!   reconnect/probe loops;
 //! * [`route`] — the replicated serving router behind `ligra-route`:
 //!   per-backend Healthy/Degraded/Down state machine, least-outstanding
-//!   read routing with failover, journaled write fan-out with replay,
-//!   and the graceful-shutdown drain helpers (DESIGN.md §16).
+//!   read routing with failover, and journaled write fan-out with
+//!   replay (DESIGN.md §16).
 //!
 //! Robustness (DESIGN.md §11): workers isolate query panics with
 //! `catch_unwind` and self-heal; admission sheds on a memory budget
@@ -49,12 +54,14 @@
 pub mod backoff;
 pub mod cache;
 pub mod error;
+pub mod handler;
 pub mod lockdep;
 pub mod metrics;
 pub mod mutate;
 pub mod query;
 pub mod route;
 pub mod scheduler;
+pub mod serve;
 pub mod snapshot;
 pub mod span;
 pub mod wire;
@@ -62,15 +69,19 @@ pub mod wire;
 pub use backoff::Backoff;
 pub use cache::ResultCache;
 pub use error::QueryError;
+pub use handler::Replica;
 pub use ligra::{FaultAction, FaultError, FaultPlan, FaultPoint};
 pub use lockdep::{LockOracle, LockReport, LockViolation, TrackedGuard};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use mutate::{
     CompactionReport, MutateError, MutationConfig, MutationLog, MutationReport, MutationStatus,
 };
-pub use query::{Query, QueryOutput, PAGERANK_ALPHA};
+pub use query::{Answer, Query, QueryOutput, Summary, PAGERANK_ALPHA};
 pub use route::{BackendState, Router, RouterConfig, RouterMetrics};
-pub use scheduler::{Engine, EngineConfig, EngineStats, QueryHandle, SubmitError};
+pub use scheduler::{
+    Engine, EngineConfig, EngineStats, LookupError, QueryHandle, QueryReport, SubmitError,
+};
+pub use serve::{Frontend, Server, WireEvent};
 pub use snapshot::{GraphStore, Snapshot};
 pub use span::{spans_to_json_lines, QuerySpan, QueryStatus, RoundCounter, TeeRecorder};
 pub use wire::{error_response, JsonObj, Request};

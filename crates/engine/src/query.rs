@@ -14,6 +14,7 @@ use ligra_apps::{
     pagerank_traced, radii_traced, BcResult, BellmanFordResult, BfsResult, CcResult, KCoreResult,
     MisResult, PageRankResult, RadiiResult, INFINITE_DISTANCE, UNREACHED,
 };
+use std::sync::Arc;
 
 /// PageRank damping factor used by every engine query (the paper's value).
 pub const PAGERANK_ALPHA: f64 = 0.85;
@@ -227,12 +228,10 @@ impl QueryOutput {
                 let sum: f64 = r.dependencies.iter().sum();
                 vec![("rounds", r.rounds.to_string()), ("dependency_sum", format!("{sum:.6}"))]
             }
-            QueryOutput::Cc(r) => {
-                let mut labels: Vec<u32> = r.label.clone();
-                labels.sort_unstable();
-                labels.dedup();
-                vec![("rounds", r.rounds.to_string()), ("components", labels.len().to_string())]
-            }
+            QueryOutput::Cc(r) => vec![
+                ("rounds", r.rounds.to_string()),
+                ("components", r.num_components().to_string()),
+            ],
             QueryOutput::PageRank(r) => {
                 let sum: f64 = r.rank.iter().sum();
                 vec![
@@ -264,6 +263,28 @@ impl QueryOutput {
     }
 }
 
+/// A reply summary ([`QueryOutput::summary`]), shared between the
+/// result cache, the job and its retired record.
+pub type Summary = Arc<[(&'static str, String)]>;
+
+/// A finished query's output together with its reply summary, computed
+/// once when the result is produced so no reply — cache hits included —
+/// walks the per-vertex vectors again.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The full app-level result.
+    pub output: Arc<QueryOutput>,
+    /// `output.summary()`, computed once.
+    pub summary: Summary,
+}
+
+impl Answer {
+    /// Wraps `output`, computing its summary.
+    pub fn new(output: QueryOutput) -> Answer {
+        Answer { summary: output.summary().into(), output: Arc::new(output) }
+    }
+}
+
 fn max_reached(dist: &[u32]) -> u32 {
     dist.iter().copied().filter(|&d| d != UNREACHED).max().unwrap_or(0)
 }
@@ -275,7 +296,6 @@ mod tests {
     use ligra::NoopRecorder;
     use ligra_graph::generators::{cycle, grid3d};
     use ligra_graph::{build_graph, BuildOptions};
-    use std::sync::Arc;
 
     fn snap(g: ligra_graph::Graph) -> Snapshot {
         Snapshot::from_graph(1, Arc::new(g))

@@ -39,7 +39,8 @@
 
 use crate::backoff::{retry_after_ms, Backoff};
 use crate::lockdep::tracked_lock;
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{render_router, Counter, Gauge, Histogram};
+use crate::serve::{Frontend, WireEvent};
 use crate::wire::{error_response, JsonObj, Request};
 use crate::FaultPlan;
 use std::collections::HashMap;
@@ -387,8 +388,8 @@ impl Router {
     }
 
     /// Marks the router shutting down: probes stop, the writer drains
-    /// its queue and exits, new routing still works while the binary's
-    /// drain loop waits for outstanding requests to finish.
+    /// its queue and exits, new routing still works while the server's
+    /// drain waits for outstanding requests to finish.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
     }
@@ -1249,56 +1250,26 @@ fn rewrite_u64(resp: &str, key: &str, value: u64) -> String {
     }
 }
 
-// ---- graceful shutdown --------------------------------------------
-
-static SIGTERM: AtomicBool = AtomicBool::new(false);
-
-/// Installs a process-wide SIGTERM latch (no-op off unix): the handler
-/// only stores an atomic flag, which [`sigterm_received`] exposes so a
-/// serving binary's watcher thread can drain and exit 0 instead of
-/// dying mid-response. Uses a raw `signal(2)` binding because the repo
-/// carries no libc crate; the handler is async-signal-safe (one
-/// relaxed atomic store, no allocation, no locks).
-pub fn install_sigterm_latch() {
-    #[cfg(unix)]
-    {
-        extern "C" fn on_sigterm(_signum: i32) {
-            SIGTERM.store(true, Ordering::Relaxed);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGTERM_NUM: i32 = 15;
-        // SAFETY: `signal` is the POSIX libc entry point (always linked
-        // by std on unix); the handler passed is an `extern "C"`
-        // function of the required signature that performs only an
-        // atomic store, which is async-signal-safe.
-        unsafe {
-            signal(SIGTERM_NUM, on_sigterm as *const () as usize);
-        }
+impl Frontend for Router {
+    fn handle_line(&self, line: &str) -> (String, bool) {
+        Router::handle_line(self, line)
     }
-}
 
-/// True once SIGTERM has been delivered (always false off unix or
-/// before [`install_sigterm_latch`]).
-pub fn sigterm_received() -> bool {
-    SIGTERM.load(Ordering::Relaxed)
-}
+    fn exposition(&self) -> String {
+        render_router(&self.metrics)
+    }
 
-/// Polls `quiesced` every 10ms until it holds or `deadline` elapses;
-/// returns whether the system drained in time. The drain half of the
-/// graceful-shutdown contract shared by `ligra-serve` and
-/// `ligra-route`.
-pub fn drain_until(quiesced: impl Fn() -> bool, deadline: Duration) -> bool {
-    let start = Instant::now();
-    loop {
-        if quiesced() {
-            return true;
+    /// No forward is checked out against any replica.
+    fn is_quiescent(&self) -> bool {
+        self.outstanding_total() == 0
+    }
+
+    fn observe(&self, event: WireEvent) {
+        match event {
+            WireEvent::LineRejected => self.metrics.wire_malformed.incr(),
+            WireEvent::Draining => self.begin_shutdown(),
+            _ => {}
         }
-        if start.elapsed() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -1335,13 +1306,5 @@ mod tests {
     #[test]
     fn router_requires_backends() {
         assert!(Router::start(RouterConfig::default()).is_err());
-    }
-
-    #[test]
-    fn drain_until_times_out_and_succeeds() {
-        assert!(drain_until(|| true, Duration::from_millis(1)));
-        let start = Instant::now();
-        assert!(!drain_until(|| false, Duration::from_millis(30)));
-        assert!(start.elapsed() >= Duration::from_millis(30));
     }
 }

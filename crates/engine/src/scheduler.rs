@@ -32,12 +32,18 @@
 //! * **Spans.** Every query leaves one [`QuerySpan`] with queue wait,
 //!   run time, edgeMap rounds, and dispatch retries — the observability
 //!   contract the serving layer's `trace` op exposes.
+//! * **One bounded job table.** Unfinished jobs live in a map; a
+//!   terminal job leaves it for a ring of the last [`RETIRED_CAPACITY`]
+//!   light [`QueryReport`]s (status, span, reply summary, error — no
+//!   per-vertex data), so a long-lived server's memory does not grow
+//!   with the queries it has answered. An id that has left the ring
+//!   answers `expired`.
 
 use crate::cache::ResultCache;
 use crate::error::{classify_panic, QueryError};
 use crate::lockdep::{tracked_lock, TrackedGuard};
 use crate::metrics::{mix64, MetricsRegistry, MetricsSnapshot};
-use crate::query::{Query, QueryOutput};
+use crate::query::{Answer, Query, QueryOutput, Summary};
 use crate::snapshot::{GraphStore, Snapshot};
 use crate::span::{fill_span_buckets, QuerySpan, QueryStatus, TeeRecorder};
 use ligra::{CancelToken, EdgeMapOptions, FaultPlan, FaultPoint, Traversal};
@@ -57,7 +63,7 @@ const MAX_DISPATCH_RETRIES: u64 = 2;
 
 /// Locks a scheduler mutex under a named lock site, recovering from
 /// poisoning. A worker panic is caught and contained per-query; every
-/// structure these mutexes guard (queue, cache, job table, span log) is
+/// structure these mutexes guard (queue, cache, job table) is
 /// left consistent between individual operations, so the poison flag
 /// carries no information the scheduler needs. The site name feeds the
 /// runtime lock-order oracle in `lock-check` builds (DESIGN.md §15).
@@ -217,7 +223,7 @@ pub struct EngineStats {
 
 struct JobState {
     status: QueryStatus,
-    result: Option<Arc<QueryOutput>>,
+    answer: Option<Answer>,
     error: Option<QueryError>,
     span: Option<QuerySpan>,
 }
@@ -247,13 +253,13 @@ impl Job {
     fn finish(
         &self,
         status: QueryStatus,
-        result: Option<Arc<QueryOutput>>,
+        answer: Option<Answer>,
         error: Option<QueryError>,
         span: QuerySpan,
     ) {
         let mut st = lock(&self.state, "job.state");
         st.status = status;
-        st.result = result;
+        st.answer = answer;
         st.error = error;
         st.span = Some(span);
         drop(st);
@@ -282,14 +288,75 @@ fn sanitize_trace_id(raw: &str) -> String {
     raw.chars().filter(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-').take(64).collect()
 }
 
+/// Retired-record ring size: `poll`/`wait`/`span`/`trace` keep working
+/// for the last this-many finished queries.
+pub const RETIRED_CAPACITY: usize = 1024;
+
+/// What the serving layer reports about one query. Holds no per-vertex
+/// data, so the ring of retired reports stays small whatever the graph.
+#[derive(Debug, Clone)]
+pub struct QueryReport {
+    /// Engine-assigned id.
+    pub id: u64,
+    /// The query's correlation id.
+    pub trace_id: String,
+    /// Status when the report was taken.
+    pub status: QueryStatus,
+    /// The lifecycle span, once terminal.
+    pub span: Option<QuerySpan>,
+    /// The reply summary, once `Done`.
+    pub summary: Option<Summary>,
+    /// The typed error, once `Failed` or `Panicked`.
+    pub error: Option<QueryError>,
+}
+
+/// Every job the engine still answers for: unfinished ones by id, and
+/// the reports of the last [`RETIRED_CAPACITY`] finished ones, oldest
+/// first.
+struct JobTable {
+    live: HashMap<u64, Arc<Job>>,
+    retired: VecDeque<QueryReport>,
+}
+
+impl JobTable {
+    /// Moves a terminal job's report into the ring, dropping the oldest
+    /// report once the ring is full.
+    fn retire(&mut self, report: QueryReport) {
+        self.live.remove(&report.id);
+        if self.retired.len() == RETIRED_CAPACITY {
+            self.retired.pop_front();
+        }
+        self.retired.push_back(report);
+    }
+}
+
+/// Why [`Engine::report`] found nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LookupError {
+    /// The engine never issued this id.
+    Unknown(u64),
+    /// The query finished and its report has since left the ring.
+    Expired(u64),
+}
+
+impl std::fmt::Display for LookupError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LookupError::Unknown(id) => write!(f, "unknown id {id}"),
+            LookupError::Expired(id) => write!(f, "expired id {id}"),
+        }
+    }
+}
+
+impl std::error::Error for LookupError {}
+
 struct Shared {
     config: EngineConfig,
     store: GraphStore,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_cv: Condvar,
     cache: Mutex<ResultCache>,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
-    spans: Mutex<Vec<QuerySpan>>,
+    jobs: Mutex<JobTable>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     metrics: Arc<MetricsRegistry>,
@@ -359,9 +426,23 @@ impl QueryHandle {
         Some(st.status)
     }
 
-    /// The result, once `Done`.
+    /// The result, once `Done`. The handle owns it: it stays available
+    /// here after the engine has retired (or expired) the query.
     pub fn result(&self) -> Option<Arc<QueryOutput>> {
-        lock(&self.job.state, "job.state").result.clone()
+        lock(&self.job.state, "job.state").answer.as_ref().map(|a| Arc::clone(&a.output))
+    }
+
+    /// Everything the serving layer reports about this query, as of now.
+    pub fn report(&self) -> QueryReport {
+        let st = lock(&self.job.state, "job.state");
+        QueryReport {
+            id: self.job.id,
+            trace_id: self.job.trace_id.clone(),
+            status: st.status,
+            span: st.span.clone(),
+            summary: st.answer.as_ref().map(|a| Arc::clone(&a.summary)),
+            error: st.error.clone(),
+        }
     }
 
     /// The error message, once `Failed` or `Panicked`.
@@ -407,8 +488,7 @@ impl Engine {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             cache: Mutex::new(cache),
-            jobs: Mutex::new(HashMap::new()),
-            spans: Mutex::new(Vec::new()),
+            jobs: Mutex::new(JobTable { live: HashMap::new(), retired: VecDeque::new() }),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             metrics,
@@ -509,25 +589,26 @@ impl Engine {
             retries: AtomicU64::new(0),
             state: Mutex::new(JobState {
                 status: QueryStatus::Queued,
-                result: None,
+                answer: None,
                 error: None,
                 span: None,
             }),
             done: Condvar::new(),
         });
 
-        if let Some(result) = cached {
+        if let Some(answer) = cached {
             // Served without touching the queue: terminal immediately.
             let mut span = base_span(&job, 0);
             span.status = QueryStatus::Done;
             span.cache_hit = true;
             fill_span_buckets(&mut span);
-            job.finish(QueryStatus::Done, Some(result), None, span.clone());
+            job.finish(QueryStatus::Done, Some(answer), None, span);
             sh.metrics.submitted.incr();
             sh.metrics.retire(retire_index(QueryStatus::Done));
-            lock(&sh.spans, "scheduler.spans").push(span);
-            lock(&sh.jobs, "scheduler.jobs").insert(id, Arc::clone(&job));
-            return Ok(QueryHandle { job });
+            let handle = QueryHandle { job };
+            let report = handle.report();
+            lock(&sh.jobs, "scheduler.jobs").retire(report);
+            return Ok(handle);
         }
 
         // Memory-budget admission. The check-then-charge pair is not
@@ -547,19 +628,26 @@ impl Engine {
         // can never precede the charge.
         sh.metrics.inflight_bytes.add(cost_bytes);
 
-        {
+        // Into the table before the queue: a fast worker retiring the
+        // job must find it there, or the entry would never leave.
+        lock(&sh.jobs, "scheduler.jobs").live.insert(id, Arc::clone(&job));
+        let full = {
             let mut q = lock(&sh.queue, "scheduler.queue");
-            if q.len() >= sh.config.queue_capacity {
-                sh.metrics.inflight_bytes.sub(cost_bytes);
-                sh.metrics.rejected.incr();
-                return Err(SubmitError::QueueFull);
+            let full = q.len() >= sh.config.queue_capacity;
+            if !full {
+                q.push_back(Arc::clone(&job));
+                sh.metrics.queue_depth.add(1);
             }
-            q.push_back(Arc::clone(&job));
-            sh.metrics.queue_depth.add(1);
+            full
+        };
+        if full {
+            lock(&sh.jobs, "scheduler.jobs").live.remove(&id);
+            sh.metrics.inflight_bytes.sub(cost_bytes);
+            sh.metrics.rejected.incr();
+            return Err(SubmitError::QueueFull);
         }
         sh.queue_cv.notify_one();
         sh.metrics.submitted.incr();
-        lock(&sh.jobs, "scheduler.jobs").insert(id, Arc::clone(&job));
         Ok(QueryHandle { job })
     }
 
@@ -572,11 +660,31 @@ impl Engine {
         Duration::from_millis((20 * (queued + running + 1)).min(500))
     }
 
-    /// Looks up a previously submitted query by id.
+    /// The handle of a submitted query that has not finished yet, to
+    /// wait on or cancel by id.
     pub fn handle(&self, id: u64) -> Option<QueryHandle> {
-        lock(&self.shared.jobs, "scheduler.jobs")
-            .get(&id)
-            .map(|job| QueryHandle { job: Arc::clone(job) })
+        let table = lock(&self.shared.jobs, "scheduler.jobs");
+        table.live.get(&id).map(|job| QueryHandle { job: Arc::clone(job) })
+    }
+
+    /// What is known about a submitted query: its live state, or its
+    /// report if it is among the last [`RETIRED_CAPACITY`] finished.
+    pub fn report(&self, id: u64) -> Result<QueryReport, LookupError> {
+        let table = lock(&self.shared.jobs, "scheduler.jobs");
+        if let Some(job) = table.live.get(&id) {
+            let live = QueryHandle { job: Arc::clone(job) };
+            drop(table);
+            return Ok(live.report());
+        }
+        // Newest first: a reply is usually asked for right after it lands.
+        if let Some(report) = table.retired.iter().rev().find(|r| r.id == id) {
+            return Ok(report.clone());
+        }
+        if id == 0 || id >= self.shared.next_id.load(Ordering::Relaxed) {
+            Err(LookupError::Unknown(id))
+        } else {
+            Err(LookupError::Expired(id))
+        }
     }
 
     /// Aggregate counters for the `stats` op, including histogram-derived
@@ -697,14 +805,17 @@ impl Engine {
         }
     }
 
-    /// All spans recorded so far, submission order.
+    /// The spans of the last [`RETIRED_CAPACITY`] finished queries, in
+    /// the order they finished.
     pub fn spans(&self) -> Vec<QuerySpan> {
-        lock(&self.shared.spans, "scheduler.spans").clone()
+        let table = lock(&self.shared.jobs, "scheduler.jobs");
+        table.retired.iter().filter_map(|r| r.span.clone()).collect()
     }
 
-    /// The span of one query, if it has reached a terminal state.
+    /// The span of one query, if it has reached a terminal state and
+    /// has not yet left the ring.
     pub fn span(&self, id: u64) -> Option<QuerySpan> {
-        self.handle(id).and_then(|h| h.span())
+        self.report(id).ok().and_then(|r| r.span)
     }
 
     /// The configured worker count.
@@ -793,7 +904,7 @@ fn base_span(job: &Job, queue_wait_ns: u64) -> QuerySpan {
 /// What one protected execution attempt produced.
 enum Executed {
     /// Clean result (already cached unless the cache point faulted).
-    Success(Arc<QueryOutput>),
+    Success(Answer),
     /// The app drained at a round boundary after cancellation.
     CancelledRun,
     /// Validation (or app-level) error.
@@ -854,7 +965,7 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
                 Executed::CancelledRun
             }
             Ok(out) => {
-                let result = Arc::new(out);
+                let answer = Answer::new(out);
                 // The `engine.cache` fault point: a spurious error here
                 // degrades to a cache miss (the result is still
                 // returned, just not cached); a panic is contained by
@@ -870,9 +981,9 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
                 }
                 if cacheable {
                     lock(&sh.cache, "scheduler.cache")
-                        .insert((job.snapshot.epoch(), job.query.clone()), Arc::clone(&result));
+                        .insert((job.snapshot.epoch(), job.query.clone()), answer.clone());
                 }
-                Executed::Success(result)
+                Executed::Success(answer)
             }
         }
     }));
@@ -885,8 +996,8 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
     sh.metrics.partition_bins_flushed.add(counter.counter.bins_flushed);
     sh.metrics.partition_scatter_bytes.add(counter.counter.scatter_bytes);
 
-    let (status, result, error) = match exec {
-        Ok(Executed::Success(result)) => (QueryStatus::Done, Some(result), None),
+    let (status, answer, error) = match exec {
+        Ok(Executed::Success(answer)) => (QueryStatus::Done, Some(answer), None),
         Ok(Executed::CancelledRun) => (QueryStatus::Cancelled, None, None),
         Ok(Executed::AppError(msg)) => (QueryStatus::Failed, None, Some(QueryError::App(msg))),
         #[cfg(feature = "fault-inject")]
@@ -944,29 +1055,37 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
         }
     }
     span.retries = job.retries.load(Ordering::Relaxed);
-    finalize(sh, job, span, status, result, error);
+    finalize(sh, job, span, status, answer, error);
 }
 
 /// Single exit point for terminal jobs: counts the terminal outcome,
 /// stamps the span's histogram buckets, releases the memory-budget
-/// charge, records the span, and (gauge before notification) drops the
-/// running count before waking waiters, so a waiter that observes the
-/// terminal status also observes the query as no longer running.
+/// charge, retires the job's report into the ring, and (gauge before
+/// notification) drops the running count before waking waiters, so a
+/// waiter that observes the terminal status also observes the query as
+/// no longer running.
 fn finalize(
     sh: &Shared,
     job: &Job,
     mut span: QuerySpan,
     status: QueryStatus,
-    result: Option<Arc<QueryOutput>>,
+    answer: Option<Answer>,
     error: Option<QueryError>,
 ) {
     span.status = status;
     fill_span_buckets(&mut span);
     sh.metrics.retire(retire_index(status));
     sh.metrics.inflight_bytes.sub(job.cost_bytes);
-    lock(&sh.spans, "scheduler.spans").push(span.clone());
+    lock(&sh.jobs, "scheduler.jobs").retire(QueryReport {
+        id: job.id,
+        trace_id: job.trace_id.clone(),
+        status,
+        span: Some(span.clone()),
+        summary: answer.as_ref().map(|a| Arc::clone(&a.summary)),
+        error: error.clone(),
+    });
     sh.metrics.running.sub(1);
-    job.finish(status, result, error, span);
+    job.finish(status, answer, error, span);
 }
 
 #[cfg(test)]

@@ -144,10 +144,7 @@ mod tests {
     fn classify_paths() {
         let c = |p: &str| classify(Path::new(p));
         assert_eq!(c("crates/core/src/edge_map.rs"), Some(("core".into(), FileKind::Lib)));
-        assert_eq!(
-            c("crates/bench/src/bin/bench_edgemap.rs"),
-            Some(("bench".into(), FileKind::Lib))
-        );
+        assert_eq!(c("crates/bench/src/bin/ligraplus.rs"), Some(("bench".into(), FileKind::Lib)));
         assert_eq!(c("crates/lint/tests/fixtures.rs"), Some(("lint".into(), FileKind::Test)));
         assert_eq!(c("tests/tests/engine.rs"), Some(("tests".into(), FileKind::Test)));
         assert_eq!(c("examples/src/lib.rs"), Some(("examples".into(), FileKind::Lib)));

@@ -3,8 +3,10 @@
 //! (which forwards `ligra/fault-inject` and `ligra-engine/fault-inject`
 //! and arms the hooks).
 //!
-//! The sweep drives every engine-side fault point × action across eight
-//! seeds and asserts the robustness invariants the scheduler promises:
+//! The sweep drives every serving-side fault point × action across eight
+//! seeds — the front-end's `wire.read` and `graph.load` through
+//! `Replica::handle_line`, alongside the engine's own — and asserts the
+//! robustness invariants the serving tier promises:
 //!
 //! * no worker thread ever dies — a panicking query is contained by the
 //!   worker's `catch_unwind` boundary and the pool self-heals;
@@ -19,7 +21,7 @@
 use ligra_apps as apps;
 use ligra_engine::{
     Engine, EngineConfig, FaultAction, FaultPlan, FaultPoint, MutateError, MutationConfig,
-    MutationLog, Query, QueryError, QueryOutput, QueryStatus,
+    MutationLog, Query, QueryError, QueryOutput, QueryStatus, Replica,
 };
 use ligra_graph::generators::grid3d;
 use ligra_graph::DeltaBatch;
@@ -30,11 +32,15 @@ use std::time::Duration;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
-/// The fault points the engine itself passes through while running
-/// queries (`graph.load` and `wire.read` live in the `ligra-serve`
-/// front-end and are exercised by `scripts/chaos_smoke.sh`).
-const ENGINE_POINTS: [FaultPoint; 3] =
-    [FaultPoint::EdgemapRound, FaultPoint::EngineDispatch, FaultPoint::EngineCache];
+/// The fault points a replica passes through while serving: the
+/// front-end's two, then the engine's three.
+const SERVING_POINTS: [FaultPoint; 5] = [
+    FaultPoint::WireRead,
+    FaultPoint::GraphLoad,
+    FaultPoint::EdgemapRound,
+    FaultPoint::EngineDispatch,
+    FaultPoint::EngineCache,
+];
 
 const ACTIONS: [FaultAction; 3] =
     [FaultAction::Panic, FaultAction::Error, FaultAction::Latency(Duration::from_millis(2))];
@@ -65,15 +71,32 @@ fn distinct_query(i: u32) -> Query {
 
 #[test]
 fn sweep_seeds_and_points_every_query_terminal_no_worker_dies() {
+    // The graph `engine_with` installs, on disk for the `load` op.
+    let path = std::env::temp_dir().join(format!("ligra-chaos-{}.adj", std::process::id()));
+    ligra_graph::io::save_graph(&grid3d(8), &path).expect("write graph file");
+    let load = format!("{{\"op\":\"load\",\"path\":\"{}\"}}", path.display());
     for &seed in &SEEDS {
-        for point in ENGINE_POINTS {
+        for point in SERVING_POINTS {
             for action in ACTIONS {
                 let plan = FaultPlan::seeded(seed).arm(point, action);
                 let engine = engine_with(plan, 2);
+                let log =
+                    Arc::new(MutationLog::new(Arc::clone(&engine), MutationConfig::default()));
+                let replica = Replica::new(Arc::clone(&engine), log);
                 let label = format!("seed {seed}, {point}, {}", action.name());
 
+                // Beside each query, one `load` of the same graph and one
+                // `ping` go through the handler, so `graph.load` and
+                // `wire.read` see as many hits as the engine's points.
                 let handles: Vec<_> = (0..12)
                     .map(|i| {
+                        for line in [load.as_str(), "{\"op\":\"ping\"}"] {
+                            let reply = replica.handle_line(line).0;
+                            assert!(
+                                reply.contains("\"ok\":true") || reply.contains(point.name()),
+                                "{label}: {line} failed for another reason: {reply}"
+                            );
+                        }
                         engine
                             .submit(distinct_query(i), None)
                             .unwrap_or_else(|e| panic!("{label}: submit rejected: {e}"))
@@ -96,12 +119,16 @@ fn sweep_seeds_and_points_every_query_terminal_no_worker_dies() {
 
                 let stats = engine.stats();
                 assert_eq!(stats.inflight_bytes, 0, "{label}: admission charge leaked");
-                if matches!(action, FaultAction::Panic) {
+                // A front-end panic is contained in the handler and never
+                // reaches a worker; an engine-side one retires a query.
+                let front_end = matches!(point, FaultPoint::WireRead | FaultPoint::GraphLoad);
+                if matches!(action, FaultAction::Panic) && !front_end {
                     assert!(stats.panics >= 1, "{label}: contained panic not counted");
                 }
             }
         }
     }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The round-boundary fault point belongs to the one generic dispatcher,

@@ -125,10 +125,14 @@ fn zero_deadline_result_is_never_cached() {
     assert_eq!(engine.stats().cancelled, 0);
 }
 
+/// Closed-loop submitters outnumbering the workers two to one, every
+/// query under a deadline: all finish, none is starved past its
+/// deadline while queued behind the others.
 #[test]
 fn concurrent_client_mix_completes_with_consistent_stats() {
-    let engine = engine_with(3, rmat(&RmatOptions::paper(8)));
+    let engine = engine_with(2, rmat(&RmatOptions::paper(8)));
     let n = 1u32 << 8;
+    let deadline = Duration::from_secs(30);
 
     std::thread::scope(|s| {
         for c in 0..4u32 {
@@ -141,8 +145,10 @@ fn concurrent_client_mix_completes_with_consistent_stats() {
                         2 => Query::Radii { seed: (c * 100 + i) as u64 },
                         _ => Query::PageRank { iters: 3 + (i % 3) },
                     };
-                    let h = engine.submit(q, Some(Duration::from_secs(30))).unwrap();
+                    let submitted = std::time::Instant::now();
+                    let h = engine.submit(q, Some(deadline)).unwrap();
                     assert_eq!(h.wait(), QueryStatus::Done);
+                    assert!(submitted.elapsed() <= deadline, "query {} starved", h.id());
                     assert!(h.result().is_some());
                 }
             });

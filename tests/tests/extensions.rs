@@ -84,16 +84,19 @@ struct Answers {
     bfs_dist: Vec<u32>,
     bfs_rounds: usize,
     cc_label: Option<Vec<u32>>,
+    cc_components: Option<usize>,
     rank: Vec<f64>,
 }
 
 impl Answers {
     fn of<G: Neighbors<Weight = ()>>(g: &G, opts: EdgeMapOptions) -> Answers {
         let bfs = apps::bfs_with(g, 0, opts);
+        let cc = g.is_symmetric().then(|| apps::cc_traced(g, opts, &mut NoopRecorder));
         Answers {
             bfs_dist: bfs.dist,
             bfs_rounds: bfs.rounds,
-            cc_label: g.is_symmetric().then(|| apps::cc_traced(g, opts, &mut NoopRecorder).label),
+            cc_components: cc.as_ref().map(apps::CcResult::num_components),
+            cc_label: cc.map(|r| r.label),
             rank: apps::pagerank_traced(g, 0.85, 0.0, 12, opts, &mut NoopRecorder).rank,
         }
     }
@@ -113,6 +116,14 @@ fn every_representation_and_policy_agrees_with_the_sequential_references() {
         let reps = Reps::of(base);
         let (dist, _) = seq::seq_bfs(&reps.csr, 0);
         let label = reps.csr.is_symmetric().then(|| seq::seq_cc(&reps.csr));
+        // `num_components` counts self-labelled vertices; the reference
+        // count is the number of distinct labels.
+        let components = label.as_ref().map(|l| {
+            let mut distinct = l.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            distinct.len()
+        });
         let (rank, _) = seq::seq_pagerank(&reps.csr, 0.85, 0.0, 12);
         for t in Traversal::ALL {
             let mut rounds = None;
@@ -120,6 +131,7 @@ fn every_representation_and_policy_agrees_with_the_sequential_references() {
                 let at = format!("{family}/{rep}/{t}");
                 assert_eq!(got.bfs_dist, dist, "{at}: BFS distances");
                 assert_eq!(got.cc_label, label, "{at}: CC labels");
+                assert_eq!(got.cc_components, components, "{at}: CC component count");
                 let l1: f64 = got.rank.iter().zip(&rank).map(|(a, b)| (a - b).abs()).sum();
                 assert!(l1 < 1e-9, "{at}: PageRank L1 divergence {l1}");
                 assert_eq!(*rounds.get_or_insert(got.bfs_rounds), got.bfs_rounds, "{at}: rounds");

@@ -15,9 +15,11 @@
 //! one-line JSON responses, and `rseq` dedup on replicated writes
 //! (`ligra-serve`'s exactly-once guard), so a lagged replica that
 //! applied a write the router recorded as missed does not double-apply
-//! it at replay.
+//! it at replay. The real guard — `Replica`'s own — is driven by
+//! `router_over_real_replicas_*`, over two in-process loopback replicas.
 
-use ligra_engine::route::{drain_until, Router, RouterConfig};
+use ligra_engine::route::{Router, RouterConfig};
+use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -350,6 +352,63 @@ fn submit_wait_fails_over_when_owning_replica_dies() {
 }
 
 #[test]
+fn router_over_real_replicas_replicates_dedups_and_routes_by_id() {
+    // Auto-compaction off, as for any replica behind a router: epoch
+    // parity is the convergence criterion.
+    let replicas: Vec<Arc<Replica>> = (0..2)
+        .map(|_| {
+            let engine = Arc::new(Engine::new(EngineConfig::default()));
+            let log = Arc::new(MutationLog::new(
+                Arc::clone(&engine),
+                MutationConfig { compact_threshold: None },
+            ));
+            Arc::new(Replica::new(engine, log))
+        })
+        .collect();
+    let backends = replicas
+        .iter()
+        .map(|r| Server::new(Arc::clone(r)).listen("127.0.0.1:0").expect("bind").to_string())
+        .collect();
+    let router =
+        Router::start(RouterConfig { backends, ..RouterConfig::default() }).expect("router start");
+
+    // Writes fan out to both replicas, to epoch parity.
+    let gen = ask(&router, "{\"op\":\"gen\",\"family\":\"grid3d\",\"side\":4}");
+    assert!(gen.contains("\"replicas_ok\":2") && gen.contains("\"vertices\":64"), "{gen}");
+    let mutate = ask(&router, "{\"op\":\"mutate\",\"add_vertices\":1,\"add\":\"0-64\"}");
+    assert!(mutate.contains("\"replicas_ok\":2") && mutate.contains("\"seq\":2"), "{mutate}");
+    let stats = ask(&router, "{\"op\":\"route-stats\"}");
+    assert_eq!(field_str(&stats, "epochs"), Some("2,2"), "{stats}");
+    assert_eq!(field_str(&stats, "applied_seqs"), Some("2,2"), "{stats}");
+    assert!(ask(&router, "{\"op\":\"graph-stats\"}").contains("\"in_sync\":true"));
+
+    // A replayed write (the journal seq a replica already applied) is
+    // acknowledged as a duplicate without bumping its epoch.
+    for replica in &replicas {
+        let replayed = replica.handle_line("{\"op\":\"mutate\",\"add\":\"1-64\",\"rseq\":2}").0;
+        assert_eq!(replayed, "{\"ok\":true,\"epoch\":2,\"duplicate\":true,\"rseq\":2}");
+        assert_eq!(replica.engine().current_epoch(), Some(2));
+    }
+
+    // Reads: a submit through the router, then wait/span by the
+    // router's id, reach the replica that owns the query.
+    for _ in 0..2 {
+        let submit = ask(&router, "{\"op\":\"submit\",\"query\":\"bfs\",\"source\":0}");
+        let id = field_u64(&submit, "id").unwrap_or_else(|| panic!("submit refused: {submit}"));
+        let wait = ask(&router, &format!("{{\"op\":\"wait\",\"id\":{id}}}"));
+        assert_eq!(field_u64(&wait, "id"), Some(id), "{wait}");
+        assert!(wait.contains("\"status\":\"done\"") && wait.contains("\"reached\":65"), "{wait}");
+        let span = ask(&router, &format!("{{\"op\":\"span\",\"id\":{id}}}"));
+        assert!(span.contains("\"query\":\"bfs\"") && span.contains("\"epoch\":2"), "{span}");
+    }
+    // Rotation placed one submit on each replica.
+    for replica in &replicas {
+        assert_eq!(replica.engine().stats().submitted, 1);
+    }
+    router.begin_shutdown();
+}
+
+#[test]
 fn all_replicas_down_sheds_with_retry_hint() {
     let a = Fake::start();
     let router = router_over(&[&a]);
@@ -361,12 +420,6 @@ fn all_replicas_down_sheds_with_retry_hint() {
     assert!(is_transient(&resp), "shed response not transient: {resp}");
     assert!(router.metrics().sheds.get() >= 1);
     router.begin_shutdown();
-}
-
-#[test]
-fn drain_until_reports_quiescence() {
-    assert!(drain_until(|| true, Duration::from_millis(10)));
-    assert!(!drain_until(|| false, Duration::from_millis(40)));
 }
 
 // ---- chaos acceptance sweeps --------------------------------------
