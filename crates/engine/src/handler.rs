@@ -16,7 +16,7 @@
 //! {"op":"poll","id":3}        {"op":"wait","id":3}
 //! {"op":"cancel","id":3}      {"op":"span","id":3}
 //! {"op":"stats"}              {"op":"trace"}
-//! {"op":"metrics"}            {"op":"shutdown"}
+//! {"op":"shutdown"}
 //! {"op":"mutate","add":"0-1,2-3","del":"4-5","add_vertices":1,"del_vertices":"7,9"}
 //! {"op":"compact"}            {"op":"compact","wait":false}
 //! {"op":"graph-stats"}
@@ -31,7 +31,7 @@
 //! queries; an older id answers `expired id N`.
 
 use crate::lockdep::tracked_lock;
-use crate::metrics::render;
+use crate::metrics::{render, stats_fields, FAMILIES};
 use crate::scheduler::{LookupError, QueryReport};
 use crate::serve::{Frontend, WireEvent};
 use crate::span::span_to_json;
@@ -197,7 +197,6 @@ impl Replica {
                 let conns = *tracked_lock(&self.counts, "serve.connections");
                 Ok(stats_response(engine, conns))
             }
-            "metrics" => Ok(metrics_response(engine)),
             "trace" => Ok(trace_response(engine)),
             "ping" => Ok(JsonObj::new().bool("ok", true).str("pong", "ligra-serve").finish()),
             "shutdown" => {
@@ -218,7 +217,7 @@ impl Frontend for Replica {
     }
 
     fn exposition(&self) -> String {
-        render(&self.engine.metrics_snapshot())
+        render(FAMILIES, &self.engine.stats())
     }
 
     /// Nothing queued, nothing running.
@@ -269,7 +268,7 @@ where
     if rseq > 0 && rseq <= last_rseq.load(Ordering::Acquire) {
         return Ok(JsonObj::new()
             .bool("ok", true)
-            .u64("epoch", engine.stats().epoch.unwrap_or(0))
+            .u64("epoch", engine.current_epoch().unwrap_or(0))
             .bool("duplicate", true)
             .u64("rseq", rseq)
             .finish());
@@ -537,111 +536,14 @@ fn span_response(engine: &Engine, id: u64) -> String {
     }
 }
 
+/// The `stats` op: every family of [`FAMILIES`] under its reply key —
+/// the numbers a scrape carries, in JSONL clothing — plus this
+/// replica's connection counts.
 fn stats_response(engine: &Engine, conns: ConnCounts) -> String {
-    let s = engine.stats();
-    JsonObj::new()
-        .bool("ok", true)
-        .u64("epoch", s.epoch.unwrap_or(0))
-        .u64("queued", s.queued as u64)
-        .u64("running", s.running)
-        .u64("submitted", s.submitted)
-        .u64("rejected", s.rejected)
-        .u64("completed", s.completed)
-        .u64("cancelled", s.cancelled)
-        .u64("failed", s.failed)
-        .u64("sheds", s.sheds)
-        .u64("panics", s.panics)
-        .u64("retries", s.retries)
-        .u64("queue_deadline_sheds", s.queue_deadline_sheds)
-        .u64("inflight_bytes", s.inflight_bytes)
-        .u64("cache_hits", s.cache_hits)
-        .u64("cache_misses", s.cache_misses)
-        .u64("cache_evictions", s.cache_evictions)
-        .u64("cache_len", s.cache_len as u64)
-        .u64("queue_wait_p50_ns", s.queue_wait_p50_ns)
-        .u64("queue_wait_p95_ns", s.queue_wait_p95_ns)
-        .u64("queue_wait_p99_ns", s.queue_wait_p99_ns)
-        .u64("queue_wait_max_ns", s.queue_wait_max_ns)
-        .u64("run_p50_ns", s.run_p50_ns)
-        .u64("run_p95_ns", s.run_p95_ns)
-        .u64("run_p99_ns", s.run_p99_ns)
-        .u64("run_max_ns", s.run_max_ns)
-        .u64("mutation_batches", s.mutation_batches)
-        .u64("mutation_edges_added", s.mutation_edges_added)
-        .u64("mutation_edges_deleted", s.mutation_edges_deleted)
-        .u64("overlay_edges", s.overlay_edges)
-        .u64("overlay_vertices", s.overlay_vertices)
-        .u64("compactions", s.compactions)
-        .u64("compaction_failures", s.compaction_failures)
-        .u64("workers", engine.workers() as u64)
-        .u64("queue_capacity", engine.queue_capacity() as u64)
+    stats_fields(FAMILIES, &engine.stats(), JsonObj::new().bool("ok", true))
         .u64("connections_active", conns.active)
         .u64("connections_total", conns.total)
         .finish()
-}
-
-/// The `metrics` op: the full metrics snapshot as one flat JSON object —
-/// scalar counters/gauges, merged histogram quantiles, and per-point
-/// fault-injection counts (`fault_<point>` with dots underscored). The
-/// same snapshot the Prometheus exposition renders, in JSONL clothing.
-fn metrics_response(engine: &Engine) -> String {
-    let m = engine.metrics_snapshot();
-    let qw = m.merged_queue_wait();
-    let rt = m.merged_run_time();
-    let mut obj = JsonObj::new()
-        .bool("ok", true)
-        .u64("epoch", m.epoch)
-        .u64("workers", m.workers)
-        .u64("queue_capacity", m.queue_capacity)
-        .u64("queue_depth", m.queue_depth)
-        .u64("running", m.running)
-        .u64("inflight_bytes", m.inflight_bytes)
-        .u64("memory_budget_bytes", m.memory_budget_bytes)
-        .u64("submitted", m.submitted)
-        .u64("rejected", m.rejected)
-        .u64("overload_sheds", m.overload_sheds)
-        .u64("retired_done", m.retired[0])
-        .u64("retired_cancelled", m.retired[1])
-        .u64("retired_failed", m.retired[2])
-        .u64("retired_panicked", m.retired[3])
-        .u64("retired_shed", m.retired[4])
-        .u64("retries", m.retries)
-        .u64("worker_busy_ns", m.worker_busy_ns)
-        .u64("worker_idle_ns", m.worker_idle_ns)
-        .u64("cache_hits", m.cache_hits)
-        .u64("cache_misses", m.cache_misses)
-        .u64("cache_evictions", m.cache_evictions)
-        .u64("cache_entries", m.cache_entries)
-        .u64("partition_rounds", m.partition_rounds)
-        .u64("partition_bins_flushed", m.partition_bins_flushed)
-        .u64("partition_scatter_bytes", m.partition_scatter_bytes)
-        .u64("mutation_batches", m.mutation_batches)
-        .u64("mutation_edges_added", m.mutation_edges_added)
-        .u64("mutation_edges_deleted", m.mutation_edges_deleted)
-        .u64("mutation_overlay_edges", m.mutation_overlay_edges)
-        .u64("mutation_overlay_vertices", m.mutation_overlay_vertices)
-        .u64("mutation_compactions", m.mutation_compactions)
-        .u64("mutation_compaction_failures", m.mutation_compaction_failures)
-        .u64("mutation_compact_count", m.mutation_compact_time.count)
-        .u64("mutation_compact_p50_ns", m.mutation_compact_time.p50())
-        .u64("mutation_compact_max_ns", m.mutation_compact_time.max)
-        .u64("wire_requests", m.wire_requests)
-        .u64("wire_bytes", m.wire_bytes)
-        .u64("wire_malformed", m.wire_malformed)
-        .u64("queue_wait_count", qw.count)
-        .u64("queue_wait_p50_ns", qw.p50())
-        .u64("queue_wait_p95_ns", qw.p95())
-        .u64("queue_wait_p99_ns", qw.p99())
-        .u64("queue_wait_max_ns", qw.max)
-        .u64("run_count", rt.count)
-        .u64("run_p50_ns", rt.p50())
-        .u64("run_p95_ns", rt.p95())
-        .u64("run_p99_ns", rt.p99())
-        .u64("run_max_ns", rt.max);
-    for (point, fired) in &m.fault_injections {
-        obj = obj.u64(&format!("fault_{}", point.replace('.', "_")), *fired);
-    }
-    obj.finish()
 }
 
 fn trace_response(engine: &Engine) -> String {

@@ -72,7 +72,7 @@ pub use error::QueryError;
 pub use handler::Replica;
 pub use ligra::{FaultAction, FaultError, FaultPlan, FaultPoint};
 pub use lockdep::{LockOracle, LockReport, LockViolation, TrackedGuard};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry};
 pub use mutate::{
     CompactionReport, MutateError, MutationConfig, MutationLog, MutationReport, MutationStatus,
 };

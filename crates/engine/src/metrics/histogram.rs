@@ -152,6 +152,15 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
+    /// All of `parts` folded into one snapshot.
+    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a HistogramSnapshot>) -> Self {
+        let mut out = Self::empty();
+        for h in parts {
+            out.merge(h);
+        }
+        out
+    }
+
     /// The quantile `q` in `[0, 1]`, computed exactly from the bucket
     /// counts: the upper bound of the bucket holding the `ceil(q·count)`-th
     /// smallest observation, clamped to the recorded maximum (so `p100`

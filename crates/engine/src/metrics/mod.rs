@@ -10,10 +10,10 @@
 //!
 //! * [`registry::MetricsRegistry`] — the live instruments, one field
 //!   per metric, threaded through the scheduler by `Arc`.
-//! * [`prometheus`] — hand-rolled Prometheus text exposition (format
-//!   0.0.4) over a [`registry::MetricsSnapshot`], served by
-//!   `ligra-serve --metrics-addr` and pinned family-by-family in the
-//!   integration tests.
+//! * [`prometheus`] — the one table per tier that declares every
+//!   exported family, and the Prometheus text exposition (format 0.0.4,
+//!   served by `--metrics-addr`) and `stats` reply fields derived from
+//!   it; pinned family-by-family in the integration tests.
 //!
 //! Engine workers are plain `std::thread`s, not rayon workers, so the
 //! rayon-indexed `ligra_parallel::StripedU64` would collapse onto one
@@ -28,8 +28,8 @@ pub mod registry;
 pub use histogram::{
     bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS, MAX_FINITE_BUCKET,
 };
-pub use prometheus::{render, render_router, FAMILIES, ROUTE_FAMILIES};
-pub use registry::{MetricsRegistry, MetricsSnapshot};
+pub use prometheus::{render, stats_fields, Family, Reading, StatsKey, FAMILIES, ROUTE_FAMILIES};
+pub use registry::{MetricsRegistry, RETIRED};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

@@ -1,22 +1,23 @@
-//! The live metric instruments and their sampled snapshot.
+//! The live metric instruments.
 //!
 //! [`MetricsRegistry`] is the single allocation of instruments the
 //! whole serving tier records into: the scheduler (admission, queue,
-//! workers), the wire reader, and — indirectly, read at sample time —
-//! the result cache and the fault plan. It is deliberately a struct of
-//! named fields rather than a string-keyed map: the metric vocabulary
-//! is closed (pinned by tests), lookups are field accesses on the hot
-//! path, and a typo is a compile error instead of a silently new
-//! time series.
+//! workers), the mutation log and the wire reader. It is deliberately a
+//! struct of named fields rather than a string-keyed map: the metric
+//! vocabulary is closed (pinned by tests), lookups are field accesses
+//! on the hot path, and a typo is a compile error instead of a silently
+//! new time series.
 //!
-//! [`MetricsSnapshot`] is the read side: one point-in-time fold of
-//! every instrument plus the lock-guarded values (cache counters,
-//! fault injections) and static configuration (worker count, budget).
-//! Both the `metrics` wire op and the Prometheus exposition render
-//! from the same snapshot, so the two surfaces can never disagree.
+//! The read side is `Engine::stats`: one point-in-time fold of every
+//! instrument plus the lock-guarded values (cache counters, fault
+//! injections) and static configuration (worker count, budget), which
+//! the `stats` reply and the Prometheus exposition both render through
+//! [`super::prometheus::FAMILIES`], so the two surfaces can never
+//! disagree.
 
 use super::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::query::Query;
+use crate::span::QueryStatus;
 
 /// Number of query kinds ([`Query::KIND_NAMES`]); the per-kind
 /// histogram arrays are indexed by [`Query::kind_index`].
@@ -43,22 +44,14 @@ pub struct MetricsRegistry {
     // --- worker pool ---
     /// Jobs currently executing on a worker.
     pub running: Gauge,
-    /// Terminal outcomes by status, indexed like `RETIRE_STATUSES`.
-    retired: [Counter; 5],
+    /// Terminal outcomes by status, indexed like [`RETIRED`].
+    retired: [Counter; RETIRED.len()],
     /// Fault-injected dispatches re-enqueued for another attempt.
     pub retries: Counter,
     /// Nanoseconds workers spent executing jobs.
     pub worker_busy_ns: Counter,
     /// Nanoseconds workers spent parked waiting for work.
     pub worker_idle_ns: Counter,
-
-    // --- partitioned-traversal kernel counters ---
-    /// edgeMap rounds that ran the partitioned scatter/gather traversal.
-    pub partition_rounds: Counter,
-    /// Non-empty scatter bins drained by partitioned rounds.
-    pub partition_bins_flushed: Counter,
-    /// Bytes of bin entries scattered by partitioned rounds.
-    pub partition_scatter_bytes: Counter,
 
     // --- live mutation subsystem ---
     /// Mutation batches applied (each publishes an epoch).
@@ -92,10 +85,17 @@ pub struct MetricsRegistry {
 }
 
 /// Terminal statuses a job can retire with, in the order the `retired`
-/// counters (and the Prometheus `status` label) use. `shed` here means
-/// a queue-deadline shed — overload sheds at admission never become
-/// jobs and are counted separately.
-pub const RETIRE_STATUSES: [&str; 5] = ["done", "cancelled", "failed", "panicked", "shed"];
+/// counters use; the Prometheus `status` label is each one's
+/// [`QueryStatus::name`]. `Shed` here means a queue-deadline shed —
+/// overload sheds at admission never become jobs and are counted
+/// separately.
+pub const RETIRED: [QueryStatus; 5] = [
+    QueryStatus::Done,
+    QueryStatus::Cancelled,
+    QueryStatus::Failed,
+    QueryStatus::Panicked,
+    QueryStatus::Shed,
+];
 
 impl MetricsRegistry {
     /// A zeroed registry.
@@ -103,16 +103,20 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Counts one terminal outcome; `status_index` indexes
-    /// [`RETIRE_STATUSES`] (clamped defensively to the last slot).
-    #[inline]
-    pub fn retire(&self, status_index: usize) {
-        self.retired[status_index.min(RETIRE_STATUSES.len() - 1)].incr();
+    fn retired_slot(&self, status: QueryStatus) -> &Counter {
+        let slot = RETIRED.iter().position(|&s| s == status);
+        &self.retired[slot.expect("only terminal statuses retire")]
     }
 
-    /// Terminal-outcome count for one [`RETIRE_STATUSES`] slot.
-    pub fn retired(&self, status_index: usize) -> u64 {
-        self.retired[status_index.min(RETIRE_STATUSES.len() - 1)].get()
+    /// Counts one terminal outcome.
+    #[inline]
+    pub fn retire(&self, status: QueryStatus) {
+        self.retired_slot(status).incr();
+    }
+
+    /// Terminal-outcome count for one of the [`RETIRED`] statuses.
+    pub fn retired(&self, status: QueryStatus) -> u64 {
+        self.retired_slot(status).get()
     }
 
     /// Records how long a job of `kind` waited in the queue.
@@ -127,24 +131,14 @@ impl MetricsRegistry {
         self.run_time[kind % N_KINDS].record(ns);
     }
 
-    /// Snapshot of one kind's queue-wait histogram.
-    pub fn queue_wait_snapshot(&self, kind: usize) -> HistogramSnapshot {
-        self.queue_wait[kind % N_KINDS].snapshot()
+    /// Per-kind queue-wait snapshots, in [`Query::KIND_NAMES`] order.
+    pub fn queue_wait_snapshots(&self) -> [HistogramSnapshot; N_KINDS] {
+        std::array::from_fn(|kind| self.queue_wait[kind].snapshot())
     }
 
-    /// Snapshot of one kind's run-time histogram.
-    pub fn run_time_snapshot(&self, kind: usize) -> HistogramSnapshot {
-        self.run_time[kind % N_KINDS].snapshot()
-    }
-
-    /// All queue-wait histograms folded into one.
-    pub fn merged_queue_wait(&self) -> HistogramSnapshot {
-        merge_all(&self.queue_wait)
-    }
-
-    /// All run-time histograms folded into one.
-    pub fn merged_run_time(&self) -> HistogramSnapshot {
-        merge_all(&self.run_time)
+    /// Per-kind run-time snapshots, in [`Query::KIND_NAMES`] order.
+    pub fn run_time_snapshots(&self) -> [HistogramSnapshot; N_KINDS] {
+        std::array::from_fn(|kind| self.run_time[kind].snapshot())
     }
 
     /// Records one successful compaction's wall-clock duration.
@@ -159,113 +153,6 @@ impl MetricsRegistry {
     }
 }
 
-fn merge_all(hs: &[Histogram; N_KINDS]) -> HistogramSnapshot {
-    let mut out = HistogramSnapshot::empty();
-    for h in hs {
-        out.merge(&h.snapshot());
-    }
-    out
-}
-
-/// A point-in-time reading of every metric the serving tier exports.
-/// Produced by `Engine::metrics_snapshot`; consumed by the `metrics`
-/// wire op and [`super::prometheus::render`].
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    /// Epoch of the currently installed graph snapshot (0 = none).
-    pub epoch: u64,
-    /// Configured worker count.
-    pub workers: u64,
-    /// Configured queue capacity.
-    pub queue_capacity: u64,
-    /// Jobs waiting in the queue.
-    pub queue_depth: u64,
-    /// Jobs executing on workers.
-    pub running: u64,
-    /// Estimated in-flight bytes.
-    pub inflight_bytes: u64,
-    /// Configured memory budget (0 = unlimited).
-    pub memory_budget_bytes: u64,
-    /// Queries accepted.
-    pub submitted: u64,
-    /// Queries refused (queue full).
-    pub rejected: u64,
-    /// Overload sheds at admission.
-    pub overload_sheds: u64,
-    /// Terminal outcomes, indexed like [`RETIRE_STATUSES`].
-    pub retired: [u64; RETIRE_STATUSES.len()],
-    /// Fault-retry re-enqueues.
-    pub retries: u64,
-    /// Worker busy nanoseconds.
-    pub worker_busy_ns: u64,
-    /// Worker idle nanoseconds.
-    pub worker_idle_ns: u64,
-    /// Result-cache hits.
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Result-cache LRU evictions.
-    pub cache_evictions: u64,
-    /// Result-cache resident entries.
-    pub cache_entries: u64,
-    /// Partitioned edgeMap rounds executed.
-    pub partition_rounds: u64,
-    /// Scatter bins flushed by partitioned rounds.
-    pub partition_bins_flushed: u64,
-    /// Bytes scattered into bins by partitioned rounds.
-    pub partition_scatter_bytes: u64,
-    /// Mutation batches applied.
-    pub mutation_batches: u64,
-    /// Arcs inserted by mutation batches.
-    pub mutation_edges_added: u64,
-    /// Arc copies removed by mutation tombstones.
-    pub mutation_edges_deleted: u64,
-    /// Arcs in the serving snapshot's delta overlay.
-    pub mutation_overlay_edges: u64,
-    /// Vertices touched by the serving snapshot's overlay.
-    pub mutation_overlay_vertices: u64,
-    /// Successful background compactions.
-    pub mutation_compactions: u64,
-    /// Failed/panicked compactions.
-    pub mutation_compaction_failures: u64,
-    /// Compaction-duration histogram (nanoseconds).
-    pub mutation_compact_time: HistogramSnapshot,
-    /// Faults fired, one `(point name, count)` per fault point (all
-    /// zero when no plan is armed).
-    pub fault_injections: Vec<(&'static str, u64)>,
-    /// Per-kind queue-wait histograms, `(kind name, snapshot)` in
-    /// [`Query::KIND_NAMES`] order.
-    pub queue_wait: Vec<(&'static str, HistogramSnapshot)>,
-    /// Per-kind run-time histograms, same order.
-    pub run_time: Vec<(&'static str, HistogramSnapshot)>,
-    /// Wire request lines seen.
-    pub wire_requests: u64,
-    /// Wire bytes read.
-    pub wire_bytes: u64,
-    /// Wire lines rejected as malformed.
-    pub wire_malformed: u64,
-}
-
-impl MetricsSnapshot {
-    /// All queue-wait histograms folded into one.
-    pub fn merged_queue_wait(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::empty();
-        for (_, h) in &self.queue_wait {
-            out.merge(h);
-        }
-        out
-    }
-
-    /// All run-time histograms folded into one.
-    pub fn merged_run_time(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::empty();
-        for (_, h) in &self.run_time {
-            out.merge(h);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,19 +160,22 @@ mod tests {
     #[test]
     fn kind_names_and_retire_statuses_are_closed() {
         assert_eq!(N_KINDS, 8);
-        assert_eq!(RETIRE_STATUSES, ["done", "cancelled", "failed", "panicked", "shed"]);
+        assert_eq!(
+            RETIRED.map(QueryStatus::name),
+            ["done", "cancelled", "failed", "panicked", "shed"]
+        );
+        assert!(RETIRED.iter().all(|s| s.is_terminal()));
     }
 
     #[test]
-    fn retire_indexes_and_clamps() {
+    fn retire_counts_by_status() {
         let r = MetricsRegistry::new();
-        r.retire(0);
-        r.retire(0);
-        r.retire(4);
-        r.retire(999); // defensive clamp lands in the last slot
-        assert_eq!(r.retired(0), 2);
-        assert_eq!(r.retired(4), 2);
-        assert_eq!(r.retired(1), 0);
+        r.retire(QueryStatus::Done);
+        r.retire(QueryStatus::Done);
+        r.retire(QueryStatus::Shed);
+        assert_eq!(r.retired(QueryStatus::Done), 2);
+        assert_eq!(r.retired(QueryStatus::Shed), 1);
+        assert_eq!(r.retired(QueryStatus::Cancelled), 0);
     }
 
     #[test]
@@ -293,10 +183,11 @@ mod tests {
         let r = MetricsRegistry::new();
         r.observe_run_time(0, 100);
         r.observe_run_time(3, 1_000_000);
-        let merged = r.merged_run_time();
+        let per_kind = r.run_time_snapshots();
+        let merged = HistogramSnapshot::merged(&per_kind);
         assert_eq!(merged.count, 2);
         assert_eq!(merged.max, 1_000_000);
-        assert_eq!(r.run_time_snapshot(0).count, 1);
-        assert_eq!(r.run_time_snapshot(1).count, 0);
+        assert_eq!(per_kind[0].count, 1);
+        assert_eq!(per_kind[1].count, 0);
     }
 }

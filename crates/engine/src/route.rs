@@ -39,7 +39,7 @@
 
 use crate::backoff::{retry_after_ms, Backoff};
 use crate::lockdep::tracked_lock;
-use crate::metrics::{render_router, Counter, Gauge, Histogram};
+use crate::metrics::{render, stats_fields, Counter, Gauge, Histogram, ROUTE_FAMILIES};
 use crate::serve::{Frontend, WireEvent};
 use crate::wire::{error_response, JsonObj, Request};
 use crate::FaultPlan;
@@ -142,8 +142,8 @@ pub struct BackendMetrics {
     pub request_ns: Histogram,
 }
 
-/// Router-level metrics, rendered by
-/// [`crate::metrics::prometheus::render_router`].
+/// Router-level metrics, exported through
+/// [`crate::metrics::ROUTE_FAMILIES`].
 pub struct RouterMetrics {
     /// Client request lines the router parsed.
     pub requests: Counter,
@@ -432,7 +432,7 @@ impl Router {
             "load" | "gen" | "mutate" | "compact" => self.submit_write(line),
             "submit" => self.route_submit(line),
             "poll" | "wait" | "cancel" | "span" => self.route_by_id(op, &req),
-            "stats" | "metrics" | "trace" => self.route_read(line, &[]).0,
+            "stats" | "trace" => self.route_read(line, &[]).0,
             other => error_response(&format!("unknown op {other:?}")),
         };
         (resp, true)
@@ -1142,21 +1142,13 @@ impl Router {
             epochs.push_str(&inner.epoch.to_string());
             seqs.push_str(&inner.applied_seq.to_string());
         }
-        JsonObj::new()
+        let obj = JsonObj::new()
             .bool("ok", true)
-            .u64("backends", self.backends.len() as u64)
             .str("states", &states)
             .str("epochs", &epochs)
             .str("applied_seqs", &seqs)
-            .u64("fleet_seq", head)
-            .u64("journal_entries", self.metrics.journal_entries.get())
-            .u64("requests", self.metrics.requests.get())
-            .u64("retries", self.metrics.retries.get())
-            .u64("failovers", self.metrics.failovers.get())
-            .u64("sheds", self.metrics.sheds.get())
-            .u64("probes", self.metrics.probes.get())
-            .u64("journal_replayed", self.metrics.journal_replayed.get())
-            .finish()
+            .u64("fleet_seq", head);
+        stats_fields(ROUTE_FAMILIES, &self.metrics, obj).finish()
     }
 
     /// Fleet-wide `graph-stats`: asks every non-Down replica for its
@@ -1256,7 +1248,7 @@ impl Frontend for Router {
     }
 
     fn exposition(&self) -> String {
-        render_router(&self.metrics)
+        render(ROUTE_FAMILIES, &self.metrics)
     }
 
     /// No forward is checked out against any replica.

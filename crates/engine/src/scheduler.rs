@@ -42,7 +42,8 @@
 use crate::cache::ResultCache;
 use crate::error::{classify_panic, QueryError};
 use crate::lockdep::{tracked_lock, TrackedGuard};
-use crate::metrics::{mix64, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::registry::N_KINDS;
+use crate::metrics::{mix64, HistogramSnapshot, MetricsRegistry};
 use crate::query::{Answer, Query, QueryOutput, Summary};
 use crate::snapshot::{GraphStore, Snapshot};
 use crate::span::{fill_span_buckets, QuerySpan, QueryStatus, TeeRecorder};
@@ -148,13 +149,23 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Counters the serving layer reports under `stats`.
-#[derive(Debug, Clone, Default)]
+/// One point-in-time sample of everything the engine measures: the
+/// registry's instruments folded, the cache counters, the fault plan's
+/// injection counts and the static configuration. The `stats` reply and
+/// the Prometheus exposition are both rendered from it through
+/// [`crate::metrics::FAMILIES`].
+#[derive(Debug, Clone)]
 pub struct EngineStats {
     /// Current snapshot epoch (`None` before the first install).
     pub epoch: Option<u64>,
+    /// Configured worker count.
+    pub workers: u64,
+    /// Configured admission-queue capacity.
+    pub queue_capacity: u64,
+    /// Configured memory budget in bytes (0 = unlimited).
+    pub memory_budget_bytes: u64,
     /// Queries waiting for a worker right now.
-    pub queued: usize,
+    pub queued: u64,
     /// Queries executing right now.
     pub running: u64,
     /// Queries accepted (including cache hits).
@@ -179,6 +190,10 @@ pub struct EngineStats {
     pub queue_deadline_sheds: u64,
     /// Estimated bytes of in-flight (queued + running) query state.
     pub inflight_bytes: u64,
+    /// Nanoseconds workers spent executing jobs.
+    pub worker_busy_ns: u64,
+    /// Nanoseconds workers spent parked waiting for work.
+    pub worker_idle_ns: u64,
     /// Result-cache hits.
     pub cache_hits: u64,
     /// Result-cache misses.
@@ -186,25 +201,13 @@ pub struct EngineStats {
     /// Result-cache LRU evictions.
     pub cache_evictions: u64,
     /// Result-cache entries held.
-    pub cache_len: usize,
-    /// Queue-wait p50 across all query kinds, from the metrics
-    /// histogram buckets (bucket upper bound clamped to the observed
-    /// max — the same math the Prometheus exposition's consumers do).
-    pub queue_wait_p50_ns: u64,
-    /// Queue-wait p95 (bucket math).
-    pub queue_wait_p95_ns: u64,
-    /// Queue-wait p99 (bucket math).
-    pub queue_wait_p99_ns: u64,
-    /// Largest observed queue wait (exact).
-    pub queue_wait_max_ns: u64,
-    /// Run-time p50 across all query kinds (bucket math).
-    pub run_p50_ns: u64,
-    /// Run-time p95 (bucket math).
-    pub run_p95_ns: u64,
-    /// Run-time p99 (bucket math).
-    pub run_p99_ns: u64,
-    /// Largest observed run time (exact).
-    pub run_max_ns: u64,
+    pub cache_len: u64,
+    /// Queue wait per query kind, in [`Query::KIND_NAMES`] order.
+    /// Quantiles are bucket math over these (bucket upper bound clamped
+    /// to the observed max — what the exposition's consumers compute).
+    pub queue_wait: [HistogramSnapshot; N_KINDS],
+    /// Run time per query kind, same order.
+    pub run_time: [HistogramSnapshot; N_KINDS],
     /// Mutation batches applied to the live graph.
     pub mutation_batches: u64,
     /// Arcs inserted by mutation batches.
@@ -219,6 +222,17 @@ pub struct EngineStats {
     pub compactions: u64,
     /// Compactions that failed or panicked (store left untouched).
     pub compaction_failures: u64,
+    /// Wall clock of each successful compaction, nanoseconds.
+    pub compaction_time: HistogramSnapshot,
+    /// Faults fired, one `(point name, count)` per fault point (all
+    /// zero when no plan is armed).
+    pub fault_injections: Vec<(&'static str, u64)>,
+    /// Request lines the wire reader received.
+    pub wire_requests: u64,
+    /// Bytes the wire reader read.
+    pub wire_bytes: u64,
+    /// Request lines rejected as malformed.
+    pub wire_malformed: u64,
 }
 
 struct JobState {
@@ -264,20 +278,6 @@ impl Job {
         st.span = Some(span);
         drop(st);
         self.done.notify_all();
-    }
-}
-
-/// Slot in the metrics registry's retired-by-status counters
-/// ([`crate::metrics::registry::RETIRE_STATUSES`]) for a terminal
-/// status. Queued/Running are not terminal and map defensively onto
-/// the last slot (they are never passed in practice).
-fn retire_index(status: QueryStatus) -> usize {
-    match status {
-        QueryStatus::Done => 0,
-        QueryStatus::Cancelled => 1,
-        QueryStatus::Failed => 2,
-        QueryStatus::Panicked => 3,
-        _ => 4, // Shed (and the unreachable non-terminal states)
     }
 }
 
@@ -604,7 +604,7 @@ impl Engine {
             fill_span_buckets(&mut span);
             job.finish(QueryStatus::Done, Some(answer), None, span);
             sh.metrics.submitted.incr();
-            sh.metrics.retire(retire_index(QueryStatus::Done));
+            sh.metrics.retire(QueryStatus::Done);
             let handle = QueryHandle { job };
             let report = handle.report();
             lock(&sh.jobs, "scheduler.jobs").retire(report);
@@ -687,67 +687,11 @@ impl Engine {
         }
     }
 
-    /// Aggregate counters for the `stats` op, including histogram-derived
-    /// latency quantiles (bucket math over the metrics registry).
+    /// One consistent-enough sample of every metric the engine exports.
     pub fn stats(&self) -> EngineStats {
         let sh = &self.shared;
         let m = &sh.metrics;
         let (cache_hits, cache_misses, cache_evictions, cache_len) = {
-            let c = lock(&sh.cache, "scheduler.cache");
-            (c.hits(), c.misses(), c.evictions(), c.len())
-        };
-        let qw = m.merged_queue_wait();
-        let rt = m.merged_run_time();
-        EngineStats {
-            epoch: self.current_epoch(),
-            queued: lock(&sh.queue, "scheduler.queue").len(),
-            running: m.running.get(),
-            submitted: m.submitted.get(),
-            rejected: m.rejected.get(),
-            completed: m.retired(retire_index(QueryStatus::Done)),
-            cancelled: m.retired(retire_index(QueryStatus::Cancelled)),
-            failed: m.retired(retire_index(QueryStatus::Failed)),
-            sheds: m.overload_sheds.get(),
-            panics: m.retired(retire_index(QueryStatus::Panicked)),
-            retries: m.retries.get(),
-            queue_deadline_sheds: m.retired(retire_index(QueryStatus::Shed)),
-            inflight_bytes: m.inflight_bytes.get(),
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            cache_len,
-            queue_wait_p50_ns: qw.p50(),
-            queue_wait_p95_ns: qw.p95(),
-            queue_wait_p99_ns: qw.p99(),
-            queue_wait_max_ns: qw.max,
-            run_p50_ns: rt.p50(),
-            run_p95_ns: rt.p95(),
-            run_p99_ns: rt.p99(),
-            run_max_ns: rt.max,
-            mutation_batches: m.mutation_batches.get(),
-            mutation_edges_added: m.mutation_edges_added.get(),
-            mutation_edges_deleted: m.mutation_edges_deleted.get(),
-            overlay_edges: m.mutation_overlay_edges.get(),
-            overlay_vertices: m.mutation_overlay_vertices.get(),
-            compactions: m.mutation_compactions.get(),
-            compaction_failures: m.mutation_compaction_failures.get(),
-        }
-    }
-
-    /// The live metrics registry, for out-of-engine recorders (the wire
-    /// front-end counts its requests/bytes/malformed lines here).
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.shared.metrics)
-    }
-
-    /// One consistent-enough sample of every exported metric: registry
-    /// folds, cache counters, fault-plan injection counts, and static
-    /// configuration. Feeds both the `metrics` wire op and the
-    /// Prometheus exposition.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let sh = &self.shared;
-        let m = &sh.metrics;
-        let (cache_hits, cache_misses, cache_evictions, cache_entries) = {
             let c = lock(&sh.cache, "scheduler.cache");
             (c.hits(), c.misses(), c.evictions(), c.len() as u64)
         };
@@ -758,51 +702,50 @@ impl Engine {
                 (p.name(), fired)
             })
             .collect();
-        MetricsSnapshot {
-            epoch: self.current_epoch().unwrap_or(0),
+        EngineStats {
+            epoch: self.current_epoch(),
             workers: self.workers.len() as u64,
             queue_capacity: sh.config.queue_capacity as u64,
-            queue_depth: m.queue_depth.get(),
-            running: m.running.get(),
-            inflight_bytes: m.inflight_bytes.get(),
             memory_budget_bytes: m.memory_budget_bytes.get(),
+            queued: m.queue_depth.get(),
+            running: m.running.get(),
             submitted: m.submitted.get(),
             rejected: m.rejected.get(),
-            overload_sheds: m.overload_sheds.get(),
-            retired: std::array::from_fn(|i| m.retired(i)),
+            completed: m.retired(QueryStatus::Done),
+            cancelled: m.retired(QueryStatus::Cancelled),
+            failed: m.retired(QueryStatus::Failed),
+            sheds: m.overload_sheds.get(),
+            panics: m.retired(QueryStatus::Panicked),
             retries: m.retries.get(),
+            queue_deadline_sheds: m.retired(QueryStatus::Shed),
+            inflight_bytes: m.inflight_bytes.get(),
             worker_busy_ns: m.worker_busy_ns.get(),
             worker_idle_ns: m.worker_idle_ns.get(),
             cache_hits,
             cache_misses,
             cache_evictions,
-            cache_entries,
-            partition_rounds: m.partition_rounds.get(),
-            partition_bins_flushed: m.partition_bins_flushed.get(),
-            partition_scatter_bytes: m.partition_scatter_bytes.get(),
+            cache_len,
+            queue_wait: m.queue_wait_snapshots(),
+            run_time: m.run_time_snapshots(),
             mutation_batches: m.mutation_batches.get(),
             mutation_edges_added: m.mutation_edges_added.get(),
             mutation_edges_deleted: m.mutation_edges_deleted.get(),
-            mutation_overlay_edges: m.mutation_overlay_edges.get(),
-            mutation_overlay_vertices: m.mutation_overlay_vertices.get(),
-            mutation_compactions: m.mutation_compactions.get(),
-            mutation_compaction_failures: m.mutation_compaction_failures.get(),
-            mutation_compact_time: m.compaction_snapshot(),
+            overlay_edges: m.mutation_overlay_edges.get(),
+            overlay_vertices: m.mutation_overlay_vertices.get(),
+            compactions: m.mutation_compactions.get(),
+            compaction_failures: m.mutation_compaction_failures.get(),
+            compaction_time: m.compaction_snapshot(),
             fault_injections,
-            queue_wait: Query::KIND_NAMES
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k, m.queue_wait_snapshot(i)))
-                .collect(),
-            run_time: Query::KIND_NAMES
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k, m.run_time_snapshot(i)))
-                .collect(),
             wire_requests: m.wire_requests.get(),
             wire_bytes: m.wire_bytes.get(),
             wire_malformed: m.wire_malformed.get(),
         }
+    }
+
+    /// The live metrics registry, for out-of-engine recorders (the wire
+    /// front-end counts its requests/bytes/malformed lines here).
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.shared.metrics)
     }
 
     /// The spans of the last [`RETIRED_CAPACITY`] finished queries, in
@@ -816,16 +759,6 @@ impl Engine {
     /// has not yet left the ring.
     pub fn span(&self, id: u64) -> Option<QuerySpan> {
         self.report(id).ok().and_then(|r| r.span)
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The configured admission-queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.config.queue_capacity
     }
 
     /// `true` while every spawned worker thread is still alive. The
@@ -990,11 +923,6 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
     span.run_ns = start.elapsed().as_nanos() as u64;
     span.rounds = counter.counter.edge_map_rounds;
     span.events = counter.counter.events;
-    // Partition kernel telemetry goes to the metrics registry (the span
-    // schema is pinned); counts survive even if the run then errors.
-    sh.metrics.partition_rounds.add(counter.counter.partitioned_rounds);
-    sh.metrics.partition_bins_flushed.add(counter.counter.bins_flushed);
-    sh.metrics.partition_scatter_bytes.add(counter.counter.scatter_bytes);
 
     let (status, answer, error) = match exec {
         Ok(Executed::Success(answer)) => (QueryStatus::Done, Some(answer), None),
@@ -1074,7 +1002,7 @@ fn finalize(
 ) {
     span.status = status;
     fill_span_buckets(&mut span);
-    sh.metrics.retire(retire_index(status));
+    sh.metrics.retire(status);
     sh.metrics.inflight_bytes.sub(job.cost_bytes);
     lock(&sh.jobs, "scheduler.jobs").retire(QueryReport {
         id: job.id,
@@ -1338,28 +1266,22 @@ mod tests {
         // One repeat = a cache hit (still submitted + retired done).
         let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
         assert_eq!(h.wait(), QueryStatus::Done);
-        let m = e.metrics_snapshot();
+        let m = e.stats();
         assert_eq!(m.submitted, 5);
-        assert_eq!(m.retired[0], 5, "all five retired done");
+        assert_eq!(m.completed, 5, "all five retired done");
         assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.queue_depth, 0);
+        assert_eq!(m.queued, 0);
         assert_eq!(m.running, 0);
         assert_eq!(m.inflight_bytes, 0);
-        // Four executed runs (the cache hit never ran).
-        let rt = m.merged_run_time();
+        // Four executed runs (the cache hit never ran), all of them BFS.
+        let rt = HistogramSnapshot::merged(&m.run_time);
         assert_eq!(rt.count, 4);
         assert!(rt.max > 0);
-        let qw = m.merged_queue_wait();
+        assert_eq!(m.run_time[Query::Bfs { source: 0 }.kind_index()], rt);
+        let qw = HistogramSnapshot::merged(&m.queue_wait);
         assert_eq!(qw.count, 4, "cache hits skip the queue-wait histogram");
-        // Bucket quantiles agree between stats() and the snapshot.
-        let stats = e.stats();
-        assert_eq!(stats.run_p99_ns, rt.p99());
-        assert_eq!(stats.run_max_ns, rt.max);
         assert!(m.worker_idle_ns > 0, "workers parked at some point");
         assert!(m.worker_busy_ns > 0);
-        // Every query kind appears in the per-kind tables, in order.
-        let kinds: Vec<&str> = m.run_time.iter().map(|(k, _)| *k).collect();
-        assert_eq!(kinds, Query::KIND_NAMES);
     }
 
     // ----- fault-injection behaviour (compiled only with the feature) -----

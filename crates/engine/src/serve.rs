@@ -13,7 +13,7 @@
 
 use crate::wire::{error_response, read_request_line, MAX_REQUEST_LINE_BYTES};
 use crate::FaultPlan;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -177,18 +177,57 @@ fn write_response<W: Write>(writer: &mut W, resp: &str) -> std::io::Result<()> {
     writeln!(writer, "{resp}").and_then(|()| writer.flush())
 }
 
+/// Cap on a whole scrape request head (request line plus headers).
+const MAX_SCRAPE_HEAD_BYTES: usize = 4 * MAX_REQUEST_LINE_BYTES;
+
+/// How long a scrape client may take to send its request head.
+pub const SCRAPE_HEAD_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A scrape connection's read half: refuses to read past the head's
+/// deadline or byte cap, so neither a silent client nor an endless
+/// header can hold the thread or grow memory.
+struct BoundedHead {
+    stream: TcpStream,
+    deadline: Instant,
+    bytes_left: usize,
+}
+
+impl Read for BoundedHead {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let time_left = self.deadline.saturating_duration_since(Instant::now());
+        if time_left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        if self.bytes_left == 0 {
+            return Err(std::io::Error::other("request head too long"));
+        }
+        self.stream.set_read_timeout(Some(time_left))?;
+        let want = buf.len().min(self.bytes_left);
+        let n = self.stream.read(&mut buf[..want])?;
+        self.bytes_left -= n;
+        Ok(n)
+    }
+}
+
 /// Answers one Prometheus scrape: drains the request head (the path is
 /// ignored — this endpoint serves exactly one document), then writes
-/// the exposition with HTTP/1.0 framing and closes.
+/// the exposition with HTTP/1.0 framing and closes. A head that is
+/// oversized, malformed or slower than [`SCRAPE_HEAD_TIMEOUT`] gets the
+/// connection closed instead.
 fn answer_scrape<F: Frontend>(front: &F, stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?; // request line
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
+    let mut reader = BufReader::new(BoundedHead {
+        stream: stream.try_clone()?,
+        deadline: Instant::now() + SCRAPE_HEAD_TIMEOUT,
+        bytes_left: MAX_SCRAPE_HEAD_BYTES,
+    });
+    // The request line, then headers up to the blank line (or EOF).
+    let mut in_headers = false;
+    while let Some(line) = read_request_line(&mut reader, MAX_REQUEST_LINE_BYTES)? {
+        let line = line.map_err(std::io::Error::other)?;
+        if in_headers && line.trim_end().is_empty() {
             break;
         }
+        in_headers = true;
     }
     let body = front.exposition();
     let mut w = BufWriter::new(stream);

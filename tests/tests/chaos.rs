@@ -19,9 +19,10 @@
 #![cfg(feature = "fault-inject")]
 
 use ligra_apps as apps;
+use ligra_engine::metrics::{render, stats_fields, FAMILIES};
 use ligra_engine::{
-    Engine, EngineConfig, FaultAction, FaultPlan, FaultPoint, MutateError, MutationConfig,
-    MutationLog, Query, QueryError, QueryOutput, QueryStatus, Replica,
+    Engine, EngineConfig, FaultAction, FaultPlan, FaultPoint, HistogramSnapshot, JsonObj,
+    MutateError, MutationConfig, MutationLog, Query, QueryError, QueryOutput, QueryStatus, Replica,
 };
 use ligra_graph::generators::grid3d;
 use ligra_graph::DeltaBatch;
@@ -281,35 +282,37 @@ fn metrics_stay_truthful_under_armed_faults() {
         assert!(h.wait().is_terminal());
     }
 
-    let snap = engine.metrics_snapshot();
-    let injected: u64 = snap.fault_injections.iter().map(|&(_, n)| n).sum();
-    assert!(injected >= 1, "armed fault never surfaced in the injection counters");
-    let panicked = snap.retired[3]; // RETIRE_STATUSES order: done, cancelled, failed, panicked, shed
-    assert!(panicked >= 1, "contained panics not visible in retired{{status=panicked}}");
-    assert_eq!(snap.retired.iter().sum::<u64>(), handles.len() as u64);
-
-    // stats() quantiles are derived from the same histograms the
-    // snapshot exposes — bucket math must agree exactly.
     let stats = engine.stats();
-    let run = snap.merged_run_time();
-    assert_eq!(stats.run_p50_ns, run.p50());
-    assert_eq!(stats.run_p99_ns, run.p99());
-    assert_eq!(stats.run_max_ns, run.max);
-    let wait = snap.merged_queue_wait();
-    assert_eq!(stats.queue_wait_p95_ns, wait.p95());
-    // A quantile is a bucket upper bound clamped by the observed max, so
-    // it can never exceed the true maximum.
+    let injected: u64 = stats.fault_injections.iter().map(|&(_, n)| n).sum();
+    assert!(injected >= 1, "armed fault never surfaced in the injection counters");
+    assert!(stats.panics >= 1, "contained panics not visible in retired{{status=panicked}}");
+    let retired = stats.completed
+        + stats.cancelled
+        + stats.failed
+        + stats.panics
+        + stats.queue_deadline_sheds;
+    assert_eq!(retired, handles.len() as u64);
+
+    // The reply's quantiles are bucket math over the sample's own
+    // histograms: a bucket upper bound clamped by the observed max, so
+    // never above the true maximum.
+    let run = HistogramSnapshot::merged(&stats.run_time);
+    let reply = stats_fields(FAMILIES, &stats, JsonObj::new()).finish();
+    assert!(reply.contains(&format!("\"run_p50_ns\":{},", run.p50())), "{reply}");
+    assert!(reply.contains(&format!("\"run_p99_ns\":{},", run.p99())), "{reply}");
+    assert!(reply.contains(&format!("\"run_max_ns\":{}", run.max)), "{reply}");
     assert!(run.p99() <= run.max);
 
     // And the scrape tells the same story in the pinned vocabulary.
-    let text = ligra_engine::metrics::render(&snap);
+    let text = render(FAMILIES, &stats);
     assert!(text
         .lines()
         .any(|l| l.starts_with("ligra_fault_injections_total{point=\"edgemap.round\"}")
             && !l.ends_with(" 0")));
-    assert!(
-        text.contains(&format!("ligra_queries_retired_total{{status=\"panicked\"}} {panicked}\n"))
-    );
+    assert!(text.contains(&format!(
+        "ligra_queries_retired_total{{status=\"panicked\"}} {}\n",
+        stats.panics
+    )));
     assert!(engine.workers_alive());
 }
 

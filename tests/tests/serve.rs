@@ -7,6 +7,9 @@
 //!
 //! * `serve_session_*` — `serve_smoke.sh`: BFS, cache hit, 0 ms deadline
 //!   shed, stats, two Prometheus scrapes, shutdown gate;
+//! * `every_family_*` — the `stats` / `route-stats` reply against the
+//!   scrape, row by row of the metric tables both are rendered from;
+//! * `scrape_listener_*` — the bounded scrape request head;
 //! * `mutation_session_*` — `mutate_smoke.sh`: epoch lifecycle through
 //!   mutate → compact → delete, `ligra_mutation_*` counters (run with
 //!   `--features lock-check` it is also the lock-order certification
@@ -18,12 +21,17 @@
 //! stays in `scripts/route_smoke.sh`; the `--client` retry pump is
 //! tested against the real binary in `crates/engine/tests/client_retry.rs`.
 
+use ligra_engine::metrics::{Family, StatsKey, FAMILIES, RETIRED, ROUTE_FAMILIES};
 use ligra_engine::scheduler::RETIRED_CAPACITY;
-use ligra_engine::{Engine, EngineConfig, Frontend, MutationConfig, MutationLog, Replica, Server};
+use ligra_engine::serve::SCRAPE_HEAD_TIMEOUT;
+use ligra_engine::{
+    Engine, EngineConfig, FaultPoint, Frontend, MutationConfig, MutationLog, Query, Replica,
+    Router, RouterConfig, Server,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A replica configured like `ligra-serve --workers 2` with its other
 /// flags at their defaults.
@@ -177,6 +185,181 @@ fn serve_session_over_loopback_agrees_with_stats_and_two_scrapes() {
     assert!(!server.wait_for_stop(), "stopped by the op, not by a signal");
     assert!(server.quiesce(Duration::from_secs(5)));
     assert!(Conn::open(addr).reply().is_none(), "a draining server accepts no new work");
+}
+
+/// An unsigned field of a flat-JSON reply.
+#[track_caller]
+fn field(reply: &str, key: &str) -> u64 {
+    let rest = reply.split_once(&format!("\"{key}\":")).unwrap_or_else(|| {
+        panic!("reply has no {key:?} field: {reply}");
+    });
+    let digits: String = rest.1.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("numeric field")
+}
+
+/// Checks one metric table against a scrape and the flat-JSON reply
+/// rendered from the same table moments earlier: headers in table
+/// order, every labeled family listing its whole closed label set
+/// (`backends` replicas for the router's), every scalar equal to its
+/// reply key and every histogram's `_count` equal to its count key.
+#[track_caller]
+fn assert_reply_agrees_with_scrape<S>(
+    table: &[Family<S>],
+    reply: &str,
+    exposition: &str,
+    backends: usize,
+) {
+    let types: Vec<&str> = exposition.lines().filter_map(|l| l.strip_prefix("# TYPE ")).collect();
+    let declared: Vec<String> = table.iter().map(|f| format!("{} {}", f.name, f.kind)).collect();
+    assert_eq!(types, declared, "scrape families differ from the table");
+    for f in table {
+        let name = f.name;
+        assert!(exposition.contains(&format!("# HELP {name} {}\n", f.help)), "{name}: HELP");
+        let labels: Vec<String> = match f.label {
+            "" => vec![String::new()],
+            "status" => RETIRED.map(|s| format!("{{status=\"{}\"}}", s.name())).to_vec(),
+            "point" => FaultPoint::ALL.map(|p| format!("{{point=\"{}\"}}", p.name())).to_vec(),
+            "query" => Query::KIND_NAMES.map(|k| format!("{{query=\"{k}\"}}")).to_vec(),
+            "backend" => (0..backends).map(|b| format!("{{backend=\"{b}\"}}")).collect(),
+            other => panic!("{name}: label key {other:?} has no closed label set here"),
+        };
+        let suffix = if f.kind == "histogram" { "_count" } else { "" };
+        let values: Vec<u64> =
+            labels.iter().map(|l| metric(exposition, &format!("{name}{suffix}{l} "))).collect();
+        let samples = exposition.lines().filter(|l| l.starts_with(&format!("{name}{suffix}")));
+        assert_eq!(samples.count(), labels.len(), "{name}: label values outside the closed set");
+        if f.kind == "histogram" {
+            // The mandatory, cumulative `+Inf` bucket equals `_count`.
+            for (label, count) in labels.iter().zip(&values) {
+                let inf = match label.strip_suffix('}') {
+                    Some(open) => format!("{open},le=\"+Inf\"}}"),
+                    None => "{le=\"+Inf\"}".to_string(),
+                };
+                assert_eq!(metric(exposition, &format!("{name}_bucket{inf} ")), *count, "{name}");
+            }
+        }
+        match (&f.stats, f.kind) {
+            (StatsKey::No, _) => {}
+            (StatsKey::Key(stem), "histogram") => {
+                let count = field(reply, &format!("{stem}_count"));
+                assert_eq!(count, values.iter().sum::<u64>(), "{name}: {stem}_count");
+            }
+            (StatsKey::Key(key), _) => assert_eq!(field(reply, key), values[0], "{name}: {key}"),
+            (StatsKey::PerLabel(keys), _) => {
+                let replied: Vec<u64> = keys.iter().map(|k| field(reply, k)).collect();
+                assert_eq!(replied, values, "{name}: {keys:?}");
+            }
+            (StatsKey::Prefix(prefix), _) => {
+                for (label, v) in labels.iter().zip(&values) {
+                    let value = label.split('"').nth(1).expect("label value").replace('.', "_");
+                    assert_eq!(field(reply, &format!("{prefix}{value}")), *v, "{name}: {label}");
+                }
+            }
+        }
+    }
+}
+
+/// The reply and the scrape are two renderings of one table: after a
+/// live session (cache hit, deadline shed, mutation, compaction, a
+/// malformed line) every engine family agrees between `stats` and the
+/// scrape, and every router family between `route-stats` and the
+/// router's scrape over two replicas.
+#[test]
+fn every_family_agrees_between_the_reply_and_the_scrape() {
+    let server = Server::new(replica_with(EngineConfig::default()));
+    let addr = server.listen("127.0.0.1:0").expect("bind the JSONL listener");
+    let metrics_addr = server.listen_metrics("127.0.0.1:0").expect("bind the metrics listener");
+    let mut conn = Conn::open(addr);
+    let session = [
+        r#"{"op":"gen","family":"grid3d","side":4}"#,
+        r#"{"op":"submit","query":"bfs","source":0}"#,
+        r#"{"op":"wait","id":1}"#,
+        r#"{"op":"submit","query":"bfs","source":0}"#,
+        r#"{"op":"submit","query":"pagerank","max_iters":50,"deadline_ms":0}"#,
+        r#"{"op":"wait","id":3}"#,
+        r#"{"op":"mutate","add_vertices":1,"add":"0-64"}"#,
+        r#"{"op":"compact"}"#,
+        "this line is not a request",
+    ];
+    for line in session {
+        conn.ask(line);
+    }
+    // Nothing is in flight, so nothing moves between the reply and the scrape.
+    let stats = conn.ask(r#"{"op":"stats"}"#);
+    assert_reply_agrees_with_scrape(FAMILIES, &stats, &scrape(metrics_addr), 0);
+    for (key, want) in [
+        ("completed", 2),
+        ("cache_hits", 1),
+        ("queue_deadline_sheds", 1),
+        ("mutation_batches", 1),
+        ("mutation_compact_count", 1),
+        ("wire_malformed", 1),
+        ("wire_requests", session.len() as u64 + 1),
+    ] {
+        assert_eq!(field(&stats, key), want, "{key}: {stats}");
+    }
+
+    // The router, probing too rarely to move a counter mid-comparison.
+    let backends: Vec<String> = (0..2)
+        .map(|_| {
+            let replica = Server::new(replica_with(EngineConfig::default()));
+            replica.listen("127.0.0.1:0").expect("bind a replica").to_string()
+        })
+        .collect();
+    let router = Router::start(RouterConfig {
+        backends,
+        probe_interval: Duration::from_secs(3600),
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+    for line in [&session[..3], &["{\"op\":\"stats\"}"]].concat() {
+        router.handle_line(line);
+    }
+    let settled = Instant::now() + Duration::from_secs(10);
+    while router.metrics().probes.get() < 2 && Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let route_stats = router.handle_line(r#"{"op":"route-stats"}"#).0;
+    assert_reply_agrees_with_scrape(ROUTE_FAMILIES, &route_stats, &router.exposition(), 2);
+    assert_eq!(field(&route_stats, "requests"), 5, "{route_stats}");
+    assert_eq!(field(&route_stats, "journal_entries"), 1, "{route_stats}");
+
+    // `stats` carries what the `metrics` op used to; the op is gone.
+    for reply in [conn.ask(r#"{"op":"metrics"}"#), router.handle_line(r#"{"op":"metrics"}"#).0] {
+        assert!(reply.contains("unknown op"), "{reply}");
+    }
+    router.begin_shutdown();
+}
+
+/// A scrape client that says nothing, or never finishes its request
+/// head, gets its connection closed — within the head timeout, resp. at
+/// the head cap — while a well-behaved scrape beside it still answers.
+#[test]
+fn scrape_listener_closes_silent_and_oversized_heads() {
+    let server = Server::new(replica_with(EngineConfig::default()));
+    let metrics_addr = server.listen_metrics("127.0.0.1:0").expect("bind the metrics listener");
+    let started = Instant::now();
+    let connect = || {
+        let stream = TcpStream::connect(metrics_addr).expect("connect to the metrics listener");
+        stream.set_read_timeout(Some(3 * SCRAPE_HEAD_TIMEOUT)).expect("set timeout");
+        stream
+    };
+
+    let mut silent = connect();
+    let mut endless = connect();
+    let _ = endless.write_all(b"GET /metrics HTTP/1.0\r\nX-Padding: ");
+    // Past the head cap; the server may hang up mid-write.
+    let _ = endless.write_all(&vec![b'a'; 1 << 20]);
+    let mut answer = Vec::new();
+    let _ = endless.read_to_end(&mut answer);
+    assert!(answer.is_empty(), "an oversized head was answered");
+    assert!(started.elapsed() < SCRAPE_HEAD_TIMEOUT, "the head cap waited for the timeout");
+
+    assert!(scrape(metrics_addr).contains("# TYPE ligra_epoch gauge"));
+
+    let closed = silent.read_to_end(&mut answer);
+    assert!(matches!(closed, Ok(0)), "a silent client was not hung up on: {closed:?}");
+    assert!(started.elapsed() >= SCRAPE_HEAD_TIMEOUT, "hung up before the head timeout");
 }
 
 #[test]
@@ -348,9 +531,9 @@ fn injected_wire_fault_and_hostile_lines_get_replies_and_the_connection_survives
 
     let plan = replica.engine().fault_plan().expect("plan installed");
     assert_eq!(plan.injected(FaultPoint::WireRead), 1);
-    let metrics = replica.handle_line(r#"{"op":"metrics"}"#).0;
-    assert!(metrics.contains("\"wire_malformed\":3"), "garbage, oversized, non-UTF-8: {metrics}");
-    assert!(metrics.contains("\"fault_wire_read\":1"), "{metrics}");
+    let stats = replica.handle_line(r#"{"op":"stats"}"#).0;
+    assert!(stats.contains("\"wire_malformed\":3"), "garbage, oversized, non-UTF-8: {stats}");
+    assert!(stats.contains("\"fault_wire_read\":1"), "{stats}");
 }
 
 /// A `graph.load` fault — returned or unwound — comes back as a load

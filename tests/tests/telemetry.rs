@@ -251,56 +251,52 @@ fn prometheus_families_are_a_closed_vocabulary() {
     // Pin the scrape vocabulary verbatim: dashboards and alert rules key
     // on exact family names, types, and label keys. Adding, renaming, or
     // relabeling a family is an observability-contract change and must
-    // update this list, DESIGN.md §12, and the README scrape example.
+    // update this list, DESIGN.md §12, and the README metric table.
     use ligra_engine::metrics::FAMILIES;
 
-    let expected: &[(&str, &str, &[&str])] = &[
-        ("ligra_epoch", "gauge", &[]),
-        ("ligra_workers", "gauge", &[]),
-        ("ligra_queue_capacity", "gauge", &[]),
-        ("ligra_queue_depth", "gauge", &[]),
-        ("ligra_running_queries", "gauge", &[]),
-        ("ligra_inflight_bytes", "gauge", &[]),
-        ("ligra_memory_budget_bytes", "gauge", &[]),
-        ("ligra_cache_entries", "gauge", &[]),
-        ("ligra_queries_submitted_total", "counter", &[]),
-        ("ligra_queries_rejected_total", "counter", &[]),
-        ("ligra_queries_retired_total", "counter", &["status"]),
-        ("ligra_overload_sheds_total", "counter", &[]),
-        ("ligra_dispatch_retries_total", "counter", &[]),
-        ("ligra_worker_busy_ns_total", "counter", &[]),
-        ("ligra_worker_idle_ns_total", "counter", &[]),
-        ("ligra_cache_hits_total", "counter", &[]),
-        ("ligra_cache_misses_total", "counter", &[]),
-        ("ligra_cache_evictions_total", "counter", &[]),
-        ("ligra_partition_rounds_total", "counter", &[]),
-        ("ligra_partition_bins_flushed_total", "counter", &[]),
-        ("ligra_partition_scatter_bytes_total", "counter", &[]),
-        ("ligra_mutation_overlay_edges", "gauge", &[]),
-        ("ligra_mutation_overlay_vertices", "gauge", &[]),
-        ("ligra_mutation_batches_applied_total", "counter", &[]),
-        ("ligra_mutation_edges_added_total", "counter", &[]),
-        ("ligra_mutation_edges_deleted_total", "counter", &[]),
-        ("ligra_mutation_compactions_total", "counter", &[]),
-        ("ligra_mutation_compaction_failures_total", "counter", &[]),
-        ("ligra_mutation_compaction_ns", "histogram", &[]),
-        ("ligra_fault_injections_total", "counter", &["point"]),
-        ("ligra_wire_requests_total", "counter", &[]),
-        ("ligra_wire_bytes_total", "counter", &[]),
-        ("ligra_wire_malformed_total", "counter", &[]),
-        ("ligra_queue_wait_ns", "histogram", &["query"]),
-        ("ligra_run_time_ns", "histogram", &["query"]),
+    let expected: &[(&str, &str, &str)] = &[
+        ("ligra_epoch", "gauge", ""),
+        ("ligra_workers", "gauge", ""),
+        ("ligra_queue_capacity", "gauge", ""),
+        ("ligra_queue_depth", "gauge", ""),
+        ("ligra_running_queries", "gauge", ""),
+        ("ligra_inflight_bytes", "gauge", ""),
+        ("ligra_memory_budget_bytes", "gauge", ""),
+        ("ligra_cache_entries", "gauge", ""),
+        ("ligra_queries_submitted_total", "counter", ""),
+        ("ligra_queries_rejected_total", "counter", ""),
+        ("ligra_queries_retired_total", "counter", "status"),
+        ("ligra_overload_sheds_total", "counter", ""),
+        ("ligra_dispatch_retries_total", "counter", ""),
+        ("ligra_worker_busy_ns_total", "counter", ""),
+        ("ligra_worker_idle_ns_total", "counter", ""),
+        ("ligra_cache_hits_total", "counter", ""),
+        ("ligra_cache_misses_total", "counter", ""),
+        ("ligra_cache_evictions_total", "counter", ""),
+        ("ligra_mutation_overlay_edges", "gauge", ""),
+        ("ligra_mutation_overlay_vertices", "gauge", ""),
+        ("ligra_mutation_batches_applied_total", "counter", ""),
+        ("ligra_mutation_edges_added_total", "counter", ""),
+        ("ligra_mutation_edges_deleted_total", "counter", ""),
+        ("ligra_mutation_compactions_total", "counter", ""),
+        ("ligra_mutation_compaction_failures_total", "counter", ""),
+        ("ligra_mutation_compaction_ns", "histogram", ""),
+        ("ligra_fault_injections_total", "counter", "point"),
+        ("ligra_wire_requests_total", "counter", ""),
+        ("ligra_wire_bytes_total", "counter", ""),
+        ("ligra_wire_malformed_total", "counter", ""),
+        ("ligra_queue_wait_ns", "histogram", "query"),
+        ("ligra_run_time_ns", "histogram", "query"),
     ];
-    let actual: Vec<(&str, &str, &[&str])> =
-        FAMILIES.iter().map(|&(name, typ, labels, _help)| (name, typ, labels)).collect();
+    let actual: Vec<_> = FAMILIES.iter().map(|f| (f.name, f.kind, f.label)).collect();
     assert_eq!(actual, expected, "Prometheus family vocabulary changed");
-    for (name, typ, _, help) in FAMILIES {
+    for (name, typ, help) in FAMILIES.iter().map(|f| (f.name, f.kind, f.help)) {
         assert!(name.starts_with("ligra_"), "{name}: families share the ligra_ namespace");
-        assert!(matches!(*typ, "gauge" | "counter" | "histogram"), "{name}: bad type {typ}");
+        assert!(matches!(typ, "gauge" | "counter" | "histogram"), "{name}: bad type {typ}");
         assert!(!help.is_empty(), "{name}: HELP text is mandatory");
         assert_eq!(
             name.ends_with("_total"),
-            *typ == "counter",
+            typ == "counter",
             "{name}: counters and only counters end in _total"
         );
     }
@@ -313,84 +309,74 @@ fn router_prometheus_families_are_a_closed_vocabulary() {
     // disjoint from the engine's, with per-backend labels.
     use ligra_engine::metrics::{FAMILIES, ROUTE_FAMILIES};
 
-    let expected: &[(&str, &str, &[&str])] = &[
-        ("ligra_route_backends", "gauge", &[]),
-        ("ligra_route_backend_state", "gauge", &["backend"]),
-        ("ligra_route_backend_outstanding", "gauge", &["backend"]),
-        ("ligra_route_requests_total", "counter", &[]),
-        ("ligra_route_forwarded_total", "counter", &["backend"]),
-        ("ligra_route_backend_errors_total", "counter", &["backend"]),
-        ("ligra_route_retries_total", "counter", &[]),
-        ("ligra_route_failovers_total", "counter", &[]),
-        ("ligra_route_sheds_total", "counter", &[]),
-        ("ligra_route_probes_total", "counter", &[]),
-        ("ligra_route_probe_failures_total", "counter", &[]),
-        ("ligra_route_journal_entries", "gauge", &[]),
-        ("ligra_route_journal_replayed_total", "counter", &[]),
-        ("ligra_route_wire_malformed_total", "counter", &[]),
-        ("ligra_route_request_ns", "histogram", &["backend"]),
+    let expected: &[(&str, &str, &str)] = &[
+        ("ligra_route_backends", "gauge", ""),
+        ("ligra_route_backend_state", "gauge", "backend"),
+        ("ligra_route_backend_outstanding", "gauge", "backend"),
+        ("ligra_route_requests_total", "counter", ""),
+        ("ligra_route_forwarded_total", "counter", "backend"),
+        ("ligra_route_backend_errors_total", "counter", "backend"),
+        ("ligra_route_retries_total", "counter", ""),
+        ("ligra_route_failovers_total", "counter", ""),
+        ("ligra_route_sheds_total", "counter", ""),
+        ("ligra_route_probes_total", "counter", ""),
+        ("ligra_route_probe_failures_total", "counter", ""),
+        ("ligra_route_journal_entries", "gauge", ""),
+        ("ligra_route_journal_replayed_total", "counter", ""),
+        ("ligra_route_wire_malformed_total", "counter", ""),
+        ("ligra_route_request_ns", "histogram", "backend"),
     ];
-    let actual: Vec<(&str, &str, &[&str])> =
-        ROUTE_FAMILIES.iter().map(|&(name, typ, labels, _help)| (name, typ, labels)).collect();
+    let actual: Vec<_> = ROUTE_FAMILIES.iter().map(|f| (f.name, f.kind, f.label)).collect();
     assert_eq!(actual, expected, "router Prometheus family vocabulary changed");
-    for (name, typ, _, help) in ROUTE_FAMILIES {
+    for (name, typ, help) in ROUTE_FAMILIES.iter().map(|f| (f.name, f.kind, f.help)) {
         assert!(name.starts_with("ligra_route_"), "{name}: router families share the namespace");
-        assert!(matches!(*typ, "gauge" | "counter" | "histogram"), "{name}: bad type {typ}");
+        assert!(matches!(typ, "gauge" | "counter" | "histogram"), "{name}: bad type {typ}");
         assert!(!help.is_empty(), "{name}: HELP text is mandatory");
         assert_eq!(
             name.ends_with("_total"),
-            *typ == "counter",
+            typ == "counter",
             "{name}: counters and only counters end in _total"
         );
         assert!(
-            !FAMILIES.iter().any(|(n, _, _, _)| n == name),
+            !FAMILIES.iter().any(|f| f.name == name),
             "{name}: router families must not collide with engine families"
         );
     }
 }
 
 #[test]
-fn prometheus_exposition_reflects_engine_activity() {
-    // A scrape taken after real queries must agree with the engine's own
-    // snapshot: counter lines carry the snapshot values, and histogram
-    // _count/_sum match the bucket math the quantiles are derived from.
-    use ligra_engine::metrics::render;
-    use ligra_engine::{Engine, EngineConfig, Query, QueryStatus};
-    use std::sync::Arc;
+fn readme_metric_table_matches_the_family_tables() {
+    // The README's metric table is the operator's copy of `FAMILIES` +
+    // `ROUTE_FAMILIES`: same families, in order, with the same types,
+    // label keys and reply keys, so the documented vocabulary cannot
+    // drift from the exported one.
+    use ligra_engine::metrics::{Family, StatsKey, FAMILIES, ROUTE_FAMILIES};
 
-    let engine = Engine::new(EngineConfig::default());
-    engine.install_graph(Arc::new(grid3d(4)));
-    for source in [0, 1, 2, 0] {
-        let h = engine.submit(Query::Bfs { source }, None).expect("submit");
-        assert_eq!(h.wait(), QueryStatus::Done);
+    fn declared<S>(f: &Family<S>) -> [String; 4] {
+        let reply = match f.stats {
+            StatsKey::No => String::new(),
+            StatsKey::Key(key) => key.to_string(),
+            StatsKey::PerLabel(keys) => keys.join(", "),
+            StatsKey::Prefix(prefix) => format!("{prefix}<{}>", f.label),
+        };
+        [f.name.to_string(), f.kind.to_string(), f.label.to_string(), reply]
     }
+    let expected: Vec<[String; 4]> =
+        FAMILIES.iter().map(declared).chain(ROUTE_FAMILIES.iter().map(declared)).collect();
 
-    let snap = engine.metrics_snapshot();
-    let text = render(&snap);
-    let line = |needle: &str| {
-        text.lines().find(|l| l.starts_with(needle)).unwrap_or_else(|| {
-            panic!("scrape is missing a {needle:?} line:\n{text}");
+    let readme = include_str!("../../README.md");
+    let documented: Vec<[String; 4]> = readme
+        .lines()
+        .filter(|l| l.starts_with("| `ligra_"))
+        .map(|row| {
+            let mut cells = row.split('|').skip(1).map(|c| c.trim().replace('`', ""));
+            std::array::from_fn(|_| cells.next().expect("family, type, labels, reply key"))
         })
-    };
-    assert_eq!(line("ligra_queries_submitted_total "), "ligra_queries_submitted_total 4");
-    assert_eq!(
-        line("ligra_queries_retired_total{status=\"done\"}"),
-        "ligra_queries_retired_total{status=\"done\"} 4"
-    );
-    assert_eq!(line("ligra_cache_hits_total "), "ligra_cache_hits_total 1");
-    let (_, wait) =
-        snap.queue_wait.iter().find(|(kind, _)| *kind == "bfs").expect("bfs queue-wait histogram");
-    assert_eq!(
-        line("ligra_queue_wait_ns_count{query=\"bfs\"}"),
-        format!("ligra_queue_wait_ns_count{{query=\"bfs\"}} {}", wait.count)
-    );
-    assert_eq!(
-        line("ligra_queue_wait_ns_sum{query=\"bfs\"}"),
-        format!("ligra_queue_wait_ns_sum{{query=\"bfs\"}} {}", wait.sum)
-    );
-    // The +Inf bucket is mandatory and cumulative: it equals _count.
-    assert!(text.contains(&format!(
-        "ligra_queue_wait_ns_bucket{{query=\"bfs\",le=\"+Inf\"}} {}\n",
-        wait.count
-    )));
+        .collect();
+    assert_eq!(documented, expected, "README metric table differs from the family tables");
+    for row in readme.lines().filter(|l| l.starts_with("| `ligra_")) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        assert_eq!(cells.len(), 8, "six cells per row: {row}");
+        assert!(cells[5].len() > 10 && !cells[6].is_empty(), "question and reader: {row}");
+    }
 }
