@@ -23,7 +23,7 @@ use ligra::{
     edge_map_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions, NoopRecorder, Recorder,
     VertexSubset,
 };
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Neighbors, Transpose, VertexId};
 use ligra_parallel::atomics::AtomicF64;
 use ligra_parallel::bitvec::AtomicBitVec;
 use std::sync::atomic::Ordering;
@@ -100,15 +100,16 @@ impl EdgeMapFn for BcBackwardF<'_> {
     }
 }
 
-/// Parallel single-source betweenness centrality with default options.
-pub fn bc(g: &Graph, source: VertexId) -> BcResult {
+/// Parallel single-source betweenness centrality with default options,
+/// over any unweighted [`Neighbors`] representation.
+pub fn bc<G: Neighbors<Weight = ()>>(g: &G, source: VertexId) -> BcResult {
     bc_traced(g, source, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel single-source betweenness centrality recording per-round
 /// statistics (forward and backward rounds both append).
-pub fn bc_traced<R: Recorder>(
-    g: &Graph,
+pub fn bc_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
     source: VertexId,
     opts: EdgeMapOptions,
     stats: &mut R,
@@ -149,7 +150,7 @@ pub fn bc_traced<R: Recorder>(
 
     {
         let back = BcBackwardF { x: &x, visited: &visited };
-        let rev = g.reversed();
+        let rev = Transpose(g);
         let back_opts = opts.no_output();
         for level in levels.iter_mut().rev() {
             // The backward sweep iterates stored levels, not the edgeMap
@@ -196,7 +197,7 @@ mod tests {
     use ligra::TraversalStats;
     use ligra_graph::generators::rmat::RmatOptions;
     use ligra_graph::generators::{cycle, grid3d, path, random_local, rmat, star};
-    use ligra_graph::{build_graph, BuildOptions};
+    use ligra_graph::{build_graph, BuildOptions, Graph};
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)

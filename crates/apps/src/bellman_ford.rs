@@ -12,7 +12,7 @@ use ligra::{
     edge_map_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions, NoopRecorder, Recorder,
     VertexSubset,
 };
-use ligra_graph::{VertexId, WeightedGraph};
+use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::atomics::write_min_i64;
 use ligra_parallel::bitvec::AtomicBitVec;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -69,14 +69,16 @@ impl EdgeMapFn<i32> for BfF<'_> {
     }
 }
 
-/// Parallel Bellman–Ford from `source` with default options.
-pub fn bellman_ford(g: &WeightedGraph, source: VertexId) -> BellmanFordResult {
+/// Parallel Bellman–Ford from `source` with default options, over any
+/// `i32`-weighted [`Neighbors`] representation (a `WeightedGraph`, or
+/// `UnitWeighted` over an unweighted one).
+pub fn bellman_ford<G: Neighbors<Weight = i32>>(g: &G, source: VertexId) -> BellmanFordResult {
     bellman_ford_traced(g, source, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel Bellman–Ford recording per-round statistics.
-pub fn bellman_ford_traced<R: Recorder>(
-    g: &WeightedGraph,
+pub fn bellman_ford_traced<G: Neighbors<Weight = i32>, R: Recorder>(
+    g: &G,
     source: VertexId,
     opts: EdgeMapOptions,
     stats: &mut R,
@@ -122,7 +124,7 @@ mod tests {
     use ligra::TraversalStats;
     use ligra_graph::generators::rmat::RmatOptions;
     use ligra_graph::generators::{grid3d, random_local, random_weights, rmat};
-    use ligra_graph::{build_weighted_graph, BuildOptions};
+    use ligra_graph::{build_weighted_graph, BuildOptions, WeightedGraph};
 
     fn check_against_seq(g: &WeightedGraph, source: u32) {
         let par = bellman_ford(g, source);

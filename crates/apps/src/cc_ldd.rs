@@ -13,6 +13,8 @@
 //! [`cc_ldd`] then contracts clusters and recurses: expected linear work
 //! and polylogarithmic depth overall, against label propagation's
 //! `O(m · d)` worst case.
+//! Stays on `&Graph`: each level recurses on the CSR `build_graph`
+//! contracts the clusters into.
 
 use ligra::{edge_map_with, EdgeMapFn, EdgeMapOptions, VertexSubset};
 use ligra_graph::{build_graph, BuildOptions, Graph, VertexId};

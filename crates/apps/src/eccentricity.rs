@@ -17,10 +17,9 @@
 //! maxima of genuine shortest-path distances).
 
 use crate::radii::{radii_from_sample, RadiiResult, SAMPLES, UNKNOWN_RADIUS};
-use crate::seq::seq_bfs;
 use ligra::EdgeMapOptions;
 use ligra::TraversalStats;
-use ligra_graph::Graph;
+use ligra_graph::Neighbors;
 use ligra_parallel::checked_u32;
 
 /// 2-approximation of all eccentricities: one BFS per component.
@@ -31,7 +30,7 @@ use ligra_parallel::checked_u32;
 /// # Panics
 /// Panics if `g` is not symmetric (eccentricity is an undirected notion
 /// here, as in the study).
-pub fn two_approx(g: &Graph) -> Vec<u32> {
+pub fn two_approx<G: Neighbors<Weight = ()>>(g: &G) -> Vec<u32> {
     assert!(g.is_symmetric(), "eccentricity requires a symmetric graph");
     let n = g.num_vertices();
     let labels = crate::cc(g).label;
@@ -63,7 +62,7 @@ pub fn two_approx(g: &Graph) -> Vec<u32> {
 /// Pass 1 runs the paper's Radii from a hash-random sample; pass 2 reruns
 /// it from the `SAMPLES` vertices with the highest pass-1 estimates
 /// (distinct, ties broken by ID). The result is the pointwise maximum.
-pub fn k_bfs_two_pass(g: &Graph, seed: u64) -> RadiiResult {
+pub fn k_bfs_two_pass<G: Neighbors<Weight = ()>>(g: &G, seed: u64) -> RadiiResult {
     let n = g.num_vertices();
     assert!(n > 0, "empty graph");
     let first = crate::radii(g, seed);
@@ -96,19 +95,6 @@ pub fn k_bfs_two_pass(g: &Graph, seed: u64) -> RadiiResult {
     RadiiResult { radii, sample: second.sample, rounds: first.rounds + second.rounds }
 }
 
-/// Exact eccentricities by one BFS per vertex — O(nm), small graphs only;
-/// the ground truth the study measures estimators against.
-pub fn exact(g: &Graph) -> Vec<u32> {
-    assert!(g.is_symmetric());
-    let n = g.num_vertices();
-    (0..checked_u32(n))
-        .map(|v| {
-            let (dist, _) = seq_bfs(g, v);
-            dist.into_iter().filter(|&d| d != crate::UNREACHED).max().unwrap_or(0)
-        })
-        .collect()
-}
-
 /// Mean relative error of `estimate` against `truth`, ignoring isolated
 /// vertices (truth 0). Estimates are lower bounds, so this is in [0, 1].
 pub fn mean_relative_error(estimate: &[u32], truth: &[u32]) -> f64 {
@@ -131,12 +117,13 @@ pub fn mean_relative_error(estimate: &[u32], truth: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::seq_eccentricities;
     use ligra_graph::generators::rmat::RmatOptions;
     use ligra_graph::generators::{cycle, grid3d, path, random_local, rmat, star};
-    use ligra_graph::{build_graph, BuildOptions};
+    use ligra_graph::{build_graph, BuildOptions, Graph};
 
     fn assert_lower_bound_and_half(g: &Graph) {
-        let truth = exact(g);
+        let truth = seq_eccentricities(g);
         let est = two_approx(g);
         for v in 0..g.num_vertices() {
             assert!(est[v] <= truth[v], "estimate above truth at {v}");
@@ -158,7 +145,7 @@ mod tests {
         let g =
             build_graph(7, &[(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)], BuildOptions::symmetric());
         let est = two_approx(&g);
-        let truth = exact(&g);
+        let truth = seq_eccentricities(&g);
         for v in 0..7 {
             assert!(est[v] <= truth[v] && 2 * est[v] >= truth[v], "vertex {v}");
         }
@@ -167,7 +154,7 @@ mod tests {
     #[test]
     fn two_pass_is_a_lower_bound_and_improves_on_one_pass() {
         for g in [random_local(1500, 5, 3), rmat(&RmatOptions::paper(9)), grid3d(5)] {
-            let truth = exact(&g);
+            let truth = seq_eccentricities(&g);
             let one = crate::radii(&g, 11);
             let two = k_bfs_two_pass(&g, 11);
             for (v, &tv) in truth.iter().enumerate() {
@@ -190,7 +177,7 @@ mod tests {
     fn two_pass_is_exact_when_n_below_sample_size() {
         // With n <= 64 every vertex is a source: estimates are exact.
         let g = path(40);
-        let truth = exact(&g);
+        let truth = seq_eccentricities(&g);
         let two = k_bfs_two_pass(&g, 5);
         assert_eq!(two.radii, truth);
     }

@@ -12,7 +12,7 @@ use ligra::{
     edge_map_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions, NoopRecorder, Recorder,
     VertexSubset,
 };
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Graph, Neighbors, VertexId};
 use ligra_parallel::checked_u32;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -67,12 +67,16 @@ impl EdgeMapFn for PeelF<'_> {
 /// # Panics
 /// Panics if `g` is not symmetric (coreness is defined on undirected
 /// graphs; symmetrize first).
-pub fn kcore(g: &Graph) -> KCoreResult {
+pub fn kcore<G: Neighbors<Weight = ()>>(g: &G) -> KCoreResult {
     kcore_traced(g, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel k-core decomposition recording per-round statistics.
-pub fn kcore_traced<R: Recorder>(g: &Graph, opts: EdgeMapOptions, stats: &mut R) -> KCoreResult {
+pub fn kcore_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
+    opts: EdgeMapOptions,
+    stats: &mut R,
+) -> KCoreResult {
     assert!(g.is_symmetric(), "k-core requires a symmetric graph");
     let n = g.num_vertices();
     let mut degrees: Vec<u32> = (0..checked_u32(n)).map(|v| checked_u32(g.out_degree(v))).collect();

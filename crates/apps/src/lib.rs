@@ -16,7 +16,9 @@
 //!
 //! Every module exposes a `*_traced` variant that records per-round
 //! [`ligra::TraversalStats`], which the benchmark harness uses to
-//! regenerate the paper's frontier-dynamics figure.
+//! regenerate the paper's frontier-dynamics figure. Every frontier
+//! application is generic over [`ligra_graph::Neighbors`]; [`mod@cc_ldd`],
+//! [`triangle`] and the [`seq`] references take `&Graph` and say why.
 //!
 //! Beyond the paper's six applications, the modules [`kcore`], [`mis`]
 //! and [`triangle`] reproduce the extra applications shipped with the

@@ -13,7 +13,7 @@ use ligra::{
     edge_map_recorded, vertex_filter_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions,
     NoopRecorder, Recorder, VertexSubset,
 };
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Graph, Neighbors, VertexId};
 use ligra_parallel::checked_u32;
 use ligra_parallel::hash::mix64;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -125,13 +125,13 @@ impl EdgeMapFn for KnockoutF<'_> {
 ///
 /// # Panics
 /// Panics if `g` is not symmetric.
-pub fn mis(g: &Graph, seed: u64) -> MisResult {
+pub fn mis<G: Neighbors<Weight = ()>>(g: &G, seed: u64) -> MisResult {
     mis_traced(g, seed, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel MIS recording per-round statistics.
-pub fn mis_traced<R: Recorder>(
-    g: &Graph,
+pub fn mis_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
     seed: u64,
     opts: EdgeMapOptions,
     stats: &mut R,

@@ -15,7 +15,7 @@ use ligra::{
     edge_map_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions, NoopRecorder, Recorder,
     VertexSubset,
 };
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::checked_u32;
 use ligra_parallel::hash::hash_to_range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -93,22 +93,14 @@ impl EdgeMapFn for RadiiF<'_> {
     }
 
     #[inline]
-    fn update_atomic(&self, src: VertexId, dst: VertexId, _w: ()) -> bool {
-        let vd = self.visited[dst as usize].load(Ordering::Relaxed);
-        let vs = self.visited[src as usize].load(Ordering::Relaxed);
-        let to_write = vd | vs;
-        if to_write != vd {
-            self.next_visited[dst as usize].fetch_or(to_write, Ordering::AcqRel);
-            self.claim(dst)
-        } else {
-            false
-        }
+    fn update_atomic(&self, src: VertexId, dst: VertexId, w: ()) -> bool {
+        self.update(src, dst, w)
     }
 }
 
 /// Picks up to [`SAMPLES`] distinct sample vertices, preferring vertices
 /// with at least one edge (waves from isolated vertices go nowhere).
-pub fn pick_sample(g: &Graph, seed: u64) -> Vec<VertexId> {
+pub fn pick_sample<G: Neighbors>(g: &G, seed: u64) -> Vec<VertexId> {
     let n = g.num_vertices();
     let want = SAMPLES.min(n);
     let mut sample = Vec::with_capacity(want);
@@ -136,13 +128,13 @@ pub fn pick_sample(g: &Graph, seed: u64) -> Vec<VertexId> {
 }
 
 /// Parallel radii estimation with default options and sampling seed.
-pub fn radii(g: &Graph, seed: u64) -> RadiiResult {
+pub fn radii<G: Neighbors<Weight = ()>>(g: &G, seed: u64) -> RadiiResult {
     radii_traced(g, seed, EdgeMapOptions::default(), &mut NoopRecorder)
 }
 
 /// Parallel radii estimation recording per-round statistics.
-pub fn radii_traced<R: Recorder>(
-    g: &Graph,
+pub fn radii_traced<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
     seed: u64,
     opts: EdgeMapOptions,
     stats: &mut R,
@@ -160,8 +152,8 @@ pub fn radii_traced<R: Recorder>(
 /// # Panics
 /// Panics if the sample is larger than [`SAMPLES`] or contains duplicates
 /// (each source needs its own mask bit).
-pub fn radii_from_sample<R: Recorder>(
-    g: &Graph,
+pub fn radii_from_sample<G: Neighbors<Weight = ()>, R: Recorder>(
+    g: &G,
     sample: Vec<VertexId>,
     opts: EdgeMapOptions,
     stats: &mut R,
@@ -220,6 +212,7 @@ mod tests {
     use crate::seq::seq_bfs;
     use ligra_graph::generators::rmat::RmatOptions;
     use ligra_graph::generators::{cycle, grid3d, path, random_local, rmat, star};
+    use ligra_graph::Graph;
 
     /// Reference: radii[v] = max over samples s of dist(s, v) (finite only).
     fn reference_radii(g: &Graph, sample: &[u32]) -> Vec<u32> {

@@ -4,6 +4,8 @@
 //! test suite and (b) as honest single-thread baselines for the Table 2
 //! harness — the paper's "(1)" columns are plain sequential codes, not the
 //! parallel codes pinned to one thread.
+//! They stay on `&Graph`: a reference shares no code path — not even
+//! the `Neighbors` iterators — with what it checks.
 
 use ligra_graph::{Graph, VertexId, WeightedGraph};
 use ligra_parallel::checked_u32;
@@ -187,12 +189,6 @@ pub fn seq_eccentricities(g: &Graph) -> Vec<u32> {
             dist.iter().filter(|&&d| d != UNREACHED).max().copied().unwrap_or(0)
         })
         .collect()
-}
-
-/// Maximum finite BFS distance from `source` to any vertex of `g`.
-pub fn seq_max_distance(g: &Graph, source: VertexId) -> u32 {
-    let (dist, _) = seq_bfs(g, source);
-    dist.into_iter().filter(|&d| d != UNREACHED).max().unwrap_or(0)
 }
 
 #[cfg(test)]

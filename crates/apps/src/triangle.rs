@@ -8,6 +8,8 @@
 //! counted exactly once. The orientation bounds the oriented out-degree by
 //! O(√m), which is what makes the merge-based intersections fast on
 //! power-law graphs.
+//! Stays on `&Graph`: the merge intersection walks two sorted neighbor
+//! *slices* side by side, which a streamed `Neighbors::Edges` is not.
 
 use ligra_graph::{Graph, VertexId};
 use ligra_parallel::checked_u32;

@@ -7,8 +7,9 @@
 //! computation's cost — while the 2-approximation is cheapest and
 //! coarsest; one-pass kBFS sits in between.
 
-use ligra_apps::eccentricity::{exact, k_bfs_two_pass, mean_relative_error, two_approx};
+use ligra_apps::eccentricity::{k_bfs_two_pass, mean_relative_error, two_approx};
 use ligra_apps::radii;
+use ligra_apps::seq::seq_eccentricities;
 use ligra_bench::{fmt_secs, inputs, time_best, Scale};
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
             );
             continue;
         }
-        let (truth, t_exact) = ligra_bench::time(|| exact(g));
+        let (truth, t_exact) = ligra_bench::time(|| seq_eccentricities(g));
 
         let t_2a = time_best(1, || two_approx(g));
         let e_2a = mean_relative_error(&two_approx(g), &truth);

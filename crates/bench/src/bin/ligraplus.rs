@@ -14,13 +14,19 @@
 use ligra_apps as apps;
 use ligra_bench::{fmt_secs, inputs, time_best, Scale};
 use ligra_compress::{ByteCode, ByteRleCode, Codec, CompressedGraph, NibbleCode};
+use ligra_graph::{Graph, UnitWeighted};
 
-/// One codec's space ratio and BFS time on a graph.
-fn codec_row<C: Codec>(g: &ligra_graph::Graph, source: u32) -> (f64, f64) {
+/// One codec's space ratio and its BFS, BC and unit-weight Bellman-Ford
+/// times on a graph: BC walks the compressed in-lists through `Transpose`
+/// and Bellman-Ford the out-lists through `UnitWeighted`, so both views
+/// run over streamed lists here.
+fn codec_row<C: Codec>(g: &Graph, source: u32) -> (f64, [f64; 3]) {
     let cg: CompressedGraph<C> = CompressedGraph::from_graph(g);
     let (_, _, ratio) = cg.space_vs_csr();
     let bfs = time_best(3, || apps::bfs(&cg, source));
-    (ratio, bfs)
+    let bc = time_best(3, || apps::bc(&cg, source));
+    let bf = time_best(3, || apps::bellman_ford(&UnitWeighted(&cg), source));
+    (ratio, [bfs, bc, bf])
 }
 
 fn main() {
@@ -58,25 +64,28 @@ fn main() {
     // Codec comparison (the DCC'15 paper's byte vs nibble vs byte-RLE
     // table): nibble smallest / slowest, byte the sweet spot, RLE fastest
     // decode at slightly more space than nibble.
-    println!("\nCodec comparison (space ratio vs CSR | BFS time):");
+    println!("\nCodec comparison (space ratio vs CSR | BFS, BC, unit-weight Bellman-Ford time):");
     println!(
-        "{:<14} {:>8} {:>10} | {:>8} {:>10} | {:>8} {:>10}",
-        "input", "byte", "BFS", "nibble", "BFS", "byte-rle", "BFS"
+        "{:<14} {:<9} {:>8} {:>10} {:>10} {:>10}",
+        "input", "codec", "ratio", "BFS", "BC", "BF(unit)"
     );
     for input in inputs(scale) {
         let g = &input.graph;
-        let (rb, tb) = codec_row::<ByteCode>(g, input.source);
-        let (rn, tn) = codec_row::<NibbleCode>(g, input.source);
-        let (rr, tr) = codec_row::<ByteRleCode>(g, input.source);
-        println!(
-            "{:<14} {:>8.3} {:>10} | {:>8.3} {:>10} | {:>8.3} {:>10}",
-            input.name,
-            rb,
-            fmt_secs(tb),
-            rn,
-            fmt_secs(tn),
-            rr,
-            fmt_secs(tr),
-        );
+        let rows = [
+            (ByteCode::NAME, codec_row::<ByteCode>(g, input.source)),
+            (NibbleCode::NAME, codec_row::<NibbleCode>(g, input.source)),
+            (ByteRleCode::NAME, codec_row::<ByteRleCode>(g, input.source)),
+        ];
+        for (codec, (ratio, [bfs, bc, bf])) in rows {
+            println!(
+                "{:<14} {:<9} {:>8.3} {:>10} {:>10} {:>10}",
+                input.name,
+                codec,
+                ratio,
+                fmt_secs(bfs),
+                fmt_secs(bc),
+                fmt_secs(bf),
+            );
+        }
     }
 }

@@ -70,9 +70,7 @@ pub use crate::race::{OracleReport, RaceOracle, Violation, ViolationKind, WinCon
 pub use crate::stats::{
     EdgeCounters, Mode, NoopRecorder, Op, Recorder, ReprKind, RoundStat, TraversalStats,
 };
-pub use crate::trace::{
-    from_csv, from_json_lines, save_jsonl, summary, to_csv, to_json_lines, TraceSummary,
-};
+pub use crate::trace::{from_json_lines, save_jsonl, summary, to_json_lines, TraceSummary};
 pub use crate::traits::{cond_true, edge_fn, ClosureEdgeMap, EdgeMapFn};
 pub use crate::vertex_map::{
     vertex_filter, vertex_filter_recorded, vertex_map, vertex_map_recorded, vertex_map_reduce_f64,

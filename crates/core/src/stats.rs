@@ -15,8 +15,8 @@
 //! skip timers, counter allocation, and even the O(|U|) frontier-degree
 //! pass when the traversal direction is forced — tracing off costs
 //! nothing. [`TraversalStats`] is the recording implementation: it stores
-//! every event in execution order and can export them as JSON-lines or
-//! CSV (see [`crate::trace`]).
+//! every event in execution order and can export them as JSON lines
+//! (see [`crate::trace`]).
 
 use ligra_parallel::counter::StripedU64;
 
@@ -123,7 +123,7 @@ impl std::str::FromStr for ReprKind {
 /// One recorded framework operation (the trace event schema).
 ///
 /// Every field is scalar so events are `Copy`, allocation-free to record,
-/// and serialize losslessly to flat JSON/CSV. Counter fields are zero when
+/// and serialize losslessly to flat JSON. Counter fields are zero when
 /// the producing operation does not define them (e.g. `cas_attempts` on a
 /// pull round, every edge counter on a `vertexMap` event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,50 +1,21 @@
 //! Machine-readable trace export for [`TraversalStats`].
 //!
-//! Two flat formats, both hand-rolled so the framework stays
-//! dependency-free:
+//! One flat format, hand-rolled so the framework stays dependency-free:
+//! **JSON lines** — one self-describing JSON object per recorded event
+//! ([`to_json_lines`] / [`from_json_lines`]). The schema is flat (only
+//! numbers, booleans, and closed-vocabulary strings), so the parser is a
+//! small exact scanner, not a general JSON implementation.
 //!
-//! * **JSON lines** — one self-describing JSON object per recorded event
-//!   ([`to_json_lines`] / [`from_json_lines`]). The schema is flat (only
-//!   numbers, booleans, and closed-vocabulary strings), so the parser is a
-//!   small exact scanner, not a general JSON implementation.
-//! * **CSV** — a header row plus one row per event ([`to_csv`] /
-//!   [`from_csv`]), column order fixed by [`COLUMNS`].
-//!
-//! Both directions round-trip losslessly (`from_*(to_*(t)) == t`), which
-//! the figure binaries rely on: they export traces and re-read them to
-//! build tables. [`summary`] folds a trace into per-mode aggregates for
-//! quick human inspection.
+//! The round trip is lossless (`from_json_lines(to_json_lines(t)) == t`),
+//! which the figure binaries rely on: they export traces and re-read them
+//! to build tables. [`summary`] folds a trace into per-mode aggregates
+//! for quick human inspection.
 
 use crate::stats::{Mode, Op, ReprKind, RoundStat, TraversalStats};
 use std::fmt::Write as _;
 
-/// Column order shared by the CSV header and the JSON key order.
-pub const COLUMNS: [&str; 21] = [
-    "round",
-    "op",
-    "mode",
-    "frontier_vertices",
-    "frontier_out_edges",
-    "work",
-    "threshold",
-    "forced",
-    "input_repr",
-    "output_repr",
-    "converted",
-    "output_vertices",
-    "frontier_bytes",
-    "time_ns",
-    "cas_attempts",
-    "cas_wins",
-    "edges_scanned",
-    "edges_skipped",
-    "partitions",
-    "bins_flushed",
-    "scatter_bytes",
-];
-
-/// Serializes a trace as JSON lines: one flat object per event, keys in
-/// [`COLUMNS`] order, `round` being the event's position in the trace.
+/// Serializes a trace as JSON lines: one flat object per event, `round`
+/// being the event's position in the trace.
 pub fn to_json_lines(stats: &TraversalStats) -> String {
     let mut out = String::new();
     for (i, r) in stats.rounds.iter().enumerate() {
@@ -60,40 +31,6 @@ pub fn to_json_lines(stats: &TraversalStats) -> String {
                 "\"edges_scanned\":{},\"edges_skipped\":{},",
                 "\"partitions\":{},\"bins_flushed\":{},\"scatter_bytes\":{}}}\n"
             ),
-            i,
-            r.op,
-            r.mode,
-            r.frontier_vertices,
-            r.frontier_out_edges,
-            r.work,
-            r.threshold,
-            r.forced,
-            r.input_repr,
-            r.output_repr,
-            r.converted,
-            r.output_vertices,
-            r.frontier_bytes,
-            r.time_ns,
-            r.cas_attempts,
-            r.cas_wins,
-            r.edges_scanned,
-            r.edges_skipped,
-            r.partitions,
-            r.bins_flushed,
-            r.scatter_bytes,
-        );
-    }
-    out
-}
-
-/// Serializes a trace as CSV with a [`COLUMNS`] header row.
-pub fn to_csv(stats: &TraversalStats) -> String {
-    let mut out = COLUMNS.join(",");
-    out.push('\n');
-    for (i, r) in stats.rounds.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             i,
             r.op,
             r.mode,
@@ -138,7 +75,7 @@ fn unquote(token: &str) -> Result<&str, String> {
     Ok(inner)
 }
 
-/// One parsed `key -> raw value` record from either format.
+/// One parsed `key -> raw value` record.
 struct Record<'a> {
     fields: Vec<(&'a str, &'a str)>,
 }
@@ -207,7 +144,7 @@ pub fn from_json_lines(text: &str) -> Result<TraversalStats, String> {
             .strip_prefix('{')
             .and_then(|s| s.strip_suffix('}'))
             .ok_or_else(|| format!("line {}: not a JSON object", lineno + 1))?;
-        let mut fields = Vec::with_capacity(COLUMNS.len());
+        let mut fields = Vec::new();
         for pair in body.split(',') {
             let (k, v) = pair
                 .split_once(':')
@@ -218,34 +155,6 @@ pub fn from_json_lines(text: &str) -> Result<TraversalStats, String> {
         }
         let rec = Record { fields };
         let r = rec.round_stat().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        stats.rounds.push(r);
-    }
-    Ok(stats)
-}
-
-/// Parses the output of [`to_csv`] back into a trace.
-///
-/// The first non-empty line must be the [`COLUMNS`] header (any column
-/// order is accepted; names bind values).
-pub fn from_csv(text: &str) -> Result<TraversalStats, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header: Vec<&str> =
-        lines.next().ok_or_else(|| "empty CSV".to_string())?.split(',').map(str::trim).collect();
-    let mut stats = TraversalStats::new();
-    for (lineno, line) in lines.enumerate() {
-        let values: Vec<&str> = line.split(',').map(str::trim).collect();
-        if values.len() != header.len() {
-            return Err(format!(
-                "row {}: {} values for {} columns",
-                lineno + 2,
-                values.len(),
-                header.len()
-            ));
-        }
-        let fields: Vec<(&str, &str)> =
-            header.iter().copied().zip(values.iter().copied()).collect();
-        let rec = Record { fields };
-        let r = rec.round_stat().map_err(|e| format!("row {}: {e}", lineno + 2))?;
         stats.rounds.push(r);
     }
     Ok(stats)
@@ -460,31 +369,15 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip() {
-        let t = sample_trace();
-        let text = to_csv(&t);
-        assert_eq!(text.lines().next().unwrap(), COLUMNS.join(","));
-        assert_eq!(text.lines().count(), 5);
-        let back = from_csv(&text).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
     fn empty_trace_round_trips() {
         let t = TraversalStats::new();
         assert_eq!(from_json_lines(&to_json_lines(&t)).unwrap(), t);
-        assert_eq!(from_csv(&to_csv(&t)).unwrap(), t);
     }
 
     #[test]
     fn parsers_reject_malformed_input() {
         assert!(from_json_lines("not json\n").is_err());
         assert!(from_json_lines("{\"round\":0}\n").is_err(), "missing fields");
-        assert!(from_csv("").is_err());
-        let t = sample_trace();
-        let mut csv = to_csv(&t);
-        csv.push_str("1,2,3\n");
-        assert!(from_csv(&csv).is_err(), "short row");
     }
 
     #[test]

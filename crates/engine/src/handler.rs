@@ -337,24 +337,31 @@ fn generate(req: &Request) -> Result<Graph, String> {
     }
 }
 
-fn query_from(req: &Request) -> Result<Query, String> {
+/// The query a `submit` names: exactly [`Query::KIND_NAMES`], plus the
+/// aliases `bellman_ford` and `k-core`.
+pub(crate) fn query_from(req: &Request) -> Result<Query, String> {
     let source = to_u32(req.u64_or("source", 0)?, "source")?;
     let seed = req.u64_or("seed", 1)?;
-    match req.str("query")? {
-        "bfs" => Ok(Query::Bfs { source }),
-        "bc" => Ok(Query::Bc { source }),
-        "cc" => Ok(Query::Cc),
-        "pagerank" => {
-            Ok(Query::PageRank { iters: to_u32(req.u64_or("max_iters", 20)?, "max_iters")? })
-        }
-        "radii" => Ok(Query::Radii { seed }),
-        "bellman-ford" | "bellman_ford" => Ok(Query::BellmanFord { source }),
-        "kcore" | "k-core" => Ok(Query::KCore),
-        "mis" => Ok(Query::Mis { seed }),
-        other => Err(format!(
-            "unknown query {other:?} (bfs|bc|cc|pagerank|radii|bellman-ford|kcore|mis)"
-        )),
-    }
+    let iters = to_u32(req.u64_or("max_iters", 20)?, "max_iters")?;
+    let kind = match req.str("query")? {
+        "bellman_ford" => "bellman-ford",
+        "k-core" => "kcore",
+        kind => kind,
+    };
+    let kinds = [
+        Query::Bfs { source },
+        Query::Bc { source },
+        Query::Cc,
+        Query::PageRank { iters },
+        Query::Radii { seed },
+        Query::BellmanFord { source },
+        Query::KCore,
+        Query::Mis { seed },
+    ];
+    kinds
+        .into_iter()
+        .find(|q| q.name() == kind)
+        .ok_or_else(|| format!("unknown query {kind:?} ({})", Query::KIND_NAMES.join("|")))
 }
 
 fn graph_response(epoch: u64) -> String {

@@ -160,6 +160,21 @@ mod tests {
     #[test]
     fn kind_names_and_retire_statuses_are_closed() {
         assert_eq!(N_KINDS, 8);
+        // The wire parser accepts exactly the kind names and two aliases.
+        let parse = |kind: &str| {
+            let line = format!(r#"{{"op":"submit","query":"{kind}"}}"#);
+            crate::handler::query_from(&crate::Request::parse(&line).expect("well-formed"))
+        };
+        for (i, kind) in Query::KIND_NAMES.into_iter().enumerate() {
+            let q = parse(kind).expect(kind);
+            assert_eq!((q.kind_index(), q.name()), (i, kind));
+        }
+        assert_eq!(parse("bellman_ford").map(|q| q.name()), Ok("bellman-ford"));
+        assert_eq!(parse("k-core").map(|q| q.name()), Ok("kcore"));
+        for unknown in ["sssp", "BFS", "pr", ""] {
+            let err = parse(unknown).expect_err(unknown);
+            assert!(err.contains(&Query::KIND_NAMES.join("|")), "{err}");
+        }
         assert_eq!(
             RETIRED.map(QueryStatus::name),
             ["done", "cancelled", "failed", "panicked", "shed"]

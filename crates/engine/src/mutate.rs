@@ -25,6 +25,7 @@
 
 use crate::error::{classify_panic, QueryError};
 use crate::scheduler::{lock, Engine};
+use crate::snapshot::Snapshot;
 #[cfg(feature = "fault-inject")]
 use ligra::FaultPoint;
 use ligra_graph::delta::{self, DeltaBatch, NormalizedBatch};
@@ -54,7 +55,8 @@ impl Default for MutationConfig {
 pub enum MutateError {
     /// No graph is installed to mutate.
     NoGraph,
-    /// The batch was invalid (out-of-range vertex). Fix the request.
+    /// The batch was invalid (out-of-range vertex), or the graph was
+    /// installed weighted and takes no writes. Fix the request.
     Invalid(String),
     /// Admission control shed the batch under memory pressure. Retry
     /// after the hint.
@@ -219,13 +221,24 @@ impl MutationLog {
         }
     }
 
+    /// The current snapshot, unless it was installed weighted: a
+    /// [`DeltaBatch`] carries no weights, so a write could only publish
+    /// the stripped view and turn later Bellman-Fords into unit-weight runs.
+    fn writable_snapshot(&self) -> Result<Arc<Snapshot>, MutateError> {
+        let snap = self.engine.current_snapshot().ok_or(MutateError::NoGraph)?;
+        if snap.weighted_graph().is_some() {
+            return Err(MutateError::Invalid("weighted graphs are read-only".to_string()));
+        }
+        Ok(snap)
+    }
+
     /// Applies one batch: layers it over the current snapshot and
     /// publishes the result as the next epoch. Serialized with other
     /// applies and with compaction installs; queries are never blocked
     /// (they read the store's `RwLock` only for an `Arc` clone).
     pub fn apply(self: &Arc<Self>, batch: &DeltaBatch) -> Result<MutationReport, MutateError> {
         let mut st = lock(&self.state, "mutation.state");
-        let snap = self.engine.current_snapshot().ok_or(MutateError::NoGraph)?;
+        let snap = self.writable_snapshot()?;
         if snap.epoch() != st.derived_epoch {
             // The store moved under us (operator load/gen): re-base.
             st.pending.clear();
@@ -314,7 +327,7 @@ impl MutationLog {
             if st.compacting {
                 return Err(MutateError::Busy);
             }
-            let snap = self.engine.current_snapshot().ok_or(MutateError::NoGraph)?;
+            let snap = self.writable_snapshot()?;
             if snap.epoch() != st.derived_epoch {
                 st.pending.clear();
                 st.derived_epoch = snap.epoch();

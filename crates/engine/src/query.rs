@@ -14,6 +14,7 @@ use ligra_apps::{
     pagerank_traced, radii_traced, BcResult, BellmanFordResult, BfsResult, CcResult, KCoreResult,
     MisResult, PageRankResult, RadiiResult, INFINITE_DISTANCE, UNREACHED,
 };
+use ligra_graph::UnitWeighted;
 use std::sync::Arc;
 
 /// PageRank damping factor used by every engine query (the paper's value).
@@ -83,16 +84,7 @@ impl Query {
 
     /// Short stable name, used in spans and the wire protocol.
     pub fn name(&self) -> &'static str {
-        match self {
-            Query::Bfs { .. } => "bfs",
-            Query::Bc { .. } => "bc",
-            Query::Cc => "cc",
-            Query::PageRank { .. } => "pagerank",
-            Query::Radii { .. } => "radii",
-            Query::BellmanFord { .. } => "bellman-ford",
-            Query::KCore => "kcore",
-            Query::Mis { .. } => "mis",
-        }
+        Self::KIND_NAMES[self.kind_index()]
     }
 
     /// Whether this query only makes sense on a symmetric graph.
@@ -127,14 +119,13 @@ impl Query {
     }
 
     /// Coarse upper estimate of the bytes this query's run allocates on
-    /// `snap`: per-vertex app state plus frontier buffers, plus the
-    /// unit-weight twin Bellman-Ford builds when no weighted graph was
-    /// installed. The memory-budget admission check sums these for
-    /// in-flight queries — it bounds the order of magnitude of engine
-    /// memory pressure, not the exact byte count.
+    /// `snap`: per-vertex app state plus frontier buffers — no query
+    /// allocates per-arc state, so the estimate is proportional to `n`
+    /// alone. The memory-budget admission check sums these for in-flight
+    /// queries — it bounds the order of magnitude of engine memory
+    /// pressure, not the exact byte count.
     pub fn estimated_run_bytes(&self, snap: &Snapshot) -> u64 {
         let n = snap.num_vertices() as u64;
-        let m = snap.num_edges() as u64;
         let per_vertex: u64 = match self {
             Query::Bfs { .. } => 8,          // parent + dist (u32 each)
             Query::Bc { .. } => 24,          // sigma + dependency (f64) + visited
@@ -145,15 +136,9 @@ impl Query {
             Query::KCore => 8,               // coreness + live degree
             Query::Mis { .. } => 9,          // priority (u64) + state
         };
-        let weighted_twin = match self {
-            // Building the unit-weight twin copies offsets and targets
-            // and materializes one weight per arc.
-            Query::BellmanFord { .. } if !snap.weighted_ready() => 8 * n + 8 * m,
-            _ => 0,
-        };
         // Frontier overhead: dense bitsets both ways plus sparse output
         // buffers, called 8 bytes per vertex.
-        n * (per_vertex + 8) + weighted_twin
+        n * (per_vertex + 8)
     }
 
     /// Runs the query on `snap`, delivering per-round telemetry to `rec`.
@@ -181,12 +166,12 @@ impl Query {
                 rec,
             )),
             Query::Radii { seed } => QueryOutput::Radii(radii_traced(g, seed, opts, rec)),
-            Query::BellmanFord { source } => QueryOutput::BellmanFord(bellman_ford_traced(
-                snap.weighted().as_ref(),
-                source,
-                opts,
-                rec,
-            )),
+            Query::BellmanFord { source } => {
+                QueryOutput::BellmanFord(match snap.weighted_graph() {
+                    Some(wg) => bellman_ford_traced(wg.as_ref(), source, opts, rec),
+                    None => bellman_ford_traced(&UnitWeighted(g), source, opts, rec),
+                })
+            }
             Query::KCore => QueryOutput::KCore(kcore_traced(g, opts, rec)),
             Query::Mis { seed } => QueryOutput::Mis(mis_traced(g, seed, opts, rec)),
         })
@@ -324,6 +309,8 @@ mod tests {
     #[test]
     fn every_query_runs_on_a_symmetric_graph() {
         let s = snap(grid3d(4));
+        // Same n (64), a third of the arcs.
+        let sparser = snap(cycle(64));
         let queries = [
             Query::Bfs { source: 0 },
             Query::Bc { source: 0 },
@@ -338,21 +325,8 @@ mod tests {
             let out = q.run(&s, EdgeMapOptions::new(), &mut NoopRecorder).unwrap();
             let summary = out.summary();
             assert!(!summary.is_empty(), "{q:?}");
-        }
-    }
-
-    #[test]
-    fn bellman_ford_on_unit_weights_matches_bfs_depth() {
-        let s = snap(grid3d(4));
-        let bfs = Query::Bfs { source: 0 }.run(&s, EdgeMapOptions::new(), &mut NoopRecorder);
-        let bf = Query::BellmanFord { source: 0 }.run(&s, EdgeMapOptions::new(), &mut NoopRecorder);
-        match (bfs.unwrap(), bf.unwrap()) {
-            (QueryOutput::Bfs(b), QueryOutput::BellmanFord(w)) => {
-                for v in 0..s.num_vertices() {
-                    assert_eq!(b.dist[v] as i64, w.dist[v], "vertex {v}");
-                }
-            }
-            _ => unreachable!(),
+            // No query allocates per-arc state: the estimate ignores m.
+            assert_eq!(q.estimated_run_bytes(&s), q.estimated_run_bytes(&sparser), "{q:?}");
         }
     }
 }

@@ -10,36 +10,33 @@
 use crate::lockdep::{tracked_read, tracked_write};
 use ligra_graph::{Graph, WeightedGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// One immutable graph version, stamped with the epoch at which it was
 /// installed.
 ///
 /// The unweighted view is the canonical one (every query except
-/// Bellman-Ford runs on it). The weighted view is either the installed
-/// weighted graph, or a lazily built unit-weight twin so that
-/// Bellman-Ford queries work on any snapshot; it is built at most once
-/// per snapshot (`OnceLock`) and shared by every query that needs it.
+/// Bellman-Ford runs on it). A snapshot installed weighted also keeps
+/// that graph, whose arrays the unweighted view shares; on any other
+/// snapshot Bellman-Ford reads the unweighted view through
+/// `ligra_graph::UnitWeighted`, so no snapshot ever holds a second copy
+/// of its edges.
 pub struct Snapshot {
     epoch: u64,
     graph: Arc<Graph>,
-    weighted: OnceLock<Arc<WeightedGraph>>,
+    weighted: Option<Arc<WeightedGraph>>,
 }
 
 impl Snapshot {
-    /// Wraps an unweighted graph; the weighted view is built on demand
-    /// with unit weights.
+    /// Wraps an unweighted graph.
     pub fn from_graph(epoch: u64, graph: Arc<Graph>) -> Self {
-        Snapshot { epoch, graph, weighted: OnceLock::new() }
+        Snapshot { epoch, graph, weighted: None }
     }
 
-    /// Wraps a weighted graph; the unweighted view strips the weights
-    /// eagerly (it is the common case for queries).
+    /// Wraps a weighted graph; the unweighted view shares its offset and
+    /// target arrays and drops the weights.
     pub fn from_weighted(epoch: u64, wg: Arc<WeightedGraph>) -> Self {
-        let graph = Arc::new(strip_weights(&wg));
-        let weighted = OnceLock::new();
-        let _ = weighted.set(wg);
-        Snapshot { epoch, graph, weighted }
+        Snapshot { epoch, graph: Arc::new(strip_weights(&wg)), weighted: Some(wg) }
     }
 
     /// Epoch at which this snapshot was installed.
@@ -52,17 +49,10 @@ impl Snapshot {
         &self.graph
     }
 
-    /// The weighted view: the installed weighted graph, or a unit-weight
-    /// twin built (once) from the unweighted one.
-    pub fn weighted(&self) -> &Arc<WeightedGraph> {
-        self.weighted.get_or_init(|| Arc::new(unit_weights(&self.graph)))
-    }
-
-    /// Whether the weighted view already exists (installed weighted, or
-    /// the unit-weight twin has been built). Admission control uses this
-    /// to decide if a Bellman-Ford query will pay the twin's footprint.
-    pub fn weighted_ready(&self) -> bool {
-        self.weighted.get().is_some()
+    /// The installed weighted graph, when this snapshot was installed
+    /// weighted.
+    pub fn weighted_graph(&self) -> Option<&Arc<WeightedGraph>> {
+        self.weighted.as_ref()
     }
 
     /// The cache-sized vertex partitioning for the partitioned
@@ -77,11 +67,6 @@ impl Snapshot {
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
     }
-
-    /// Number of directed edges (arcs).
-    pub fn num_edges(&self) -> usize {
-        self.graph.num_edges()
-    }
 }
 
 fn strip_weights(wg: &WeightedGraph) -> Graph {
@@ -91,17 +76,6 @@ fn strip_weights(wg: &WeightedGraph) -> Graph {
         Graph::symmetric(wg.out_adj().stripped())
     } else {
         Graph::directed(wg.out_adj().stripped(), wg.in_adj().stripped())
-    }
-}
-
-fn unit_weights(g: &Graph) -> WeightedGraph {
-    // `unit_weighted` likewise preserves overlay structure: Bellman-Ford
-    // on a live-mutated snapshot sees the same view as every other query.
-    let out = g.out_adj().unit_weighted();
-    if g.is_symmetric() {
-        Graph::symmetric(out)
-    } else {
-        Graph::directed(out, g.in_adj().unit_weighted())
     }
 }
 
@@ -183,23 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn unit_weight_twin_matches_structure() {
-        let g = random_local(200, 4, 7);
-        let snap = Snapshot::from_graph(1, Arc::new(g));
-        let wg = snap.weighted();
-        assert_eq!(wg.num_vertices(), snap.num_vertices());
-        assert_eq!(wg.num_edges(), snap.num_edges());
-        assert!(wg.out_weights(0).iter().all(|&w| w == 1));
-        // Built once: second call returns the same Arc.
-        assert!(Arc::ptr_eq(wg, snap.weighted()));
-    }
-
-    #[test]
     fn weighted_install_strips_to_same_structure() {
         let g = random_local(100, 3, 9);
         let wg = random_weights(&g, 20, 3);
         let snap = Snapshot::from_weighted(4, Arc::new(wg));
-        assert_eq!(snap.graph().num_edges(), snap.weighted().num_edges());
+        let installed = snap.weighted_graph().expect("installed weighted");
+        assert_eq!(snap.graph().num_edges(), installed.num_edges());
         assert_eq!(snap.epoch(), 4);
         assert!(snap.graph().is_symmetric());
     }

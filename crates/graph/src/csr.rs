@@ -305,30 +305,6 @@ impl<W: Copy + Send + Sync> Adjacency<W> {
     }
 }
 
-impl Adjacency<()> {
-    /// The same view with every edge given unit weight, preserving any
-    /// overlay structure (the lazily-built weighted twin of an unweighted
-    /// snapshot must not flatten the overlay).
-    pub fn unit_weighted(&self) -> Adjacency<i32> {
-        Adjacency {
-            offsets: Arc::clone(&self.offsets),
-            targets: Arc::clone(&self.targets),
-            weights: vec![1i32; self.targets.len()].into(),
-            overlay: self.overlay.as_ref().map(|o| {
-                Arc::new(Overlay {
-                    n: o.n,
-                    m: o.m,
-                    touched: o.touched.clone(),
-                    ids: o.ids.clone(),
-                    offs: o.offs.clone(),
-                    targets: o.targets.clone(),
-                    weights: vec![1i32; o.targets.len()].into_boxed_slice(),
-                })
-            }),
-        }
-    }
-}
-
 /// A bare pointer that rayon may carry across threads for disjoint-range
 /// scatter writes. Every use site must justify disjointness with its own
 /// SAFETY comment.
@@ -353,9 +329,9 @@ impl<T> Copy for SendPtr<T> {}
 ///   required by the dense (pull) traversal of `edgeMap` and by algorithms
 ///   that walk edges backwards (betweenness centrality).
 ///
-/// The CSRs are reference-counted, so [`Graph::clone`] and
-/// [`Graph::reversed`] are O(1) — betweenness centrality runs `edgeMap`
-/// over the reversed graph without copying anything.
+/// The CSRs are reference-counted, so [`Graph::clone`] is O(1); the
+/// reversed graph is the [`crate::neighbors::Transpose`] view, which
+/// copies nothing either.
 #[derive(Debug, Clone)]
 pub struct Graph<W = ()> {
     out: std::sync::Arc<Adjacency<W>>,
@@ -397,21 +373,6 @@ impl<W: Copy + Send + Sync> Graph<W> {
     pub fn directed_from_out(out: Adjacency<W>) -> Self {
         let incoming = transpose(&out);
         Graph::directed(out, incoming)
-    }
-
-    /// The graph with every edge reversed, sharing this graph's storage
-    /// (O(1)). For symmetric graphs this is the graph itself.
-    pub fn reversed(&self) -> Self {
-        match &self.incoming {
-            None => self.clone(),
-            // The reversed graph pulls along a different direction, so it
-            // starts with an empty partition cache of its own.
-            Some(incoming) => Graph {
-                out: incoming.clone(),
-                incoming: Some(self.out.clone()),
-                partitions: std::sync::OnceLock::new(),
-            },
-        }
     }
 
     /// Number of vertices `n`.
@@ -754,37 +715,14 @@ mod tests {
     }
 
     #[test]
-    fn reversed_swaps_directions() {
-        let g = small_directed();
-        let r = g.reversed();
-        assert_eq!(r.out_neighbors(2), g.in_neighbors(2));
-        assert_eq!(r.in_neighbors(0), g.out_neighbors(0));
-        assert_eq!(r.num_edges(), g.num_edges());
-        // Reversing twice gets back the original adjacency.
-        let rr = r.reversed();
-        for v in 0..3u32 {
-            assert_eq!(rr.out_neighbors(v), g.out_neighbors(v));
-        }
-    }
-
-    #[test]
     fn partitioning_is_cached_per_direction() {
+        use crate::neighbors::{Neighbors, Transpose};
         let g = small_directed();
         let p1 = g.partitioning();
         assert!(std::sync::Arc::ptr_eq(&p1, &g.partitioning()));
         assert_eq!(p1.num_vertices(), 3);
         assert_eq!(p1.total_in_edges(), 3, "counts come from the in-CSR");
-        // The reversed graph partitions over the opposite direction.
-        let r = g.reversed();
-        assert_eq!(r.partitioning().total_in_edges(), 3);
-    }
-
-    #[test]
-    fn reversed_symmetric_is_identity() {
-        let adj = Adjacency::new(vec![0, 1, 3, 4], vec![1, 0, 2, 1], vec![(); 4]);
-        let g = Graph::symmetric(adj);
-        let r = g.reversed();
-        assert!(r.is_symmetric());
-        assert_eq!(r.out_neighbors(1), g.out_neighbors(1));
+        // The reversed view partitions over the opposite direction.
+        assert_eq!(Transpose(&g).partitioning().total_in_edges(), 3);
     }
 }

@@ -118,19 +118,6 @@ pub struct NormalizedBatch {
     dels: Vec<(VertexId, VertexId)>,
 }
 
-impl NormalizedBatch {
-    /// Number of logical edge inserts requested (before set-semantics
-    /// no-ops are discounted).
-    pub fn num_adds(&self) -> usize {
-        self.adds.len()
-    }
-
-    /// Number of logical edge tombstones requested.
-    pub fn num_dels(&self) -> usize {
-        self.dels.len()
-    }
-}
-
 /// What a batch actually changed, in arcs (symmetric mirrors count).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyStats {

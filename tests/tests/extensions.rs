@@ -6,10 +6,24 @@ use ligra::{edge_fn, EdgeMapOptions, Mode, NoopRecorder, Traversal, TraversalSta
 use ligra_apps as apps;
 use ligra_apps::seq;
 use ligra_compress::{ByteCode, ByteRleCode, CompressedGraph, NibbleCode};
+use ligra_engine::{Query, QueryOutput, Snapshot, PAGERANK_ALPHA};
 use ligra_graph::generators::rmat::RmatOptions;
-use ligra_graph::generators::{erdos_renyi, grid3d, random_local, rmat};
-use ligra_graph::{apply_batch, build_graph, BuildOptions, DeltaBatch, Graph, Neighbors};
+use ligra_graph::generators::{erdos_renyi, grid3d, random_local, random_weights, rmat};
+use ligra_graph::{
+    apply_batch, build_graph, BuildOptions, DeltaBatch, Graph, Neighbors, UnitWeighted,
+};
 use ligra_parallel::{checked_u32, hash32};
+use std::sync::Arc;
+
+/// Runs one query through the engine's dispatch and unwraps its variant.
+macro_rules! served {
+    ($snap:expr, $opts:expr, $query:expr, $variant:ident) => {
+        match $query.run($snap, $opts, &mut NoopRecorder).expect("valid query") {
+            QueryOutput::$variant(result) => result,
+            other => panic!("{:?} answered {other:?}", $query),
+        }
+    };
+}
 
 #[test]
 fn kcore_mis_triangle_consistency() {
@@ -66,45 +80,107 @@ impl Reps {
         }
     }
 
-    /// The applications' answers under `opts`, per representation.
-    fn answers(&self, opts: EdgeMapOptions) -> [(&'static str, Answers); 5] {
+    /// The applications' answers under `opts`, per representation through
+    /// the library and per servable representation through the engine.
+    fn answers(&self, opts: EdgeMapOptions) -> [(&'static str, Answers); 7] {
         [
             ("csr", Answers::of(&self.csr, opts)),
             ("overlay", Answers::of(&self.overlay, opts)),
             ("byte", Answers::of(&self.byte, opts)),
             ("nibble", Answers::of(&self.nibble, opts)),
             ("byte-rle", Answers::of(&self.rle, opts)),
+            ("engine/csr", Answers::served(&self.csr, opts)),
+            ("engine/overlay", Answers::served(&self.overlay, opts)),
         ]
     }
 }
 
-/// What the three generic applications compute on one representation
-/// under one traversal policy.
+const RADII_SEED: u64 = 3;
+const MIS_SEED: u64 = 7;
+const PAGERANK_ITERS: u32 = 12;
+
+/// What the generic applications compute on one representation under one
+/// traversal policy (the symmetric-only ones are `None` on a directed
+/// input).
 struct Answers {
     bfs_dist: Vec<u32>,
     bfs_rounds: usize,
     cc_label: Option<Vec<u32>>,
     cc_components: Option<usize>,
     rank: Vec<f64>,
+    bc: apps::BcResult,
+    radii: apps::RadiiResult,
+    coreness: Option<Vec<u32>>,
+    mis: Option<apps::MisResult>,
+    unit_bf_dist: Vec<i64>,
 }
 
 impl Answers {
+    /// Through the library, on any representation.
     fn of<G: Neighbors<Weight = ()>>(g: &G, opts: EdgeMapOptions) -> Answers {
+        let rec = &mut NoopRecorder;
+        let symmetric = g.is_symmetric();
         let bfs = apps::bfs_with(g, 0, opts);
-        let cc = g.is_symmetric().then(|| apps::cc_traced(g, opts, &mut NoopRecorder));
+        let cc = symmetric.then(|| apps::cc_traced(g, opts, rec));
+        let iters = PAGERANK_ITERS as usize;
         Answers {
             bfs_dist: bfs.dist,
             bfs_rounds: bfs.rounds,
             cc_components: cc.as_ref().map(apps::CcResult::num_components),
             cc_label: cc.map(|r| r.label),
-            rank: apps::pagerank_traced(g, 0.85, 0.0, 12, opts, &mut NoopRecorder).rank,
+            rank: apps::pagerank_traced(g, PAGERANK_ALPHA, 0.0, iters, opts, rec).rank,
+            bc: apps::bc_traced(g, 0, opts, rec),
+            radii: apps::radii_traced(g, RADII_SEED, opts, rec),
+            coreness: symmetric.then(|| apps::kcore_traced(g, opts, rec).coreness),
+            mis: symmetric.then(|| apps::mis_traced(g, MIS_SEED, opts, rec)),
+            unit_bf_dist: apps::bellman_ford_traced(&UnitWeighted(g), 0, opts, rec).dist,
+        }
+    }
+
+    /// The same queries through the engine's dispatch, on a snapshot
+    /// installed unweighted (so Bellman-Ford runs in unit weights).
+    fn served(g: &Graph, opts: EdgeMapOptions) -> Answers {
+        let snap = Snapshot::from_graph(1, Arc::new(g.clone()));
+        let symmetric = g.is_symmetric();
+        let bfs = served!(&snap, opts, Query::Bfs { source: 0 }, Bfs);
+        let cc = symmetric.then(|| served!(&snap, opts, Query::Cc, Cc));
+        Answers {
+            bfs_dist: bfs.dist,
+            bfs_rounds: bfs.rounds,
+            cc_components: cc.as_ref().map(apps::CcResult::num_components),
+            cc_label: cc.map(|r| r.label),
+            rank: served!(&snap, opts, Query::PageRank { iters: PAGERANK_ITERS }, PageRank).rank,
+            bc: served!(&snap, opts, Query::Bc { source: 0 }, Bc),
+            radii: served!(&snap, opts, Query::Radii { seed: RADII_SEED }, Radii),
+            coreness: symmetric.then(|| served!(&snap, opts, Query::KCore, KCore).coreness),
+            mis: symmetric.then(|| served!(&snap, opts, Query::Mis { seed: MIS_SEED }, Mis)),
+            unit_bf_dist: served!(&snap, opts, Query::BellmanFord { source: 0 }, BellmanFord).dist,
         }
     }
 }
 
+/// `radii[v]` = the largest finite `dist(s, v)` over the sample.
+fn seq_radii(g: &Graph, sample: &[u32]) -> Vec<u32> {
+    let mut radii = vec![apps::radii::UNKNOWN_RADIUS; g.num_vertices()];
+    for &s in sample {
+        for (r, d) in radii.iter_mut().zip(seq::seq_bfs(g, s).0) {
+            if d != seq::UNREACHED && (*r == apps::radii::UNKNOWN_RADIUS || d > *r) {
+                *r = d;
+            }
+        }
+    }
+    radii
+}
+
+fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+}
+
 /// One differential sweep: input family × representation × traversal
-/// policy, every answer checked against the sequential references, and
-/// BFS round counts checked across representations.
+/// policy × {library, engine}, every answer checked against the
+/// sequential references on the decoded CSR. The directed input runs
+/// BC's backward sweep over `Transpose` of every representation, the
+/// compressed ones included.
 #[test]
 fn every_representation_and_policy_agrees_with_the_sequential_references() {
     let inputs = [
@@ -114,8 +190,11 @@ fn every_representation_and_policy_agrees_with_the_sequential_references() {
     ];
     for (family, base) in &inputs {
         let reps = Reps::of(base);
-        let (dist, _) = seq::seq_bfs(&reps.csr, 0);
-        let label = reps.csr.is_symmetric().then(|| seq::seq_cc(&reps.csr));
+        let csr = &reps.csr;
+        let symmetric = csr.is_symmetric();
+        let (dist, _) = seq::seq_bfs(csr, 0);
+        let depth = dist.iter().filter(|&&d| d != seq::UNREACHED).max().expect("source");
+        let label = symmetric.then(|| seq::seq_cc(csr));
         // `num_components` counts self-labelled vertices; the reference
         // count is the number of distinct labels.
         let components = label.as_ref().map(|l| {
@@ -124,18 +203,47 @@ fn every_representation_and_policy_agrees_with_the_sequential_references() {
             distinct.dedup();
             distinct.len()
         });
-        let (rank, _) = seq::seq_pagerank(&reps.csr, 0.85, 0.0, 12);
+        let (rank, _) = seq::seq_pagerank(csr, PAGERANK_ALPHA, 0.0, PAGERANK_ITERS as usize);
+        let dependencies = seq::seq_brandes(csr, 0);
+        assert!(dependencies.iter().any(|&d| d > 0.0), "{family}: BC must have a backward sweep");
+        let sample = apps::radii::pick_sample(csr, RADII_SEED);
+        let radii = seq_radii(csr, &sample);
+        let coreness = symmetric.then(|| apps::kcore::seq_kcore(csr));
+        let hops: Vec<i64> = dist
+            .iter()
+            .map(|&d| if d == seq::UNREACHED { apps::INFINITE_DISTANCE } else { d as i64 })
+            .collect();
+        // One weighted install: the engine must read the installed
+        // weights, not the unit view.
+        let wg = random_weights(csr, 20, 5);
+        let weighted = Snapshot::from_weighted(2, Arc::new(wg.clone()));
+        let weighted_dist = seq::seq_bellman_ford(&wg, 0).expect("positive weights");
+        assert_ne!(weighted_dist, hops, "{family}: weights must matter");
+
         for t in Traversal::ALL {
-            let mut rounds = None;
-            for (rep, got) in reps.answers(EdgeMapOptions::new().traversal(t)) {
+            let opts = EdgeMapOptions::new().traversal(t);
+            for (rep, got) in reps.answers(opts) {
                 let at = format!("{family}/{rep}/{t}");
                 assert_eq!(got.bfs_dist, dist, "{at}: BFS distances");
+                assert_eq!(got.bfs_rounds, *depth as usize + 1, "{at}: BFS rounds");
                 assert_eq!(got.cc_label, label, "{at}: CC labels");
                 assert_eq!(got.cc_components, components, "{at}: CC component count");
                 let l1: f64 = got.rank.iter().zip(&rank).map(|(a, b)| (a - b).abs()).sum();
                 assert!(l1 < 1e-9, "{at}: PageRank L1 divergence {l1}");
-                assert_eq!(*rounds.get_or_insert(got.bfs_rounds), got.bfs_rounds, "{at}: rounds");
+                let d = max_abs_diff(&got.bc.dependencies, &dependencies);
+                assert!(d < 1e-9, "{at}: BC dependencies differ by {d}");
+                assert_eq!(got.bc.rounds, *depth as usize + 1, "{at}: BC rounds");
+                assert_eq!(got.radii.sample, sample, "{at}: radii sample");
+                assert_eq!(got.radii.radii, radii, "{at}: radii");
+                assert_eq!(got.coreness, coreness, "{at}: coreness");
+                if let Some(set) = &got.mis {
+                    set.validate(csr);
+                }
+                assert_eq!(got.mis.is_some(), symmetric, "{at}: MIS ran");
+                assert_eq!(got.unit_bf_dist, hops, "{at}: unit-weight Bellman-Ford vs BFS");
             }
+            let served = served!(&weighted, opts, Query::BellmanFord { source: 0 }, BellmanFord);
+            assert_eq!(served.dist, weighted_dist, "{family}/engine/weighted/{t}");
         }
     }
 }
@@ -249,10 +357,10 @@ fn compression_saves_space_on_every_input_family() {
 
 #[test]
 fn kcore_of_compressed_families_matches_reference() {
-    // k-core only exists uncompressed; sanity-check it against the bucket
-    // reference on the benchmark families.
+    // Peeling straight off the compressed lists, against the bucket
+    // reference on the decoded benchmark families.
     for g in [grid3d(5), random_local(1500, 5, 2), rmat(&RmatOptions::paper(9))] {
-        let par = apps::kcore(&g);
-        assert_eq!(par.coreness, apps::kcore::seq_kcore(&g));
+        let cg: CompressedGraph = CompressedGraph::from_graph(&g);
+        assert_eq!(apps::kcore(&cg).coreness, apps::kcore::seq_kcore(&g));
     }
 }

@@ -4,14 +4,15 @@
 //! (in-flight queries stay pinned to the snapshot they started on; the
 //! result cache keys on epoch so mutations invalidate it naturally).
 
-use ligra::{EdgeMapOptions, Traversal};
+use ligra::{EdgeMapOptions, NoopRecorder, Traversal};
 use ligra_apps as apps;
 use ligra_engine::{
-    Engine, EngineConfig, MutationConfig, MutationLog, Query, QueryHandle, QueryStatus,
+    Engine, EngineConfig, MutateError, MutationConfig, MutationLog, Query, QueryHandle,
+    QueryOutput, QueryStatus,
 };
 use ligra_graph::builder::{build_graph, BuildOptions};
-use ligra_graph::generators::random_local;
-use ligra_graph::{apply_batch, DeltaBatch, Graph, VertexId};
+use ligra_graph::generators::{random_local, random_weights};
+use ligra_graph::{apply_batch, DeltaBatch, Graph, UnitWeighted, VertexId};
 use ligra_parallel::hash::mix64;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -274,6 +275,45 @@ fn compaction_under_load_preserves_results() {
     assert!(!clean.has_overlay());
     assert_eq!(engine.current_epoch(), Some(report.epoch));
     assert_eq!(apps::cc(clean.as_ref()).label, before, "compaction is result-identical");
+}
+
+#[test]
+fn writes_to_a_weighted_install_are_refused_and_the_weights_survive() {
+    // A `DeltaBatch` carries no weights, so a write could only publish
+    // the stripped view — and every later Bellman-Ford would answer in
+    // unit weights without an error. The log refuses instead.
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    let wg = random_weights(&random_local(400, 5, 11), 50, 4);
+    engine.install_weighted(Arc::new(wg.clone()));
+    let log = Arc::new(MutationLog::new(Arc::clone(&engine), MutationConfig::default()));
+    let epoch = engine.current_epoch();
+    let distances = || {
+        let snap = engine.current_snapshot().expect("snap");
+        let q = Query::BellmanFord { source: 0 };
+        match q.run(&snap, EdgeMapOptions::new(), &mut NoopRecorder).expect("in range") {
+            QueryOutput::BellmanFord(r) => r.dist,
+            other => panic!("Bellman-Ford answered {other:?}"),
+        }
+    };
+    let before = distances();
+
+    let refusals = [
+        log.apply(&DeltaBatch::new().add_edge(0, 399)).expect_err("mutate must be refused"),
+        log.compact().expect_err("compact must be refused"),
+    ];
+    for err in refusals {
+        assert_eq!(err, MutateError::Invalid("weighted graphs are read-only".to_string()));
+        assert!(!err.is_transient(), "a retry cannot succeed");
+    }
+    assert_eq!(engine.current_epoch(), epoch, "a refused write publishes nothing");
+    let status = log.status();
+    assert_eq!((status.pending_batches, status.compacting), (0, false));
+
+    assert_eq!(distances(), before);
+    assert_eq!(Some(&before), apps::seq::seq_bellman_ford(&wg, 0).as_ref());
+    let snap = engine.current_snapshot().expect("snap");
+    let unit = apps::bellman_ford(&UnitWeighted(snap.graph().as_ref()), 0).dist;
+    assert_ne!(before, unit, "the install's weights are not all 1");
 }
 
 /// With the tracked guards armed, the mutation suite's own workload

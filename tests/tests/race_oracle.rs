@@ -156,6 +156,31 @@ fn compressed_traversals_certify_under_claim() {
     }
 }
 
+#[test]
+fn adaptor_views_certify_on_every_forced_traversal() {
+    // The views change which list a kernel reads, not the contract of
+    // the function it applies: BC's backward sweep (MultiWin) runs over
+    // `Transpose` of a directed compressed graph, Bellman-Ford (Claim)
+    // over `UnitWeighted` of a CSR.
+    let directed = erdos_renyi(600, 4000, 13, false);
+    let cg: ligra_compress::CompressedGraph =
+        ligra_compress::CompressedGraph::from_graph(&directed);
+    let g = erdos_renyi(600, 4000, 14, true);
+    let hops = seq::seq_bfs(&g, 0).0;
+    for t in Traversal::ALL {
+        certify(&format!("bc/transpose-compressed/{t}"), 600, WinContract::MultiWin, |opts| {
+            let r = apps::bc_traced(&cg, 0, opts.traversal(t), &mut NoopRecorder);
+            let want = seq::seq_brandes(&directed, 0);
+            assert!(r.dependencies.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-9));
+        });
+        certify(&format!("bellman-ford/unit-weighted/{t}"), 600, WinContract::Claim, |opts| {
+            let view = ligra_graph::UnitWeighted(&g);
+            let r = apps::bellman_ford_traced(&view, 0, opts.traversal(t), &mut NoopRecorder);
+            assert!(r.dist.iter().zip(&hops).all(|(&d, &h)| d == h as i64 || h == seq::UNREACHED));
+        });
+    }
+}
+
 /// The deliberately racy update: claims every edge's target
 /// unconditionally, the behavior of a plain-write (non-CAS) function
 /// that believes it always "won". Two frontier sources sharing a target
