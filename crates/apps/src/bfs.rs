@@ -104,17 +104,18 @@ pub fn bfs_traced<G: Neighbors<Weight = ()>, R: Recorder>(
         let mut frontier = VertexSubset::single(n, source);
         let mut level_sets: Vec<VertexSubset> = Vec::new();
         while !frontier.is_empty() {
-            frontier = edge_map_recorded(g, &mut frontier, &f, opts, stats);
+            let next = edge_map_recorded(g, &mut frontier, &f, opts, stats);
             rounds += 1;
-            if !frontier.is_empty() {
-                level_sets.push(frontier.clone());
-            }
+            // Keep the level just expanded by moving it: `level_sets[d]`
+            // is the set at distance `d`, the source's level included.
+            level_sets.push(std::mem::replace(&mut frontier, next));
         }
         // Fill distances level by level (one parallel pass per level; the
         // paper's BFS returns only parents — distances are bookkeeping for
-        // the tests and Table 2's reachability checks).
-        for (level, fr) in level_sets.iter_mut().enumerate() {
-            let d = checked_u32(level) + 1;
+        // the tests and Table 2's reachability checks). The source's
+        // distance is already stamped.
+        for (level, fr) in level_sets.iter().enumerate().skip(1) {
+            let d = checked_u32(level);
             let dist_cell = ligra_parallel::atomics::as_atomic_u32(&mut dist);
             ligra::vertex_map_recorded(
                 fr,

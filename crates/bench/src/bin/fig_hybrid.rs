@@ -3,18 +3,22 @@
 //! Total running time of BFS and Components under the five traversal
 //! policies: the paper's hybrid (auto) heuristic, sparse-only (what
 //! push-based frameworks like Pregel/GraphLab do), dense-only,
-//! dense-forward-only, and the cache-aware partitioned scatter/gather. The paper's shape: hybrid ≈ best-of-both; on
-//! low-diameter inputs (rMat) hybrid beats sparse-only by a large factor,
-//! on high-diameter inputs dense-only loses badly because every one of
-//! the many rounds pays O(n + m).
+//! dense-forward-only, and the cache-aware partitioned scatter/gather
+//! (forced-only, like dense-forward: auto picks sparse or dense). The
+//! paper's shape: hybrid ≈ best-of-both; on low-diameter inputs (rMat)
+//! hybrid beats sparse-only by a large factor, on high-diameter inputs
+//! dense-only loses badly because every one of the many rounds pays
+//! O(n + m).
 //!
 //! The timed runs are untraced (tracing off is the zero-overhead path the
 //! numbers must reflect). A separate traced BFS run per policy is then
 //! exported to JSON lines, re-imported, and used to attribute wall-clock
 //! to each traversal mode — the per-mode breakdown that explains *why*
-//! hybrid wins.
+//! hybrid wins — and to price auto against a per-round oracle: BFS levels
+//! are the same sets under every policy, so the oracle's total is, level
+//! by level, the fastest forced policy's round.
 
-use ligra::stats::{Mode, Op};
+use ligra::stats::{Mode, Op, RoundStat};
 use ligra::{from_json_lines, to_json_lines, EdgeMapOptions, Traversal, TraversalStats};
 use ligra_apps as apps;
 use ligra_bench::{fmt_secs, inputs, time_best, Scale};
@@ -23,12 +27,17 @@ use ligra_bench::{fmt_secs, inputs, time_best, Scale};
 /// paper's hybrid heuristic is `auto`).
 const POLICIES: [Traversal; 5] = Traversal::ALL;
 
-/// Per-mode round counts and telemetry-timed totals, computed from the
-/// exported-and-reimported trace of one traced BFS run.
-fn mode_breakdown(g: &ligra_graph::Graph, source: u32, t: Traversal) -> String {
+/// The `edgeMap` rounds of one traced BFS run, exported and re-imported.
+fn traced_rounds(g: &ligra_graph::Graph, source: u32, t: Traversal) -> Vec<RoundStat> {
     let mut stats = TraversalStats::new();
     let _ = apps::bfs_traced(g, source, EdgeMapOptions::new().traversal(t), &mut stats);
     let trace = from_json_lines(&to_json_lines(&stats)).expect("trace must round-trip");
+    trace.rounds.into_iter().filter(|r| r.op == Op::EdgeMap).collect()
+}
+
+/// Per-mode round counts and telemetry-timed totals, then the edges the
+/// run scanned and the bytes it binned.
+fn mode_breakdown(rounds: &[RoundStat]) -> String {
     let mut cells = Vec::new();
     let kinds = [
         ("s", Mode::Sparse),
@@ -37,13 +46,14 @@ fn mode_breakdown(g: &ligra_graph::Graph, source: u32, t: Traversal) -> String {
         ("p", Mode::Partitioned),
     ];
     for (name, mode) in kinds {
-        let rounds: Vec<_> =
-            trace.rounds.iter().filter(|r| r.op == Op::EdgeMap && r.mode == mode).collect();
-        if !rounds.is_empty() {
-            let ns: u64 = rounds.iter().map(|r| r.time_ns).sum();
-            cells.push(format!("{}:{}r/{:.1}ms", name, rounds.len(), ns as f64 / 1e6));
+        let in_mode: Vec<_> = rounds.iter().filter(|r| r.mode == mode).collect();
+        if !in_mode.is_empty() {
+            let ns: u64 = in_mode.iter().map(|r| r.time_ns).sum();
+            cells.push(format!("{}:{}r/{:.1}ms", name, in_mode.len(), ns as f64 / 1e6));
         }
     }
+    cells.push(format!("scanned:{}", rounds.iter().map(|r| r.edges_scanned).sum::<u64>()));
+    cells.push(format!("scatter:{}B", rounds.iter().map(|r| r.scatter_bytes).sum::<u64>()));
     cells.join(" ")
 }
 
@@ -104,10 +114,26 @@ fn main() {
 
     println!("\nPer-mode time attribution for BFS (from exported traces; r=rounds):");
     for input in inputs(scale) {
-        let g = &input.graph;
-        for t in POLICIES {
-            println!("{:<14} {:<12} {}", input.name, t.name(), mode_breakdown(g, input.source, t));
+        // Auto is traced first: bring the graph back into cache so it is
+        // not charged the misses the previous input's runs left behind.
+        let _ = apps::bfs(&input.graph, input.source);
+        let traces = POLICIES.map(|t| traced_rounds(&input.graph, input.source, t));
+        for (t, rounds) in POLICIES.iter().zip(&traces) {
+            println!("{:<14} {:<12} {}", input.name, t.name(), mode_breakdown(rounds));
         }
+        let (auto, forced) = traces.split_first().expect("auto is POLICIES[0]");
+        let auto_ns: u64 = auto.iter().map(|r| r.time_ns).sum();
+        let oracle_ns: u64 = (0..auto.len())
+            .map(|level| forced.iter().map(|rounds| rounds[level].time_ns).min().unwrap_or(0))
+            .sum();
+        println!(
+            "{:<14} {:<12} auto {:.1}ms / best forced round per level {:.1}ms = {:.2}x",
+            input.name,
+            "oracle",
+            auto_ns as f64 / 1e6,
+            oracle_ns as f64 / 1e6,
+            auto_ns as f64 / oracle_ns.max(1) as f64
+        );
     }
 
     println!("\nexpected shape: auto (hybrid) <= min(sparse, dense) within noise;");

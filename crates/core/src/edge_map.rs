@@ -48,12 +48,9 @@
 //!
 //! The direction heuristic (the paper's `|U| + Σ deg⁺(u) > m/20`) picks
 //! pull for large frontiers and push for small ones, generalizing Beamer
-//! et al.'s direction-optimizing BFS to every frontier algorithm. On
-//! graphs with at least `ligra_graph::partition::partition_min_n()`
-//! vertices, a third point kicks in: a dense round whose frontier
-//! out-edge sum also exceeds [`EdgeMapOptions::effective_partition_threshold`]
-//! (default `m/4`) is miss-bound enough to route to the partitioned
-//! traversal instead.
+//! et al.'s direction-optimizing BFS to every frontier algorithm. That
+//! one test is the whole chooser: dense-forward and partitioned run only
+//! when forced through [`EdgeMapOptions::traversal`].
 //!
 //! Every round can be observed through a [`Recorder`]: when the recorder is
 //! enabled, the round is timed, the heuristic's inputs are captured, the
@@ -69,7 +66,7 @@ use crate::race::RaceOracle;
 use crate::stats::{EdgeCounters, Mode, NoopRecorder, Recorder, ReprKind, RoundStat};
 use crate::traits::EdgeMapFn;
 use crate::vertex_subset::VertexSubset;
-use ligra_graph::partition::{partition_min_n, Partitioning};
+use ligra_graph::partition::Partitioning;
 use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::bins::{fragment_row, stitch, Fragments};
 use ligra_parallel::bitvec::{AtomicBitVec, BitSet};
@@ -156,23 +153,8 @@ where
         Traversal::Dense => Mode::Dense,
         Traversal::DenseForward => Mode::DenseForward,
         Traversal::Partitioned => Mode::Partitioned,
-        Traversal::Auto => {
-            if work > threshold {
-                // Dense territory. When the round is also miss-bound —
-                // enough frontier out-edges that pull would take a cache
-                // miss per edge on a graph whose destination state
-                // outgrows the LLC — route to scatter/gather instead.
-                if out_edges > opts.effective_partition_threshold(g.num_edges())
-                    && n >= opts.partition_min_vertices.unwrap_or_else(partition_min_n)
-                {
-                    Mode::Partitioned
-                } else {
-                    Mode::Dense
-                }
-            } else {
-                Mode::Sparse
-            }
-        }
+        Traversal::Auto if work > threshold => Mode::Dense,
+        Traversal::Auto => Mode::Sparse,
     };
 
     let input_sparse = frontier.is_sparse();
@@ -1139,33 +1121,6 @@ mod tests {
         let r = stats.rounds[0];
         assert_eq!(r.edges_scanned, 79, "scatter bins every out-edge");
         assert_eq!(r.edges_skipped, 40, "gather drops the cond-failing entries");
-    }
-
-    #[test]
-    fn auto_upgrades_miss_bound_dense_rounds_to_partitioned() {
-        let g = erdos_renyi(2000, 40_000, 1, true);
-        let f = edge_fn(|_, _, _: ()| true, |_| true);
-        let mut stats = TraversalStats::new();
-        // With the size floor lowered, a full frontier is both dense
-        // (work > m/20) and miss-bound (out-edges > m/4).
-        let opts = EdgeMapOptions::new().partition_min_vertices(1);
-        let mut huge = VertexSubset::all(2000);
-        let _ = edge_map_recorded(&g, &mut huge, &f, opts, &mut stats);
-        assert_eq!(stats.rounds[0].mode, Mode::Partitioned);
-        assert!(!stats.rounds[0].forced, "Auto decided, not a forced policy");
-        // A tiny frontier still takes the sparse path.
-        let mut tiny = VertexSubset::single(2000, 0);
-        let _ = edge_map_recorded(&g, &mut tiny, &f, opts, &mut stats);
-        assert_eq!(stats.rounds[1].mode, Mode::Sparse);
-        // At the production floor this graph is far too small to upgrade.
-        let mut huge = VertexSubset::all(2000);
-        let _ = edge_map_recorded(&g, &mut huge, &f, EdgeMapOptions::new(), &mut stats);
-        assert_eq!(stats.rounds[2].mode, Mode::Dense);
-        // Raising the partition threshold vetoes the upgrade even when big.
-        let mut huge = VertexSubset::all(2000);
-        let opts = EdgeMapOptions::new().partition_min_vertices(1).partition_threshold(u64::MAX);
-        let _ = edge_map_recorded(&g, &mut huge, &f, opts, &mut stats);
-        assert_eq!(stats.rounds[3].mode, Mode::Dense);
     }
 
     #[test]

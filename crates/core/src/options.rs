@@ -7,8 +7,9 @@ use crate::race::RaceOracle;
 /// Which traversal `edgeMap` should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Traversal {
-    /// The paper's direction heuristic: dense when
-    /// `|U| + Σ deg⁺(u) > threshold`, sparse otherwise.
+    /// The paper's direction heuristic, and nothing else: dense when
+    /// `|U| + Σ deg⁺(u) > threshold`, sparse otherwise. It never picks
+    /// [`Traversal::DenseForward`] or [`Traversal::Partitioned`].
     Auto,
     /// Always push along out-edges of the frontier (sparse representation).
     Sparse,
@@ -23,7 +24,9 @@ pub enum Traversal {
     /// scatter appends `(dst, payload)` updates into per-partition bins,
     /// gather drains each bin with partition-exclusive (non-atomic)
     /// writes. Trades one streaming pass of bin traffic for the random
-    /// LLC misses of dense pull on large graphs.
+    /// LLC misses of dense pull. Forced-only: scatter must bin every
+    /// frontier out-edge where pull's early exit skips most of them, and
+    /// it measured 12–14 ns/edge against pull's 2.3–2.6 (DESIGN.md §13).
     Partitioned,
 }
 
@@ -112,19 +115,10 @@ pub struct EdgeMapOptions<'a> {
     /// `fault-inject` feature; without it the attached plan is inert
     /// (the round hook compiles away). See [`crate::fault`].
     pub fault: Option<&'a FaultPlan>,
-    /// Frontier out-edge count above which the `Auto` heuristic upgrades
-    /// a dense round to the partitioned scatter/gather traversal; `None`
-    /// means the default `m / 4`. Only consulted on graphs large enough
-    /// for partitioning to pay (see `ligra_graph::partition::MIN_N`).
-    pub partition_threshold: Option<u64>,
     /// log2 of the partition width in vertices for the partitioned
-    /// traversal; `None` defers to `LIGRA_PARTITION_BITS` or the
-    /// cache-sized default in `ligra_graph::partition`.
+    /// traversal; `None` means the cache-sized default in
+    /// `ligra_graph::partition`.
     pub partition_bits: Option<u32>,
-    /// Smallest vertex count for which `Auto` will upgrade a dense round
-    /// to the partitioned traversal; `None` defers to
-    /// `LIGRA_PARTITION_MIN_N` / `ligra_graph::partition::MIN_N`.
-    pub partition_min_vertices: Option<usize>,
 }
 
 impl Default for EdgeMapOptions<'_> {
@@ -137,9 +131,7 @@ impl Default for EdgeMapOptions<'_> {
             cancel: None,
             oracle: None,
             fault: None,
-            partition_threshold: None,
             partition_bits: None,
-            partition_min_vertices: None,
         }
     }
 }
@@ -206,34 +198,11 @@ impl<'a> EdgeMapOptions<'a> {
         self.threshold.unwrap_or(m as u64 / 20)
     }
 
-    /// Sets the frontier out-edge count above which `Auto` upgrades a
-    /// dense round to the partitioned traversal.
-    pub fn partition_threshold(mut self, t: u64) -> Self {
-        self.partition_threshold = Some(t);
-        self
-    }
-
     /// Sets the partition width (log2 vertices per partition) for the
     /// partitioned traversal.
     pub fn partition_bits(mut self, bits: u32) -> Self {
         self.partition_bits = Some(bits);
         self
-    }
-
-    /// Sets the smallest vertex count at which `Auto` considers the
-    /// partitioned upgrade (mainly for tests; production sizing comes
-    /// from `ligra_graph::partition`).
-    pub fn partition_min_vertices(mut self, n: usize) -> Self {
-        self.partition_min_vertices = Some(n);
-        self
-    }
-
-    /// The effective partition upgrade threshold for a graph with `m`
-    /// edges: dense rounds whose frontier out-edge sum exceeds this are
-    /// miss-bound enough for scatter/gather to pay for its bin traffic.
-    #[inline]
-    pub fn effective_partition_threshold(&self, m: usize) -> u64 {
-        self.partition_threshold.unwrap_or(m as u64 / 4)
     }
 }
 
@@ -306,10 +275,7 @@ mod tests {
     #[test]
     fn partition_knobs_default_and_chain() {
         let o = EdgeMapOptions::new();
-        assert_eq!(o.effective_partition_threshold(2000), 500);
         assert!(o.partition_bits.is_none());
-        let o = o.partition_threshold(9).partition_bits(12);
-        assert_eq!(o.effective_partition_threshold(2000), 9);
-        assert_eq!(o.partition_bits, Some(12));
+        assert_eq!(o.partition_bits(12).partition_bits, Some(12));
     }
 }

@@ -12,10 +12,10 @@
 //! reads stay contiguous-slice fast, but the side CSR grows with write
 //! volume. Once it crosses [`MutationConfig::compact_threshold`] arcs, a
 //! background **compactor** flattens the current view into a clean CSR
-//! (plus its cached `Partitioning`) *off the write lock*, then re-applies
-//! whatever batches landed while it ran and installs the result as the
-//! next epoch. A compaction that fails or panics never touches the store:
-//! the overlaid view keeps serving and the failure is counted.
+//! *off the write lock*, then re-applies whatever batches landed while it
+//! ran and installs the result as the next epoch. A compaction that fails
+//! or panics never touches the store: the overlaid view keeps serving and
+//! the failure is counted.
 //!
 //! Epoch lineage: the log tracks the epoch it last installed. If the
 //! store moves under it (an operator `load`/`gen` replacing the graph),
@@ -345,11 +345,7 @@ impl MutationLog {
                 plan.check(FaultPoint::MutateCompact)
                     .map_err(|e| MutateError::Injected { point: e.point.name(), hit: e.hit })?;
             }
-            let clean = Arc::new(graph.compacted());
-            // Rebuild the cached partitioning here, off the serving path,
-            // so the first partitioned query on the clean epoch is warm.
-            let _ = clean.partitioning();
-            Ok(clean)
+            Ok(Arc::new(graph.compacted()))
         }));
 
         let m = self.engine.metrics();

@@ -444,9 +444,7 @@ impl<W: Copy + Send + Sync> Graph<W> {
 
     /// The default-width vertex partitioning over this graph's
     /// in-direction, built on first use and cached (clones made after
-    /// that share it). The width comes from
-    /// [`crate::partition::default_bits`], so `LIGRA_PARTITION_BITS` is
-    /// read once per graph, at first materialization.
+    /// that share it). The width is [`crate::partition::default_bits`].
     pub fn partitioning(&self) -> std::sync::Arc<crate::partition::Partitioning> {
         self.partitions
             .get_or_init(|| {

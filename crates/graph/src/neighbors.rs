@@ -343,7 +343,8 @@ impl<G: Neighbors> Neighbors for Transpose<'_, G> {
     /// A symmetric inner graph's own cached partitioning. A directed view
     /// pulls along the inner *out*-direction, which the inner cache does
     /// not cover, and a borrowed view has nowhere to keep one: it is
-    /// rebuilt per call, O(n) beside a partitioned round's ≥ m/4 edges.
+    /// rebuilt per call, O(n), which only a forced partitioned round on a
+    /// directed graph's transpose pays.
     fn partitioning(&self) -> Arc<Partitioning> {
         if self.0.is_symmetric() {
             return self.0.partitioning();

@@ -36,34 +36,12 @@ pub const SEGMENT_TARGET_BYTES: usize = 1 << 19;
 /// up): sizing denominator for the default partition width.
 pub const STATE_BYTES_PER_VERTEX: usize = 8;
 
-/// Smallest vertex count for which the `Auto` heuristic will consider
-/// upgrading a dense round to the partitioned traversal. Below this the
-/// whole destination state fits in cache anyway and the scatter pass is
-/// pure overhead. Overridable via `LIGRA_PARTITION_MIN_N`.
-pub const MIN_N: usize = 1 << 18;
-
-/// The effective auto-upgrade floor: [`MIN_N`] unless the
-/// `LIGRA_PARTITION_MIN_N` environment variable parses as a `usize`.
-pub fn partition_min_n() -> usize {
-    match std::env::var("LIGRA_PARTITION_MIN_N") {
-        Ok(s) => s.trim().parse().unwrap_or(MIN_N),
-        Err(_) => MIN_N,
-    }
-}
-
 /// The default partition width (log2 vertices) for a graph of `n`
-/// vertices: the `LIGRA_PARTITION_BITS` environment variable when it
-/// parses, else sized so a segment's state fits [`SEGMENT_TARGET_BYTES`].
-/// Always clamped to `[MIN_BITS, MAX_BITS]`.
+/// vertices: sized so a segment's state fits [`SEGMENT_TARGET_BYTES`],
+/// clamped to `[MIN_BITS, MAX_BITS]`.
 pub fn default_bits(n: usize) -> u32 {
-    let from_env =
-        std::env::var("LIGRA_PARTITION_BITS").ok().and_then(|s| s.trim().parse::<u32>().ok());
-    let bits = from_env.unwrap_or_else(|| {
-        let per_segment = (SEGMENT_TARGET_BYTES / STATE_BYTES_PER_VERTEX).max(64);
-        let _ = n; // the width is cache-sized, not n-sized; n only matters downstream
-        per_segment.ilog2()
-    });
-    bits.clamp(MIN_BITS, MAX_BITS)
+    let _ = n; // the width is cache-sized, not n-sized; n only matters downstream
+    (SEGMENT_TARGET_BYTES / STATE_BYTES_PER_VERTEX).max(64).ilog2().clamp(MIN_BITS, MAX_BITS)
 }
 
 /// Contiguous cache-fitting vertex segments plus per-segment in-edge
@@ -253,10 +231,7 @@ mod tests {
     fn default_bits_is_cache_sized_and_clamped() {
         let b = default_bits(1 << 22);
         assert!((MIN_BITS..=MAX_BITS).contains(&b));
-        // 2^bits vertices x STATE_BYTES_PER_VERTEX must not blow the target
-        // (unless the env override says otherwise, which tests don't set).
-        if std::env::var("LIGRA_PARTITION_BITS").is_err() {
-            assert!((1usize << b) * STATE_BYTES_PER_VERTEX <= SEGMENT_TARGET_BYTES);
-        }
+        // 2^bits vertices x STATE_BYTES_PER_VERTEX must not blow the target.
+        assert!((1usize << b) * STATE_BYTES_PER_VERTEX <= SEGMENT_TARGET_BYTES);
     }
 }

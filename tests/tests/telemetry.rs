@@ -8,8 +8,10 @@ use ligra::{
     TraversalStats,
 };
 use ligra_apps as apps;
+use ligra_compress::CompressedGraph;
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{grid3d, rmat};
+use ligra_graph::Neighbors;
 
 #[test]
 fn bfs_trace_has_one_event_per_round_and_nonzero_monotone_time() {
@@ -28,19 +30,56 @@ fn bfs_trace_has_one_event_per_round_and_nonzero_monotone_time() {
 
 #[test]
 fn auto_trace_explains_every_direction_decision() {
-    let g = rmat(&RmatOptions::paper(12));
-    let m = g.num_edges() as u64;
-    let mut stats = TraversalStats::new();
-    let _ = apps::bfs_traced(&g, 0, EdgeMapOptions::default(), &mut stats);
-    let mut saw_dense = false;
-    for r in stats.edge_map_rounds() {
-        assert_eq!(r.work, r.frontier_vertices + r.frontier_out_edges);
-        assert_eq!(r.threshold, m / 20);
-        assert!(!r.forced);
-        assert_eq!(r.mode == Mode::Dense, r.work > r.threshold);
-        saw_dense |= r.mode == Mode::Dense;
+    // `Auto` is the paper's two-way rule and nothing else: every round of
+    // every app, on either representation, is sparse or dense exactly as
+    // `work > threshold` says, and none touches a bin.
+    fn check<G: Neighbors<Weight = ()>>(g: &G, what: &str) {
+        let m = g.num_edges() as u64;
+        let opts = EdgeMapOptions::default();
+        let mut stats = TraversalStats::new();
+        let _ = apps::bfs_traced(g, 0, opts, &mut stats);
+        let _ = apps::cc_traced(g, opts, &mut stats);
+        let _ = apps::pagerank_traced(g, 0.85, 0.0, 3, opts, &mut stats);
+        let _ = apps::bc_traced(g, 0, opts, &mut stats);
+        let (sparse, dense, ..) = stats.mode_counts();
+        assert!(sparse > 0 && dense > 0, "{what}: BFS peaks dense and tails sparse");
+        for r in stats.edge_map_rounds() {
+            assert_eq!(r.work, r.frontier_vertices + r.frontier_out_edges, "{what}: {r:?}");
+            assert_eq!(r.threshold, m / 20, "{what}: {r:?}");
+            assert!(!r.forced, "{what}: {r:?}");
+            assert!(matches!(r.mode, Mode::Sparse | Mode::Dense), "{what}: {r:?}");
+            assert_eq!(r.mode == Mode::Dense, r.work > r.threshold, "{what}: {r:?}");
+            assert_eq!((r.partitions, r.bins_flushed, r.scatter_bytes), (0, 0, 0), "{what}: {r:?}");
+        }
     }
-    assert!(saw_dense, "rMat BFS must trip the dense heuristic at its peak");
+    for (name, g) in [("rmat", rmat(&RmatOptions::paper(12))), ("grid", grid3d(16))] {
+        check(&g, name);
+        let cg: CompressedGraph = CompressedGraph::from_graph(&g);
+        check(&cg, &format!("{name}/byte-coded"));
+    }
+}
+
+#[test]
+fn auto_scans_no_more_edges_than_any_forced_policy() {
+    // Counts, not clocks: BFS frontiers are deterministic, a push round
+    // scans its frontier's out-edges and a pull round's scan depends only
+    // on the frontier, so these sums repeat exactly on any thread pool.
+    // Pull's early exit is what `Auto` buys on the wide rounds; scatter
+    // bins every out-edge and so can never get below the push total.
+    let g = rmat(&RmatOptions::paper(14));
+    let (source, _) = g.max_out_degree();
+    let scanned = |t: Traversal| {
+        let mut stats = TraversalStats::new();
+        let _ = apps::bfs_traced(&g, source, EdgeMapOptions::new().traversal(t), &mut stats);
+        stats.edge_map_rounds().map(|r| r.edges_scanned).sum::<u64>()
+    };
+    let auto = scanned(Traversal::Auto);
+    for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward] {
+        let forced = scanned(t);
+        assert!(auto <= forced, "auto scanned {auto}, forced {t} {forced}");
+    }
+    let partitioned = scanned(Traversal::Partitioned);
+    assert!(auto < partitioned, "auto scanned {auto}, forced partitioned {partitioned}");
 }
 
 #[test]
@@ -118,7 +157,7 @@ fn partitioned_rounds_report_bin_traffic_and_classic_rounds_do_not() {
     let mut stats = TraversalStats::new();
     let _ = apps::bfs_traced(&g, 0, EdgeMapOptions::default(), &mut stats);
     for r in stats.edge_map_rounds() {
-        assert_eq!(r.partitions, 0, "auto stays classic below the partition floor");
+        assert_eq!(r.partitions, 0, "auto never bins");
         assert_eq!(r.bins_flushed, 0);
         assert_eq!(r.scatter_bytes, 0);
     }
@@ -142,33 +181,6 @@ fn partitioned_rounds_report_bin_traffic_and_classic_rounds_do_not() {
         }
     }
     assert!(saw_scatter, "a forced partitioned BFS must scatter something");
-}
-
-#[test]
-fn auto_upgrades_to_partitioned_only_above_both_floors() {
-    // End-to-end pin of the extended direction heuristic: with the
-    // vertex floor lowered to cover the test graph, the heaviest BFS
-    // rounds (dense territory AND out-edges > m/4) go partitioned, and
-    // the decision is exactly reconstructible from the recorded columns.
-    let g = rmat(&RmatOptions::paper(12));
-    let m = g.num_edges() as u64;
-    let mut stats = TraversalStats::new();
-    let opts = EdgeMapOptions::new().partition_min_vertices(1);
-    let _ = apps::bfs_traced(&g, 0, opts, &mut stats);
-    let mut saw_partitioned = false;
-    for r in stats.edge_map_rounds() {
-        assert!(!r.forced);
-        let dense_territory = r.work > r.threshold;
-        let miss_bound = r.frontier_out_edges > m / 4;
-        let expect = match (dense_territory, miss_bound) {
-            (true, true) => Mode::Partitioned,
-            (true, false) => Mode::Dense,
-            (false, _) => Mode::Sparse,
-        };
-        assert_eq!(r.mode, expect, "round {r:?}");
-        saw_partitioned |= r.mode == Mode::Partitioned;
-    }
-    assert!(saw_partitioned, "rMat BFS peak must clear the m/4 miss-bound floor");
 }
 
 #[test]
