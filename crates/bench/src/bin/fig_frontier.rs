@@ -8,27 +8,23 @@
 //! dense/pull direction) and collapsing at the end; the 3d-grid stays
 //! small and sparse throughout.
 //!
-//! The figure is rendered from the *exported* trace: each run is
-//! serialized to JSON lines and parsed back before printing, so the table
-//! exercises exactly the artifact a user would save. Set `LIGRA_TRACE_DIR`
-//! to also write each trace as a `.jsonl` file in that directory.
+//! Set `LIGRA_TRACE_DIR` to also write each trace as a `.jsonl` file in
+//! that directory — the same rows, in the format `ligra::trace` documents.
 
 use ligra::stats::Op;
-use ligra::{from_json_lines, save_jsonl, summary, to_json_lines, EdgeMapOptions, TraversalStats};
+use ligra::{save_jsonl, summary, EdgeMapOptions, TraversalStats};
 use ligra_apps as apps;
 use ligra_bench::{inputs, Scale};
 
-/// Exports `stats`, re-imports it, and renders the per-round table from
-/// the re-imported copy (optionally saving the export under `trace_dir`).
+/// Renders the per-round table of `stats` (optionally saving its export
+/// under `trace_dir`).
 fn print_trace(label: &str, slug: &str, stats: &TraversalStats, trace_dir: Option<&str>) {
-    let exported = to_json_lines(stats);
     if let Some(dir) = trace_dir {
         match save_jsonl(std::path::Path::new(dir), slug, stats) {
             Ok(path) => println!("[trace written to {}]", path.display()),
             Err(e) => eprintln!("[trace {e}]"),
         }
     }
-    let stats = from_json_lines(&exported).expect("exported trace must re-import");
 
     println!("\n{label}");
     println!(
@@ -64,7 +60,7 @@ fn print_trace(label: &str, slug: &str, stats: &TraversalStats, trace_dir: Optio
             r.edges_skipped,
         );
     }
-    println!("{}", summary(&stats));
+    println!("{}", summary(stats));
 }
 
 fn main() {

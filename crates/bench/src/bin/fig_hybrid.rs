@@ -12,14 +12,14 @@
 //!
 //! The timed runs are untraced (tracing off is the zero-overhead path the
 //! numbers must reflect). A separate traced BFS run per policy is then
-//! exported to JSON lines, re-imported, and used to attribute wall-clock
-//! to each traversal mode — the per-mode breakdown that explains *why*
-//! hybrid wins — and to price auto against a per-round oracle: BFS levels
-//! are the same sets under every policy, so the oracle's total is, level
-//! by level, the fastest forced policy's round.
+//! used to attribute wall-clock to each traversal mode — the per-mode
+//! breakdown that explains *why* hybrid wins — and to price auto against
+//! a per-round oracle: BFS levels are the same sets under every policy,
+//! so the oracle's total is, level by level, the fastest forced policy's
+//! round.
 
 use ligra::stats::{Mode, Op, RoundStat};
-use ligra::{from_json_lines, to_json_lines, EdgeMapOptions, Traversal, TraversalStats};
+use ligra::{EdgeMapOptions, Traversal, TraversalStats};
 use ligra_apps as apps;
 use ligra_bench::{fmt_secs, inputs, time_best, Scale};
 
@@ -27,12 +27,11 @@ use ligra_bench::{fmt_secs, inputs, time_best, Scale};
 /// paper's hybrid heuristic is `auto`).
 const POLICIES: [Traversal; 5] = Traversal::ALL;
 
-/// The `edgeMap` rounds of one traced BFS run, exported and re-imported.
+/// The `edgeMap` rounds of one traced BFS run.
 fn traced_rounds(g: &ligra_graph::Graph, source: u32, t: Traversal) -> Vec<RoundStat> {
     let mut stats = TraversalStats::new();
     let _ = apps::bfs_traced(g, source, EdgeMapOptions::new().traversal(t), &mut stats);
-    let trace = from_json_lines(&to_json_lines(&stats)).expect("trace must round-trip");
-    trace.rounds.into_iter().filter(|r| r.op == Op::EdgeMap).collect()
+    stats.rounds.into_iter().filter(|r| r.op == Op::EdgeMap).collect()
 }
 
 /// Per-mode round counts and telemetry-timed totals, then the edges the

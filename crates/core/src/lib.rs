@@ -52,6 +52,7 @@
 pub mod cancel;
 pub mod edge_map;
 pub mod fault;
+pub mod jsonl;
 pub mod lockdep;
 pub mod options;
 pub mod race;

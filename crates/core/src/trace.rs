@@ -3,16 +3,21 @@
 //! One flat format, hand-rolled so the framework stays dependency-free:
 //! **JSON lines** — one self-describing JSON object per recorded event
 //! ([`to_json_lines`] / [`from_json_lines`]). The schema is flat (only
-//! numbers, booleans, and closed-vocabulary strings), so the parser is a
-//! small exact scanner, not a general JSON implementation.
+//! numbers, booleans, and closed-vocabulary strings), so a line is read
+//! by the repo's one flat-JSON scanner, [`crate::jsonl`], not a general
+//! JSON implementation.
 //!
-//! The round trip is lossless (`from_json_lines(to_json_lines(t)) == t`),
-//! which the figure binaries rely on: they export traces and re-read them
-//! to build tables. [`summary`] folds a trace into per-mode aggregates
-//! for quick human inspection.
+//! The round trip is lossless (`from_json_lines(to_json_lines(t)) == t`).
+//! Nothing in the product reads a trace back — the figure binaries render
+//! from the stats they hold — so the importer exists for tests and
+//! offline tooling, and is the `RoundStat`-from-fields mapping and a line
+//! loop over [`Fields`]. [`summary`] folds a trace into per-mode
+//! aggregates for quick human inspection.
 
-use crate::stats::{Mode, Op, ReprKind, RoundStat, TraversalStats};
-use std::fmt::Write as _;
+use crate::jsonl::{text, Fields};
+use crate::stats::{Mode, Op, RoundStat, TraversalStats};
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 
 /// Serializes a trace as JSON lines: one flat object per event, `round`
 /// being the event's position in the trace.
@@ -57,82 +62,48 @@ pub fn to_json_lines(stats: &TraversalStats) -> String {
     out
 }
 
-/// Strips one optional pair of surrounding quotes from a scanned JSON
-/// token and rejects anything the flat closed-vocabulary schema never
-/// emits: interior or unbalanced quotes and backslash escapes. Splitting
-/// the line on `,`/`:` is only sound while those stay impossible inside
-/// values, so smuggling them in must be a parse error, not silent
-/// truncation.
-fn unquote(token: &str) -> Result<&str, String> {
-    let t = token.trim();
-    let inner = match t.strip_prefix('"') {
-        Some(rest) => rest.strip_suffix('"').ok_or_else(|| format!("{t:?}: unbalanced quotes"))?,
-        None => t,
-    };
-    if inner.contains('"') || inner.contains('\\') {
-        return Err(format!("{t:?}: quotes/escapes are not part of the trace schema"));
-    }
-    Ok(inner)
-}
-
-/// One parsed `key -> raw value` record.
-struct Record<'a> {
-    fields: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Record<'a> {
-    fn get(&self, key: &str) -> Result<&'a str, String> {
-        self.fields
+/// One exported line back as a [`RoundStat`] — the only part of the
+/// import that is about traces; the line itself is read by [`Fields`].
+/// A repeated key reads as its first occurrence, and a closed-vocabulary
+/// string reads the same bare as quoted.
+fn round_stat(line: &str) -> Result<RoundStat, String> {
+    fn get<T: FromStr<Err: Display>>(fields: &[(&str, &str)], key: &str) -> Result<T, String> {
+        let (_, raw) = fields
             .iter()
             .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("missing field {key:?}"))
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        text(raw).parse().map_err(|e| format!("field {key:?}: {e}: {raw}"))
     }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        let raw = self.get(key)?;
-        raw.parse().map_err(|_| format!("field {key:?}: not a u64: {raw:?}"))
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(format!("field {key:?}: not a bool: {other:?}")),
-        }
-    }
-
-    fn round_stat(&self) -> Result<RoundStat, String> {
-        Ok(RoundStat {
-            op: self.get("op")?.parse::<Op>()?,
-            frontier_vertices: self.u64("frontier_vertices")?,
-            frontier_out_edges: self.u64("frontier_out_edges")?,
-            work: self.u64("work")?,
-            threshold: self.u64("threshold")?,
-            forced: self.bool("forced")?,
-            mode: self.get("mode")?.parse::<Mode>()?,
-            input_repr: self.get("input_repr")?.parse::<ReprKind>()?,
-            output_repr: self.get("output_repr")?.parse::<ReprKind>()?,
-            converted: self.bool("converted")?,
-            output_vertices: self.u64("output_vertices")?,
-            frontier_bytes: self.u64("frontier_bytes")?,
-            time_ns: self.u64("time_ns")?,
-            cas_attempts: self.u64("cas_attempts")?,
-            cas_wins: self.u64("cas_wins")?,
-            edges_scanned: self.u64("edges_scanned")?,
-            edges_skipped: self.u64("edges_skipped")?,
-            partitions: self.u64("partitions")?,
-            bins_flushed: self.u64("bins_flushed")?,
-            scatter_bytes: self.u64("scatter_bytes")?,
-        })
-    }
+    let f = &Fields::new(line).collect::<Result<Vec<_>, _>>()?;
+    Ok(RoundStat {
+        op: get(f, "op")?,
+        frontier_vertices: get(f, "frontier_vertices")?,
+        frontier_out_edges: get(f, "frontier_out_edges")?,
+        work: get(f, "work")?,
+        threshold: get(f, "threshold")?,
+        forced: get(f, "forced")?,
+        mode: get(f, "mode")?,
+        input_repr: get(f, "input_repr")?,
+        output_repr: get(f, "output_repr")?,
+        converted: get(f, "converted")?,
+        output_vertices: get(f, "output_vertices")?,
+        frontier_bytes: get(f, "frontier_bytes")?,
+        time_ns: get(f, "time_ns")?,
+        cas_attempts: get(f, "cas_attempts")?,
+        cas_wins: get(f, "cas_wins")?,
+        edges_scanned: get(f, "edges_scanned")?,
+        edges_skipped: get(f, "edges_skipped")?,
+        partitions: get(f, "partitions")?,
+        bins_flushed: get(f, "bins_flushed")?,
+        scatter_bytes: get(f, "scatter_bytes")?,
+    })
 }
 
 /// Parses the output of [`to_json_lines`] back into a trace.
 ///
-/// Accepts exactly the flat schema this module emits (no nesting, no
-/// escapes, no embedded commas) — it is a format reader, not a general
-/// JSON parser. Blank lines are skipped.
+/// Accepts exactly the flat schema this module emits, with the fields
+/// in any order and unknown fields ignored — it is a format reader, not
+/// a general JSON parser. Blank lines are skipped.
 pub fn from_json_lines(text: &str) -> Result<TraversalStats, String> {
     let mut stats = TraversalStats::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -140,22 +111,7 @@ pub fn from_json_lines(text: &str) -> Result<TraversalStats, String> {
         if line.is_empty() {
             continue;
         }
-        let body = line
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| format!("line {}: not a JSON object", lineno + 1))?;
-        let mut fields = Vec::new();
-        for pair in body.split(',') {
-            let (k, v) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("line {}: malformed pair {pair:?}", lineno + 1))?;
-            let k = unquote(k).map_err(|e| format!("line {}: key {e}", lineno + 1))?;
-            let v = unquote(v).map_err(|e| format!("line {}: value {e}", lineno + 1))?;
-            fields.push((k, v));
-        }
-        let rec = Record { fields };
-        let r = rec.round_stat().map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        stats.rounds.push(r);
+        stats.rounds.push(round_stat(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
     }
     Ok(stats)
 }
@@ -285,6 +241,7 @@ pub fn summary(stats: &TraversalStats) -> TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::ReprKind;
 
     fn sample_trace() -> TraversalStats {
         let mut t = TraversalStats::new();
@@ -398,10 +355,11 @@ mod tests {
 
     #[test]
     fn string_fields_stay_closed_vocabulary() {
-        // The exact-scanner parsers split on ',' and ':' and forbid '"' and
-        // '\\' inside values, so every string the serializers can emit must
-        // avoid those four characters. This pins the schema: adding an enum
-        // variant (or a new string column) whose rendering breaks the
+        // The exporter writes these strings between quotes without escaping
+        // and the importer reads them back as spelled, so every string the
+        // serializers can emit must avoid '"' and '\\' (and, for readers that
+        // split lines on them, ',' and ':'). This pins the schema: adding an
+        // enum variant (or a new string column) whose rendering breaks the
         // invariant must fail here, not mis-parse downstream.
         let ops = [Op::EdgeMap, Op::VertexMap, Op::VertexFilter];
         let modes = [Mode::Sparse, Mode::Dense, Mode::DenseForward, Mode::Partitioned];

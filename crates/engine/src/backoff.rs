@@ -61,9 +61,7 @@ impl Backoff {
 /// Pulls `"retry_after_ms":N` out of a flat-JSON response line, if
 /// present — the wire-format side of the hint override.
 pub fn retry_after_ms(resp: &str) -> Option<u64> {
-    let rest = resp.split_once("\"retry_after_ms\":")?.1;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    ligra::jsonl::field_u64(resp, "retry_after_ms")
 }
 
 #[cfg(test)]

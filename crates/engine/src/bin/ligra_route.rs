@@ -20,9 +20,8 @@
 //! failover/shed/retry counters), `shutdown` (drain then exit 0; also
 //! triggered by SIGTERM on unix). `graph-stats` is answered fleet-wide
 //! with the per-backend epoch set and an `in_sync` verdict. Everything
-//! else is routed: `submit`/`poll`/`wait`/`cancel`/`span`/`stats`/
-//! `trace` as reads, `load`/`gen`/`mutate`/`compact` as replicated
-//! writes.
+//! else is routed: `submit`/`poll`/`wait`/`cancel`/`span`/`stats` as
+//! reads, `load`/`gen`/`mutate`/`compact` as replicated writes.
 //!
 //! `--fault route.forward:action[:nth]` arms a deterministic fault on
 //! the router→backend hop (`fault-inject` builds only) so the chaos

@@ -31,8 +31,8 @@
 //! family vocabulary pinned in `tests/tests/telemetry.rs`. Setting
 //! `LIGRA_TRACE_DIR` makes every executed query write its per-round
 //! kernel trace as `query-<trace_id>.jsonl` there; the same `trace_id`
-//! appears in `submit`/`poll` responses and span JSONL, joining a
-//! serving-tier span to its edgeMap rounds.
+//! appears in `submit`/`poll`/`span` responses, joining a serving-tier
+//! span to its edgeMap rounds.
 //!
 //! `--fault point:action[:nth]` arms a deterministic fault (DESIGN.md
 //! §11); it is accepted only in builds with the `fault-inject` feature.
@@ -40,6 +40,7 @@
 //! wins). Overlays past `--compact-threshold` arcs compact
 //! automatically (0 disables).
 
+use ligra::jsonl::field_bool;
 use ligra_engine::backoff::{retry_after_ms, Backoff};
 use ligra_engine::serve::{fault_plan, install_sigterm_latch};
 use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Server};
@@ -178,7 +179,7 @@ fn run_client(addr: &str) {
             // honor the server's retry-after hint when present, else
             // the shared jittered exponential backoff schedule
             // (`ligra_engine::backoff`), up to the retry budget.
-            if resp.contains("\"transient\":true") && attempt < CLIENT_RETRIES {
+            if field_bool(&resp, "transient") == Some(true) && attempt < CLIENT_RETRIES {
                 let delay = Backoff::serve_client(line_no as u64)
                     .delay_with_hint(attempt, retry_after_ms(&resp));
                 attempt += 1;

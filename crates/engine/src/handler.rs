@@ -15,8 +15,7 @@
 //! {"op":"submit","query":"bfs","source":0,"deadline_ms":100,"trace_id":"req-7"}
 //! {"op":"poll","id":3}        {"op":"wait","id":3}
 //! {"op":"cancel","id":3}      {"op":"span","id":3}
-//! {"op":"stats"}              {"op":"trace"}
-//! {"op":"shutdown"}
+//! {"op":"stats"}              {"op":"shutdown"}
 //! {"op":"mutate","add":"0-1,2-3","del":"4-5","add_vertices":1,"del_vertices":"7,9"}
 //! {"op":"compact"}            {"op":"compact","wait":false}
 //! {"op":"graph-stats"}
@@ -34,11 +33,13 @@ use crate::lockdep::tracked_lock;
 use crate::metrics::{render, stats_fields, FAMILIES};
 use crate::scheduler::{LookupError, QueryReport};
 use crate::serve::{Frontend, WireEvent};
-use crate::span::span_to_json;
+use crate::span::span_fields;
+use crate::wire::transient_error;
 use crate::{
     error_response, Engine, JsonObj, MetricsRegistry, MutateError, MutationLog, Query, Request,
     SubmitError,
 };
+use ligra::jsonl::field_bool;
 use ligra_graph::delta::DeltaBatch;
 use ligra_graph::generators::{
     erdos_renyi, grid3d, random_local, random_weights, rmat, RmatOptions,
@@ -158,20 +159,11 @@ impl Replica {
                 };
                 match engine.submit_traced(query, deadline, trace_id) {
                     Ok(h) => Ok(status_response(&h.report()).finish()),
-                    Err(SubmitError::QueueFull) => Ok(JsonObj::new()
-                        .bool("ok", false)
-                        .str("error", "queue full")
-                        .bool("transient", true)
-                        .finish()),
-                    Err(SubmitError::Overloaded { retry_after }) => Ok(JsonObj::new()
-                        .bool("ok", false)
-                        .str("error", "engine overloaded")
-                        .bool("transient", true)
-                        .u64(
-                            "retry_after_ms",
-                            u64::try_from(retry_after.as_millis()).unwrap_or(u64::MAX),
-                        )
-                        .finish()),
+                    Err(SubmitError::QueueFull) => Ok(transient_error("queue full", None)),
+                    Err(SubmitError::Overloaded { retry_after }) => Ok(transient_error(
+                        "engine overloaded",
+                        Some(u64::try_from(retry_after.as_millis()).unwrap_or(u64::MAX)),
+                    )),
                     Err(SubmitError::NoGraph) => Err("no graph installed".to_string()),
                 }
             })(),
@@ -197,7 +189,6 @@ impl Replica {
                 let conns = *tracked_lock(&self.counts, "serve.connections");
                 Ok(stats_response(engine, conns))
             }
-            "trace" => Ok(trace_response(engine)),
             "ping" => Ok(JsonObj::new().bool("ok", true).str("pong", "ligra-serve").finish()),
             "shutdown" => {
                 return (
@@ -274,12 +265,8 @@ where
             .finish());
     }
     let resp = apply();
-    if rseq > 0 {
-        if let Ok(r) = &resp {
-            if r.contains("\"ok\":true") {
-                last_rseq.store(rseq, Ordering::Release);
-            }
-        }
+    if rseq > 0 && resp.as_ref().is_ok_and(|r| field_bool(r, "ok") == Some(true)) {
+        last_rseq.store(rseq, Ordering::Release);
     }
     resp
 }
@@ -524,22 +511,7 @@ fn span_response(engine: &Engine, id: u64) -> String {
     };
     match span {
         None => error_response(&format!("no finished span for id {id}")),
-        Some(s) => JsonObj::new()
-            .bool("ok", true)
-            .u64("id", s.id)
-            .str("trace_id", &s.trace_id)
-            .str("query", &s.query)
-            .u64("epoch", s.epoch)
-            .str("status", s.status.name())
-            .bool("cache_hit", s.cache_hit)
-            .u64("queue_wait_ns", s.queue_wait_ns)
-            .u64("queue_wait_bucket", s.queue_wait_bucket)
-            .u64("run_ns", s.run_ns)
-            .u64("run_bucket", s.run_bucket)
-            .u64("rounds", s.rounds)
-            .u64("events", s.events)
-            .u64("retries", s.retries)
-            .finish(),
+        Some(s) => span_fields(&s, JsonObj::new().bool("ok", true)).finish(),
     }
 }
 
@@ -551,19 +523,6 @@ fn stats_response(engine: &Engine, conns: ConnCounts) -> String {
         .u64("connections_active", conns.active)
         .u64("connections_total", conns.total)
         .finish()
-}
-
-fn trace_response(engine: &Engine) -> String {
-    let spans = engine.spans();
-    let mut arr = String::from("[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        arr.push_str(&span_to_json(s));
-    }
-    arr.push(']');
-    JsonObj::new().bool("ok", true).u64("spans", spans.len() as u64).raw("trace", &arr).finish()
 }
 
 /// Checks the `wire.read` fault point; a contained injection becomes an
@@ -579,5 +538,5 @@ fn wire_fault(engine: &Engine) -> Option<String> {
         Ok(Err(e)) => e.to_string(),
         Err(payload) => crate::error::classify_panic(payload.as_ref()).to_string(),
     };
-    Some(JsonObj::new().bool("ok", false).str("error", &msg).bool("transient", true).finish())
+    Some(transient_error(&msg, None))
 }

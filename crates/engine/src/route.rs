@@ -10,7 +10,7 @@
 //!   traffic: connect errors, timeouts, torn response lines, and
 //!   `"transient":true` responses carrying `retry_after_ms` hints.
 //! * **Read routing** — idempotent ops (`submit`, `poll`, `wait`,
-//!   `span`, `stats`, `trace`, …) go to the live replica with the
+//!   `span`, `stats`, …) go to the live replica with the
 //!   fewest outstanding requests, under a bounded per-backend in-flight
 //!   cap. When every replica is saturated or down the router sheds with
 //!   a `retry_after_ms` hint instead of queueing unboundedly; when a
@@ -41,8 +41,9 @@ use crate::backoff::{retry_after_ms, Backoff};
 use crate::lockdep::tracked_lock;
 use crate::metrics::{render, stats_fields, Counter, Gauge, Histogram, ROUTE_FAMILIES};
 use crate::serve::{Frontend, WireEvent};
-use crate::wire::{error_response, JsonObj, Request};
+use crate::wire::{error_response, transient_error, JsonObj, Request};
 use crate::FaultPlan;
+use ligra::jsonl::{field_bool, field_u64, set_u64};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -288,9 +289,9 @@ enum ForwardError {
     NotSelectable,
     /// Transport-level failure mid-request: connect error, timeout,
     /// torn response line. The replica is penalized.
-    Io(String),
+    Io,
     /// The `route.forward` fault point fired (chaos builds).
-    Injected(String),
+    Injected,
 }
 
 /// A JSONL fan-out router over replicated `ligra-serve` backends.
@@ -432,7 +433,7 @@ impl Router {
             "load" | "gen" | "mutate" | "compact" => self.submit_write(line),
             "submit" => self.route_submit(line),
             "poll" | "wait" | "cancel" | "span" => self.route_by_id(op, &req),
-            "stats" | "trace" => self.route_read(line, &[]).0,
+            "stats" => self.route_read(line, &[]).0,
             other => error_response(&format!("unknown op {other:?}")),
         };
         (resp, true)
@@ -450,10 +451,7 @@ impl Router {
         let Some(plan) = &self.cfg.fault else { return Ok(()) };
         match catch_unwind(AssertUnwindSafe(|| plan.check(ligra::FaultPoint::RouteForward))) {
             Ok(Ok(())) => Ok(()),
-            Ok(Err(e)) => Err(ForwardError::Injected(e.to_string())),
-            Err(payload) => Err(ForwardError::Injected(
-                crate::error::classify_panic(payload.as_ref()).to_string(),
-            )),
+            Ok(Err(_)) | Err(_) => Err(ForwardError::Injected),
         }
     }
 
@@ -471,14 +469,11 @@ impl Router {
         line: &str,
         deadline: Duration,
     ) -> Result<String, ForwardError> {
-        self.fault_check().inspect_err(|_| self.record_failure(backend, "injected fault"))?;
+        self.fault_check().inspect_err(|_| self.record_failure(backend))?;
         let bm = &self.metrics.backends[backend.id];
         let pooled = {
             let mut inner = tracked_lock(&backend.inner, "route.backend");
-            if inner.state == BackendState::Down
-                || inner.retry_at.is_some_and(|t| t > Instant::now())
-                || inner.outstanding >= self.cfg.max_inflight
-            {
+            if !selectable(&inner, Instant::now(), self.cfg.max_inflight) {
                 return Err(ForwardError::NotSelectable);
             }
             inner.outstanding += 1;
@@ -500,11 +495,7 @@ impl Router {
                 Ok(resp)
             }
             Err(e) => {
-                let msg = match &e {
-                    ForwardError::Io(m) | ForwardError::Injected(m) => m.clone(),
-                    ForwardError::NotSelectable => String::new(),
-                };
-                self.release_and_penalize(backend, &msg);
+                self.release_and_penalize(backend);
                 Err(e)
             }
         }
@@ -512,18 +503,13 @@ impl Router {
 
     /// Dials a fresh connection with `deadline` as the connect timeout.
     fn dial(&self, addr: &str, deadline: Duration) -> Result<Conn, ForwardError> {
-        let sockaddr: SocketAddr = addr
-            .to_socket_addrs()
-            .map_err(|e| ForwardError::Io(format!("resolve {addr}: {e}")))?
-            .next()
-            .ok_or_else(|| ForwardError::Io(format!("resolve {addr}: no address")))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, deadline)
-            .map_err(|e| ForwardError::Io(format!("connect {addr}: {e}")))?;
+        let sockaddr: SocketAddr =
+            addr.to_socket_addrs().map_err(|_| ForwardError::Io)?.next().ok_or(ForwardError::Io)?;
+        let stream =
+            TcpStream::connect_timeout(&sockaddr, deadline).map_err(|_| ForwardError::Io)?;
         // Request/response lines must not sit in Nagle's buffer waiting
         // for a delayed ACK: each forward is one small write.
-        stream
-            .set_nodelay(true)
-            .map_err(|e| ForwardError::Io(format!("set nodelay {addr}: {e}")))?;
+        stream.set_nodelay(true).map_err(|_| ForwardError::Io)?;
         Ok(Conn { reader: BufReader::new(stream) })
     }
 
@@ -536,7 +522,7 @@ impl Router {
         stream
             .set_read_timeout(Some(deadline))
             .and_then(|()| stream.set_write_timeout(Some(deadline)))
-            .map_err(|e| ForwardError::Io(format!("set deadline: {e}")))?;
+            .map_err(|_| ForwardError::Io)?;
         // One write for line + newline: split writes become two TCP
         // segments, and Nagle would hold the second for the ACK.
         let mut framed = String::with_capacity(line.len() + 1);
@@ -545,14 +531,12 @@ impl Router {
         stream
             .write_all(framed.as_bytes())
             .and_then(|()| stream.flush())
-            .map_err(|e| ForwardError::Io(format!("send: {e}")))?;
+            .map_err(|_| ForwardError::Io)?;
         let mut resp = String::new();
         match conn.reader.read_line(&mut resp) {
-            Err(e) => Err(ForwardError::Io(format!("read response: {e}"))),
-            Ok(0) => Err(ForwardError::Io("backend closed the connection".to_string())),
-            Ok(_) if !resp.ends_with('\n') => {
-                Err(ForwardError::Io("response torn mid-line".to_string()))
-            }
+            // Read error, closed connection, or a line torn before its newline.
+            Err(_) | Ok(0) => Err(ForwardError::Io),
+            Ok(_) if !resp.ends_with('\n') => Err(ForwardError::Io),
             Ok(_) => {
                 resp.truncate(resp.trim_end().len());
                 Ok(resp)
@@ -572,7 +556,7 @@ impl Router {
         if inner.idle.len() < self.cfg.max_inflight {
             inner.idle.push(conn);
         }
-        if is_transient(resp) {
+        if field_bool(resp, "transient") == Some(true) {
             let hint = retry_after_ms(resp).unwrap_or(50);
             inner.retry_at = Some(Instant::now() + Duration::from_millis(hint));
             if inner.state == BackendState::Healthy {
@@ -585,7 +569,7 @@ impl Router {
     /// Books a failed exchange: the slot is released, the connection
     /// (if any was checked out) is dropped, and the replica is demoted
     /// Degraded → Down by the consecutive-failure threshold.
-    fn release_and_penalize(&self, backend: &Backend, _why: &str) {
+    fn release_and_penalize(&self, backend: &Backend) {
         let bm = &self.metrics.backends[backend.id];
         bm.errors.incr();
         let mut inner = tracked_lock(&backend.inner, "route.backend");
@@ -620,7 +604,7 @@ impl Router {
 
     /// Like [`Router::record_failure`] but for failures observed
     /// without a checked-out slot (probe failures).
-    fn record_failure(&self, backend: &Backend, _why: &str) {
+    fn record_failure(&self, backend: &Backend) {
         let bm = &self.metrics.backends[backend.id];
         bm.errors.incr();
         let mut inner = tracked_lock(&backend.inner, "route.backend");
@@ -645,10 +629,7 @@ impl Router {
             }
             let score = {
                 let inner = tracked_lock(&b.inner, "route.backend");
-                if inner.state == BackendState::Down
-                    || inner.retry_at.is_some_and(|t| t > now)
-                    || inner.outstanding >= self.cfg.max_inflight
-                {
+                if !selectable(&inner, now, self.cfg.max_inflight) {
                     continue;
                 }
                 // Degraded replicas only win over Healthy ones when the
@@ -680,12 +661,7 @@ impl Router {
                 hint_ms = hint_ms.max(ms.min(2_000));
             }
         }
-        JsonObj::new()
-            .bool("ok", false)
-            .str("error", "all replicas saturated or down")
-            .bool("transient", true)
-            .u64("retry_after_ms", hint_ms)
-            .finish()
+        transient_error("all replicas saturated or down", Some(hint_ms))
     }
 
     /// Routes one idempotent read, failing over across replicas on
@@ -710,19 +686,15 @@ impl Router {
                     continue;
                 }
                 if had_failover_candidate {
-                    return (
-                        JsonObj::new()
-                            .bool("ok", false)
-                            .str("error", "no replica could serve the request")
-                            .bool("transient", true)
-                            .finish(),
-                        None,
-                    );
+                    return (transient_error("no replica could serve the request", None), None);
                 }
                 return (self.shed_response(), None);
             };
             match self.forward(&b, line, self.cfg.request_deadline) {
-                Ok(resp) if is_transient(&resp) && attempt < self.cfg.retries => {
+                Ok(resp)
+                    if field_bool(&resp, "transient") == Some(true)
+                        && attempt < self.cfg.retries =>
+                {
                     // The replica shed us; try a sibling after the
                     // hinted (or computed) delay.
                     self.metrics.retries.incr();
@@ -735,7 +707,7 @@ impl Router {
                 Err(ForwardError::NotSelectable) => {
                     tried.push(b.id);
                 }
-                Err(ForwardError::Io(_)) | Err(ForwardError::Injected(_)) => {
+                Err(ForwardError::Io) | Err(ForwardError::Injected) => {
                     // Mid-request death: the read is idempotent, so it
                     // is retried on a different replica — a failover.
                     had_failover_candidate = true;
@@ -751,7 +723,7 @@ impl Router {
     /// `poll`/`wait`/`cancel`/`span` ops can find (or re-execute) it.
     fn route_submit(&self, line: &str) -> String {
         let (resp, backend) = self.route_read(line, &[]);
-        let (Some(backend), Some(remote_id)) = (backend, extract_u64(&resp, "id")) else {
+        let (Some(backend), Some(remote_id)) = (backend, field_u64(&resp, "id")) else {
             return resp;
         };
         let router_id = self.next_client_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -766,7 +738,7 @@ impl Router {
             map.entries
                 .insert(router_id, IdEntry { backend, remote_id, submit_line: line.to_string() });
         }
-        rewrite_u64(&resp, "id", router_id)
+        set_u64(&resp, "id", router_id)
     }
 
     /// Routes an id-addressed op to the replica owning that submit.
@@ -788,18 +760,17 @@ impl Router {
         let fwd = JsonObj::new().str("op", op).u64("id", entry.remote_id).finish();
         let first = self.forward(&self.backends[entry.backend], &fwd, self.cfg.request_deadline);
         match first {
-            Ok(resp) => rewrite_u64(&resp, "id", router_id),
+            Ok(resp) => with_id(resp, router_id),
             Err(_) if matches!(op, "poll" | "wait") => {
                 // The owning replica died mid-request. Re-execute the
                 // stored submit elsewhere and repoint the mapping.
                 self.metrics.failovers.incr();
                 let (resub, new_backend) = self.route_read(&entry.submit_line, &[entry.backend]);
-                let (Some(nb), Some(new_remote)) = (new_backend, extract_u64(&resub, "id")) else {
-                    return JsonObj::new()
-                        .bool("ok", false)
-                        .str("error", "backend died mid-request and no replica could take over")
-                        .bool("transient", true)
-                        .finish();
+                let (Some(nb), Some(new_remote)) = (new_backend, field_u64(&resub, "id")) else {
+                    return transient_error(
+                        "backend died mid-request and no replica could take over",
+                        None,
+                    );
                 };
                 entry.backend = nb;
                 entry.remote_id = new_remote;
@@ -809,19 +780,11 @@ impl Router {
                 }
                 let fwd = JsonObj::new().str("op", op).u64("id", new_remote).finish();
                 match self.forward(&self.backends[nb], &fwd, self.cfg.request_deadline) {
-                    Ok(resp) => rewrite_u64(&resp, "id", router_id),
-                    Err(_) => JsonObj::new()
-                        .bool("ok", false)
-                        .str("error", "failover replica also failed")
-                        .bool("transient", true)
-                        .finish(),
+                    Ok(resp) => with_id(resp, router_id),
+                    Err(_) => transient_error("failover replica also failed", None),
                 }
             }
-            Err(_) => JsonObj::new()
-                .bool("ok", false)
-                .str("error", "backend unavailable for this id")
-                .bool("transient", true)
-                .finish(),
+            Err(_) => transient_error("backend unavailable for this id", None),
         }
     }
 
@@ -855,11 +818,7 @@ impl Router {
             // exactly-once per replica — a lagged replica that applied
             // a write the router recorded as missed skips the replayed
             // copy instead of double-applying and forking its epoch.
-            let mut tagged = line.trim_end().to_string();
-            if tagged.ends_with('}') {
-                tagged.pop();
-                tagged.push_str(&format!(",\"rseq\":{seq}}}"));
-            }
+            let tagged = set_u64(line, "rseq", seq);
             j.entries.push_back(JournalEntry { seq, line: tagged.clone() });
             while j.entries.len() > self.cfg.journal_capacity {
                 j.entries.pop_front();
@@ -914,17 +873,11 @@ impl Router {
                 .bool("transient", any_transient || missed > 0)
                 .finish();
         }
+        // The first replica's response, plus the fleet accounting.
         let base = first_ok.unwrap_or_else(|| JsonObj::new().bool("ok", true).finish());
-        // Augment the first replica's response with fleet accounting —
-        // string surgery keeps the object flat without re-parsing.
-        let mut out = base;
-        if out.ends_with('}') {
-            out.pop();
-            out.push_str(&format!(
-                ",\"seq\":{seq},\"replicas_ok\":{ok_count},\"replicas_missed\":{missed}}}"
-            ));
-        }
-        out
+        let out = set_u64(&base, "seq", seq);
+        let out = set_u64(&out, "replicas_ok", ok_count as u64);
+        set_u64(&out, "replicas_missed", missed as u64)
     }
 
     /// Forwards one journaled write to one replica and updates its
@@ -938,12 +891,14 @@ impl Router {
         }
         match self.forward(b, line, self.cfg.request_deadline) {
             Err(_) => WriteOutcome::Missed { transient: true },
-            Ok(resp) if is_transient(&resp) => WriteOutcome::Missed { transient: true },
-            Ok(resp) if resp.contains("\"ok\":false") => WriteOutcome::Rejected(resp),
+            Ok(resp) if field_bool(&resp, "transient") == Some(true) => {
+                WriteOutcome::Missed { transient: true }
+            }
+            Ok(resp) if field_bool(&resp, "ok") == Some(false) => WriteOutcome::Rejected(resp),
             Ok(resp) => {
                 let mut inner = tracked_lock(&b.inner, "route.backend");
                 inner.applied_seq = seq;
-                if let Some(e) = extract_u64(&resp, "epoch") {
+                if let Some(e) = field_u64(&resp, "epoch") {
                     inner.epoch = e;
                 }
                 WriteOutcome::Applied(resp)
@@ -1036,12 +991,12 @@ impl Router {
         let resp = match probe {
             Err(_) => {
                 self.metrics.probe_failures.incr();
-                self.record_failure(b, "probe failed");
+                self.record_failure(b);
                 return;
             }
             Ok(resp) => resp,
         };
-        let epoch = extract_u64(&resp, "epoch").unwrap_or(0);
+        let epoch = field_u64(&resp, "epoch").unwrap_or(0);
         let head = {
             let j = tracked_lock(&self.journal, "route.journal");
             j.head
@@ -1060,36 +1015,25 @@ impl Router {
                 inner.unrecoverable = None;
             }
             inner.epoch = epoch;
-            if inner.applied_seq < head {
+            let lagging = inner.applied_seq < head;
+            if lagging {
                 // A successful probe means reachable, so Down lifts to
                 // Degraded here — which also unblocks the replay
                 // forwards that repair the lag.
                 inner.state = BackendState::Degraded;
-                bm.state.set(inner.state.as_gauge());
-                true
-            } else if let Some(fe) = fleet_epoch {
-                if epoch != fe {
-                    // Same cursor, different epoch: the replica took
-                    // installs the router never saw. Replay cannot
-                    // repair a fork — hold it Degraded.
-                    inner.state = BackendState::Degraded;
-                    inner.unrecoverable = Some("epoch diverged from fleet");
-                    bm.state.set(inner.state.as_gauge());
-                    false
-                } else {
-                    inner.unrecoverable = None;
-                    inner.state = BackendState::Healthy;
-                    inner.retry_at = None;
-                    bm.state.set(inner.state.as_gauge());
-                    false
-                }
+            } else if fleet_epoch.is_some_and(|fe| fe != epoch) {
+                // Same cursor, different epoch: the replica took
+                // installs the router never saw. Replay cannot
+                // repair a fork — hold it Degraded.
+                inner.state = BackendState::Degraded;
+                inner.unrecoverable = Some("epoch diverged from fleet");
             } else {
                 inner.unrecoverable = None;
                 inner.state = BackendState::Healthy;
                 inner.retry_at = None;
-                bm.state.set(inner.state.as_gauge());
-                false
             }
+            bm.state.set(inner.state.as_gauge());
+            lagging
         };
         if needs_replay {
             let tx = {
@@ -1176,7 +1120,7 @@ impl Router {
                 None
             } else {
                 match self.forward(b, line, self.cfg.request_deadline) {
-                    Ok(resp) => extract_u64(&resp, "epoch"),
+                    Ok(resp) => field_u64(&resp, "epoch"),
                     Err(_) => None,
                 }
             };
@@ -1216,29 +1160,22 @@ enum WriteOutcome {
     Rejected(String),
 }
 
-/// Whether a response line carries the transient-failure flag.
-fn is_transient(resp: &str) -> bool {
-    resp.contains("\"transient\":true")
+/// Whether routing may hand `b` another request right now: not Down,
+/// not inside a backoff window the replica asked for, and under the
+/// in-flight cap.
+fn selectable(b: &BackendInner, now: Instant, max_inflight: usize) -> bool {
+    b.state != BackendState::Down
+        && b.retry_at.is_none_or(|t| t <= now)
+        && b.outstanding < max_inflight
 }
 
-/// Pulls an unsigned integer field out of a flat-JSON line.
-fn extract_u64(resp: &str, key: &str) -> Option<u64> {
-    let rest = resp.split_once(&format!("\"{key}\":"))?.1;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Replaces the first `"key":<digits>` occurrence with `value`,
-/// leaving everything else byte-identical. Used to swap backend-local
-/// ids for router-scoped ones in both directions.
-fn rewrite_u64(resp: &str, key: &str, value: u64) -> String {
-    let needle = format!("\"{key}\":");
-    match resp.split_once(&needle) {
-        None => resp.to_string(),
-        Some((pre, rest)) => {
-            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-            format!("{pre}{needle}{value}{}", &rest[end..])
-        }
+/// A backend reply with its backend-local `id` swapped for the
+/// router-scoped one; a reply that names no id (an error) passes
+/// through untouched.
+fn with_id(resp: String, router_id: u64) -> String {
+    match field_u64(&resp, "id") {
+        Some(_) => set_u64(&resp, "id", router_id),
+        None => resp,
     }
 }
 
@@ -1280,19 +1217,26 @@ mod tests {
     #[test]
     fn id_rewriting_round_trips() {
         let resp = r#"{"ok":true,"id":41,"trace_id":"t-41","status":"queued"}"#;
-        let out = rewrite_u64(resp, "id", 7);
+        let out = with_id(resp.to_string(), 7);
         assert_eq!(out, r#"{"ok":true,"id":7,"trace_id":"t-41","status":"queued"}"#);
-        assert_eq!(extract_u64(&out, "id"), Some(7));
-        // Missing key: line passes through untouched.
-        assert_eq!(rewrite_u64(r#"{"ok":true}"#, "id", 7), r#"{"ok":true}"#);
-        assert_eq!(extract_u64(r#"{"ok":true}"#, "id"), None);
+        assert_eq!(field_u64(&out, "id"), Some(7));
+        // Missing key: line passes through untouched, even when an
+        // error message spells one out.
+        for bare in [r#"{"ok":true}"#, r#"{"ok":false,"error":"no "id":5 here"}"#] {
+            assert_eq!(with_id(bare.to_string(), 7), bare);
+        }
     }
 
     #[test]
     fn transient_detection_matches_wire_flag() {
-        assert!(is_transient(r#"{"ok":false,"transient":true}"#));
-        assert!(!is_transient(r#"{"ok":false,"transient":false}"#));
-        assert!(!is_transient(r#"{"ok":true}"#));
+        // What the router writes for a shed is what it reads as one.
+        let shed = transient_error("all replicas saturated or down", Some(75));
+        assert_eq!(field_bool(&shed, "transient"), Some(true));
+        assert_eq!(retry_after_ms(&shed), Some(75));
+        assert_eq!(field_bool(r#"{"ok":false,"transient":false}"#, "transient"), Some(false));
+        assert_eq!(field_bool(r#"{"ok":true}"#, "transient"), None);
+        let quoted = error_response("upstream said \"transient\":true");
+        assert_eq!(field_bool(&quoted, "transient"), None);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! wait, run time, edgeMap rounds executed (the acceptance probe for
 //! cancellation: a cancelled query reports how many rounds it got
 //! through before yielding), terminal status, and whether it was served
-//! from the result cache. Export follows the flat-JSONL convention of
-//! `ligra::trace`: one object per line, string and integer fields only.
+//! from the result cache. A span leaves the process as the `span` op's
+//! reply, one flat object like every other line ([`span_fields`]).
 
 use crate::metrics::bucket_index;
+use crate::wire::JsonObj;
 use ligra::stats::{Op, RoundStat};
 use ligra::{Recorder, TraversalStats};
 
@@ -105,37 +106,22 @@ pub struct QuerySpan {
     pub retries: u64,
 }
 
-/// Serializes spans in the repo's flat-JSONL trace style: one object per
-/// line, fixed key order, no nesting.
-pub fn spans_to_json_lines(spans: &[QuerySpan]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&span_to_json(s));
-        out.push('\n');
-    }
-    out
-}
-
-/// One span as a single flat JSON object (no trailing newline).
-pub fn span_to_json(s: &QuerySpan) -> String {
-    format!(
-        "{{\"id\":{},\"trace_id\":\"{}\",\"query\":\"{}\",\"epoch\":{},\"status\":\"{}\",\
-         \"cache_hit\":{},\"queue_wait_ns\":{},\"queue_wait_bucket\":{},\"run_ns\":{},\
-         \"run_bucket\":{},\"rounds\":{},\"events\":{},\"retries\":{}}}",
-        s.id,
-        s.trace_id,
-        s.query,
-        s.epoch,
-        s.status,
-        s.cache_hit,
-        s.queue_wait_ns,
-        s.queue_wait_bucket,
-        s.run_ns,
-        s.run_bucket,
-        s.rounds,
-        s.events,
-        s.retries
-    )
+/// Appends the span's thirteen fields to `obj` in their fixed order —
+/// the `span` op's reply, and the one place a span is serialized.
+pub(crate) fn span_fields(s: &QuerySpan, obj: JsonObj) -> JsonObj {
+    obj.u64("id", s.id)
+        .str("trace_id", &s.trace_id)
+        .str("query", &s.query)
+        .u64("epoch", s.epoch)
+        .str("status", s.status.name())
+        .bool("cache_hit", s.cache_hit)
+        .u64("queue_wait_ns", s.queue_wait_ns)
+        .u64("queue_wait_bucket", s.queue_wait_bucket)
+        .u64("run_ns", s.run_ns)
+        .u64("run_bucket", s.run_bucket)
+        .u64("rounds", s.rounds)
+        .u64("events", s.events)
+        .u64("retries", s.retries)
 }
 
 /// Stamps the bucket fields from the span's own `_ns` fields, keeping
@@ -210,6 +196,7 @@ impl Recorder for TeeRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ligra::jsonl::{field, field_u64, Fields};
     use ligra::EdgeMapOptions;
     use ligra_apps::bfs_traced;
     use ligra_graph::generators::path;
@@ -241,15 +228,16 @@ mod tests {
             retries: 1,
         };
         fill_span_buckets(&mut s);
-        let line = span_to_json(&s);
+        let line = span_fields(&s, JsonObj::new()).finish();
         assert!(!line.contains('\n'));
-        assert!(line.contains("\"trace_id\":\"abc-123\""));
-        assert!(line.contains("\"status\":\"cancelled\""));
-        assert!(line.contains("\"rounds\":3"));
-        assert!(line.contains("\"retries\":1"));
+        assert_eq!(Fields::new(&line).filter(|f| f.is_ok()).count(), 13, "{line}");
+        assert_eq!(field(&line, "trace_id"), Some("abc-123"));
+        assert_eq!(field(&line, "status"), Some("cancelled"));
+        assert_eq!(field_u64(&line, "rounds"), Some(3));
+        assert_eq!(field_u64(&line, "retries"), Some(1));
         // Buckets are derived from the _ns fields by the shared bucket math.
-        assert!(line.contains(&format!("\"queue_wait_bucket\":{}", bucket_index(10))));
-        assert!(line.contains(&format!("\"run_bucket\":{}", bucket_index(20))));
+        assert_eq!(field_u64(&line, "queue_wait_bucket"), Some(bucket_index(10) as u64));
+        assert_eq!(field_u64(&line, "run_bucket"), Some(bucket_index(20) as u64));
     }
 
     #[test]

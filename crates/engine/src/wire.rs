@@ -1,17 +1,27 @@
 //! The serving wire format: one flat JSON object per line, both ways.
 //!
-//! Requests are parsed by a small character-level scanner rather than a
-//! JSON library (the repo carries no serde): a single object of
-//! string/number/bool fields, no nesting, no arrays, and — like
-//! `ligra::trace` — no escape sequences inside strings. That keeps the
-//! grammar small enough to verify by eye while still allowing `:` and
-//! `,` inside quoted values (file paths), which a split-based parser
-//! could not. Responses are built with [`JsonObj`], which escapes
-//! outgoing strings so arbitrary error text stays well-formed.
+//! The grammar is [`ligra::jsonl`]'s, stated there once: a single object
+//! of string/number/bool fields, no nesting, no arrays. [`Request`] and
+//! every reader of a reply (`ligra-route`, the `--client` pump, the
+//! tests) go through that one scanner rather than a JSON library (the
+//! repo carries no serde) or a substring search, and replies are built
+//! with its [`JsonObj`].
+//!
+//! The two directions differ in one rule. **Replies may contain
+//! `\`-escapes**: `JsonObj::str` escapes quotes, backslashes and
+//! controls so arbitrary error text stays well-formed, and the scanner
+//! steps over each `\x` pair, so a field that follows an escaped message
+//! is still found — and a `"key":` spelled out *inside* a message never
+//! is (`ligra::jsonl::field` matches keys at key positions only).
+//! **Requests may not**: a line with a backslash anywhere is rejected,
+//! so every request value is the bytes the client sent — `:` and `,`
+//! inside quoted file paths included — and [`Request`] borrows them.
 
-use std::collections::HashMap;
+use ligra::jsonl::{text, Fields};
 use std::io::BufRead;
 use std::str::FromStr;
+
+pub use ligra::jsonl::JsonObj;
 
 /// Hard cap on one request line, in bytes. A line longer than this is
 /// reported as malformed (and drained) instead of buffered, so a
@@ -72,55 +82,39 @@ pub fn read_request_line<R: BufRead>(
     }))
 }
 
-/// One parsed request: field name → raw value. String values are
-/// unquoted; numbers and booleans keep their literal spelling.
+/// One parsed request, borrowed from its line: field name → value text
+/// (a string without its quotes; numbers and booleans as spelled).
 #[derive(Debug, Clone, Default)]
-pub struct Request {
-    fields: HashMap<String, String>,
+pub struct Request<'a> {
+    fields: Vec<(&'a str, &'a str)>,
 }
 
-impl Request {
+impl<'a> Request<'a> {
     /// Parses one request line. Errors name the offending position.
-    pub fn parse(line: &str) -> Result<Request, String> {
-        let mut fields = HashMap::new();
-        let b: Vec<char> = line.chars().collect();
-        let mut i = 0usize;
-        skip_ws(&b, &mut i);
-        expect(&b, &mut i, '{')?;
-        skip_ws(&b, &mut i);
-        if peek(&b, i) == Some('}') {
-            return trailing(&b, i + 1).map(|()| Request { fields });
+    pub fn parse(line: &'a str) -> Result<Request<'a>, String> {
+        // Outside a string a backslash is malformed anyway, so refusing
+        // the whole line refuses exactly the requests that carry escapes.
+        if line.contains('\\') {
+            return Err("escape sequences are not supported".to_string());
         }
-        loop {
-            skip_ws(&b, &mut i);
-            let key = parse_string(&b, &mut i)?;
-            skip_ws(&b, &mut i);
-            expect(&b, &mut i, ':')?;
-            skip_ws(&b, &mut i);
-            let value = if peek(&b, i) == Some('"') {
-                parse_string(&b, &mut i)?
-            } else {
-                parse_scalar(&b, &mut i)?
-            };
-            if fields.insert(key.clone(), value).is_some() {
+        let mut fields: Vec<(&str, &str)> = Vec::with_capacity(8);
+        for pair in Fields::new(line) {
+            let (key, raw) = pair?;
+            if fields.iter().any(|(k, _)| *k == key) {
                 return Err(format!("duplicate field {key:?}"));
             }
-            skip_ws(&b, &mut i);
-            match next(&b, &mut i) {
-                Some(',') => continue,
-                Some('}') => return trailing(&b, i).map(|()| Request { fields }),
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
+            fields.push((key, text(raw)));
         }
+        Ok(Request { fields })
     }
 
     /// Raw field value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.fields.get(key).map(String::as_str)
+    pub fn get(&self, key: &str) -> Option<&'a str> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
 
     /// Required string field.
-    pub fn str(&self, key: &str) -> Result<&str, String> {
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
         self.get(key).ok_or_else(|| format!("missing field {key:?}"))
     }
 
@@ -142,146 +136,19 @@ impl Request {
     }
 }
 
-fn peek(b: &[char], i: usize) -> Option<char> {
-    b.get(i).copied()
-}
-
-fn next(b: &[char], i: &mut usize) -> Option<char> {
-    let c = peek(b, *i);
-    if c.is_some() {
-        *i += 1;
-    }
-    c
-}
-
-fn skip_ws(b: &[char], i: &mut usize) {
-    while peek(b, *i).is_some_and(|c| c.is_ascii_whitespace()) {
-        *i += 1;
-    }
-}
-
-fn expect(b: &[char], i: &mut usize, want: char) -> Result<(), String> {
-    match next(b, i) {
-        Some(c) if c == want => Ok(()),
-        other => Err(format!("expected {want:?}, got {other:?}")),
-    }
-}
-
-fn trailing(b: &[char], mut i: usize) -> Result<(), String> {
-    skip_ws(b, &mut i);
-    match peek(b, i) {
-        None => Ok(()),
-        Some(c) => Err(format!("trailing input starting at {c:?}")),
-    }
-}
-
-fn parse_string(b: &[char], i: &mut usize) -> Result<String, String> {
-    expect(b, i, '"')?;
-    let mut s = String::new();
-    loop {
-        match next(b, i) {
-            Some('"') => return Ok(s),
-            Some('\\') => return Err("escape sequences are not supported".to_string()),
-            Some(c) if c.is_control() => return Err("control character in string".to_string()),
-            Some(c) => s.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_scalar(b: &[char], i: &mut usize) -> Result<String, String> {
-    let mut s = String::new();
-    while let Some(c) = peek(b, *i) {
-        if c == ',' || c == '}' || c.is_ascii_whitespace() {
-            break;
-        }
-        if !(c.is_ascii_alphanumeric() || matches!(c, '-' | '+' | '.' | '_')) {
-            return Err(format!("unexpected character {c:?} in scalar"));
-        }
-        s.push(c);
-        *i += 1;
-    }
-    if s.is_empty() {
-        return Err("empty value".to_string());
-    }
-    Ok(s)
-}
-
-/// Builder for one flat JSON response object.
-#[derive(Debug)]
-pub struct JsonObj {
-    buf: String,
-}
-
-impl JsonObj {
-    /// Starts an empty object.
-    pub fn new() -> Self {
-        JsonObj { buf: String::from("{") }
-    }
-
-    fn sep(&mut self) {
-        if self.buf.len() > 1 {
-            self.buf.push(',');
-        }
-    }
-
-    /// Adds a string field, escaping quotes, backslashes, and control
-    /// characters.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":\"");
-        for c in value.chars() {
-            match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                // lint: allow(L4): char -> u32 is a lossless widening (scalar values fit in 21 bits)
-                c if c.is_control() => self.buf.push_str(&format!("\\u{:04x}", c as u32)),
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
-        self
-    }
-
-    /// Adds a pre-formatted (number/bool) field.
-    pub fn raw(mut self, key: &str, value: &str) -> Self {
-        self.sep();
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
-        self.buf.push_str(value);
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn u64(self, key: &str, value: u64) -> Self {
-        self.raw(key, &value.to_string())
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.raw(key, if value { "true" } else { "false" })
-    }
-
-    /// Closes the object.
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-impl Default for JsonObj {
-    fn default() -> Self {
-        JsonObj::new()
-    }
-}
-
 /// The standard error response.
 pub fn error_response(msg: &str) -> String {
     JsonObj::new().bool("ok", false).str("error", msg).finish()
+}
+
+/// The error response for a failure worth retrying: `"transient":true`,
+/// plus the server's own horizon as `retry_after_ms` when it has one.
+pub fn transient_error(msg: &str, retry_after_ms: Option<u64>) -> String {
+    let obj = JsonObj::new().bool("ok", false).str("error", msg).bool("transient", true);
+    match retry_after_ms {
+        Some(ms) => obj.u64("retry_after_ms", ms).finish(),
+        None => obj.finish(),
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! std atomic types are documented to have the same size and bit validity
 //! as their underlying integer type.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 
 /// Reborrows a mutable `u32` slice as a slice of atomics.
 ///
@@ -39,18 +39,6 @@ pub fn as_atomic_u32(s: &mut [u32]) -> &[AtomicU32] {
 pub fn as_atomic_u64(s: &mut [u64]) -> &[AtomicU64] {
     // SAFETY: same layout/borrow argument as `as_atomic_u32`.
     unsafe { &*(s as *mut [u64] as *const [AtomicU64]) }
-}
-
-/// Reborrows a mutable `bool` slice as a slice of atomics. See [`as_atomic_u32`].
-///
-/// Used for the dense `edgeMap` output: many sources may set the same
-/// target flag concurrently, which must go through `AtomicBool` stores.
-#[inline]
-pub fn as_atomic_bool(s: &mut [bool]) -> &[AtomicBool] {
-    // SAFETY: AtomicBool matches bool's size and validity (only 0/1 are
-    // ever stored), and the exclusive borrow of `s` outlives the atomic
-    // view; same argument as `as_atomic_u32`.
-    unsafe { &*(s as *mut [bool] as *const [AtomicBool]) }
 }
 
 /// Reborrows a mutable `f64` slice as a slice of [`AtomicF64`].
@@ -92,16 +80,6 @@ pub fn write_min_u32(a: &AtomicU32, v: u32) -> bool {
     }
     // fetch_min returns the previous value; we won iff it was larger.
     a.fetch_min(v, Ordering::AcqRel) > v
-}
-
-/// Atomically `*a = max(*a, v)`; returns `true` iff `v` won.
-/// Read-first like [`write_min_u32`] (values only grow).
-#[inline]
-pub fn write_max_u32(a: &AtomicU32, v: u32) -> bool {
-    if a.load(Ordering::Relaxed) >= v {
-        return false;
-    }
-    a.fetch_max(v, Ordering::AcqRel) < v
 }
 
 /// Reborrows a mutable `i64` slice as a slice of atomics. See [`as_atomic_u32`].
@@ -243,15 +221,6 @@ mod tests {
         assert!(!write_min_u32(&a, 3), "equal value must not win");
         assert!(!write_min_u32(&a, 5));
         assert_eq!(a.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn write_max_reports_strict_improvement() {
-        let a = AtomicU32::new(10);
-        assert!(write_max_u32(&a, 20));
-        assert!(!write_max_u32(&a, 20));
-        assert!(!write_max_u32(&a, 15));
-        assert_eq!(a.load(Ordering::Relaxed), 20);
     }
 
     #[test]

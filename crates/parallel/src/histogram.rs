@@ -56,33 +56,6 @@ pub fn histogram_u32(keys: &[u32], nkeys: usize) -> Vec<u32> {
     }
 }
 
-/// Counts keys produced on the fly: `out[k] = |{ i in 0..n : key(i) == k }|`.
-pub fn histogram_with(n: usize, nkeys: usize, key: impl Fn(usize) -> u32 + Sync) -> Vec<u32> {
-    let nblocks = num_blocks(n, GRANULARITY);
-    if nblocks == 1 {
-        let mut out = vec![0u32; nkeys];
-        for i in 0..n {
-            out[key(i) as usize] += 1;
-        }
-        return out;
-    }
-    let locals: Vec<Vec<u32>> = (0..nblocks)
-        .into_par_iter()
-        .map(|b| {
-            let mut local = vec![0u32; nkeys];
-            for i in block_range(n, nblocks, b) {
-                local[key(i) as usize] += 1;
-            }
-            local
-        })
-        .collect();
-    let mut out = vec![0u32; nkeys];
-    out.par_iter_mut().enumerate().for_each(|(k, slot)| {
-        *slot = locals.iter().map(|l| l[k]).sum();
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,16 +92,6 @@ mod tests {
         let nkeys = 1 << 20;
         let keys: Vec<u32> = (0..10_000u32).map(|i| hash32(i) % nkeys as u32).collect();
         assert_eq!(histogram_u32(&keys, nkeys), seq_histogram(&keys, nkeys));
-    }
-
-    #[test]
-    fn histogram_with_matches_materialized() {
-        let n = 300_000;
-        let nkeys = 128;
-        let keys: Vec<u32> = (0..n as u32).map(|i| hash32(i) % nkeys as u32).collect();
-        let a = histogram_with(n, nkeys, |i| keys[i]);
-        let b = histogram_u32(&keys, nkeys);
-        assert_eq!(a, b);
     }
 
     #[test]

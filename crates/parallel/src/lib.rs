@@ -21,7 +21,7 @@
 //! * [`reduce`] — parallel reductions (sum, min/max with index, count).
 //! * [`pack`] — parallel filter/pack and `pack_index`.
 //! * [`histogram`] — parallel bounded-key counting (degree histograms).
-//! * [`atomics`] — `write_min`/`write_max`, priority update, `AtomicF64`,
+//! * [`atomics`] — `write_min`, priority update, `AtomicF64`,
 //!   and slice-as-atomic views.
 //! * [`bins`] — per-partition propagation bins (scatter-fragment stitch).
 //! * [`bitvec`] — bit vectors: a concurrently writable one
@@ -43,11 +43,11 @@ pub mod reduce;
 pub mod scan;
 pub mod utils;
 
-pub use atomics::{priority_min, priority_write, write_max_u32, write_min_u32, AtomicF64};
+pub use atomics::{priority_min, priority_write, write_min_u32, AtomicF64};
 pub use bitvec::{AtomicBitVec, BitSet};
 pub use counter::StripedU64;
 pub use hash::{hash32, hash64, mix64};
 pub use pack::{filter, pack, pack_index, pack_index_bits};
-pub use reduce::{max_index, min_index, reduce, sum_u64, sum_usize};
+pub use reduce::{max_index, reduce, sum_u64, sum_usize};
 pub use scan::{plus_scan_inclusive_u32, prefix_sums, scan_exclusive, scan_inplace_exclusive};
 pub use utils::{checked_u32, num_threads, with_threads, GRANULARITY};

@@ -144,16 +144,6 @@ where
     out
 }
 
-/// Splits `xs` into `(kept, rejected)` by `pred`, both order-preserving.
-pub fn partition<T: Copy + Send + Sync>(
-    xs: &[T],
-    pred: impl Fn(&T) -> bool + Sync,
-) -> (Vec<T>, Vec<T>) {
-    let kept = filter(xs, &pred);
-    let rejected = filter(xs, |x| !pred(x));
-    (kept, rejected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,15 +198,6 @@ mod tests {
             let bits = BitSet::from_bools(&flags);
             assert_eq!(pack_index_bits(&bits), pack_index(&flags), "n={n}");
         }
-    }
-
-    #[test]
-    fn partition_is_exhaustive_and_disjoint() {
-        let xs: Vec<u32> = (0..30_000u32).map(hash32).collect();
-        let (evens, odds) = partition(&xs, |&x| x.is_multiple_of(2));
-        assert_eq!(evens.len() + odds.len(), xs.len());
-        assert!(evens.iter().all(|x| x.is_multiple_of(2)));
-        assert!(odds.iter().all(|x| x % 2 == 1));
     }
 
     #[test]

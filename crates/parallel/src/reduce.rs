@@ -59,16 +59,6 @@ pub fn sum_usize(n: usize, f: impl Fn(usize) -> usize + Sync) -> usize {
     reduce_with(n, 0usize, f, |a, b| a + b)
 }
 
-/// Deterministic blocked sum of `f64` values.
-///
-/// The blocked shape depends only on the input length and thread count is
-/// *not* consulted for the tree shape — block count comes from
-/// [`num_blocks`], which uses the pool size, so strictly the result is
-/// reproducible per pool size. Good enough for convergence tests.
-pub fn sum_f64(xs: &[f64]) -> f64 {
-    reduce(xs, 0.0f64, |a, b| a + b)
-}
-
 /// Index of a maximal element by `key` (ties: lowest index wins).
 ///
 /// Returns `None` on an empty slice. Used by the harness to pick the
@@ -100,26 +90,6 @@ where
     Some(best.0)
 }
 
-/// Index of a minimal element by `key` (ties: lowest index wins).
-pub fn min_index<T, K, R>(xs: &[T], key: K) -> Option<usize>
-where
-    T: Sync,
-    K: Fn(&T) -> R + Sync,
-    R: PartialOrd + Copy + Send + Sync,
-{
-    if xs.is_empty() {
-        return None;
-    }
-    let n = xs.len();
-    let best = reduce_with(
-        n,
-        (0usize, key(&xs[0])),
-        |i| (i, key(&xs[i])),
-        |a, b| if b.1 < a.1 { b } else { a },
-    );
-    Some(best.0)
-}
-
 /// Counts `i in 0..n` with `pred(i)`.
 #[inline]
 pub fn count(n: usize, pred: impl Fn(usize) -> bool + Sync) -> usize {
@@ -140,7 +110,7 @@ mod tests {
     #[test]
     fn sum_empty_is_identity() {
         assert_eq!(sum_u64(&[]), 0);
-        assert_eq!(sum_f64(&[]), 0.0);
+        assert_eq!(reduce(&[], 0.0f64, |a, b| a + b), 0.0);
     }
 
     #[test]
@@ -159,12 +129,6 @@ mod tests {
         let m = *large.iter().max().unwrap();
         assert_eq!(large[i], m);
         assert_eq!(i, large.iter().position(|&x| x == m).unwrap());
-    }
-
-    #[test]
-    fn min_index_finds_argmin() {
-        let xs = vec![3u32, 9, 1, 9, 1];
-        assert_eq!(min_index(&xs, |&x| x), Some(2));
         assert_eq!(max_index::<u32, _, u32>(&[], |&x| x), None);
     }
 
@@ -179,8 +143,10 @@ mod tests {
     #[test]
     fn f64_sum_is_reproducible() {
         let xs: Vec<f64> = (0..100_000u32).map(|i| (hash32(i) % 97) as f64 / 97.0).collect();
-        let a = sum_f64(&xs);
-        let b = sum_f64(&xs);
+        // The blocked tree's shape depends only on the length and the
+        // pool size, so a float reduction repeats bit for bit.
+        let a = reduce(&xs, 0.0f64, |a, b| a + b);
+        let b = reduce(&xs, 0.0f64, |a, b| a + b);
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }

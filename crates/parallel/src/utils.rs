@@ -90,20 +90,6 @@ pub fn block_range(len: usize, nblocks: usize, i: usize) -> std::ops::Range<usiz
     start..end
 }
 
-/// Runs `body(block_index, range)` for every block of a blocked
-/// decomposition of `0..len`, in parallel.
-pub fn for_each_block<F>(len: usize, grain: usize, body: F)
-where
-    F: Fn(usize, std::ops::Range<usize>) + Sync,
-{
-    let nblocks = num_blocks(len, grain);
-    if nblocks == 1 {
-        body(0, 0..len);
-    } else {
-        (0..nblocks).into_par_iter().for_each(|i| body(i, block_range(len, nblocks, i)));
-    }
-}
-
 /// Runs `f` inside a dedicated rayon pool with exactly `n` threads.
 ///
 /// Used by the scalability benchmarks (Figure F4) to sweep thread counts;
@@ -181,19 +167,6 @@ mod tests {
         assert_eq!(num_blocks(0, GRANULARITY), 1);
         assert_eq!(num_blocks(GRANULARITY, GRANULARITY), 1);
         assert!(num_blocks(GRANULARITY * 64, GRANULARITY) > 1);
-    }
-
-    #[test]
-    fn for_each_block_visits_every_index_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let len = 10_000;
-        let hits: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-        for_each_block(len, 128, |_, range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! it at replay. The real guard — `Replica`'s own — is driven by
 //! `router_over_real_replicas_*`, over two in-process loopback replicas.
 
+use ligra::jsonl::{field, field_bool, field_u64};
 use ligra_engine::route::{Router, RouterConfig};
 use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Server};
 use std::io::{BufRead, BufReader, Write};
@@ -149,20 +150,8 @@ fn handle_conn(stream: TcpStream, st: FakeState) {
     }
 }
 
-/// Minimal flat-JSON field scraping, mirroring the wire format.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = line.split_once(&format!("\"{key}\":"))?.1;
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = line.split_once(&format!("\"{key}\":\""))?.1;
-    rest.split_once('"').map(|(v, _)| v)
-}
-
 fn respond(line: &str, st: &FakeState) -> String {
-    match field_str(line, "op").unwrap_or("") {
+    match field(line, "op").unwrap_or("") {
         "mutate" | "gen" | "load" | "compact" => {
             let rseq = field_u64(line, "rseq").unwrap_or(0);
             if rseq > 0 && rseq <= st.last_rseq.load(Ordering::Acquire) {
@@ -221,11 +210,11 @@ fn ask(router: &Router, line: &str) -> String {
 }
 
 fn is_ok(resp: &str) -> bool {
-    resp.contains("\"ok\":true")
+    field_bool(resp, "ok") == Some(true)
 }
 
 fn is_transient(resp: &str) -> bool {
-    resp.contains("\"transient\":true")
+    field_bool(resp, "transient") == Some(true)
 }
 
 /// Polls `cond` until it holds or ~5s elapse; returns whether it held.
@@ -272,7 +261,7 @@ fn black_hole_backend_is_downed_by_probe_deadline() {
     assert!(
         eventually(|| {
             let stats = ask(&router, "{\"op\":\"route-stats\"}");
-            field_str(&stats, "states").unwrap_or("").starts_with("down")
+            field(&stats, "states").unwrap_or("").starts_with("down")
         }),
         "black-hole replica never marked down"
     );
@@ -312,8 +301,7 @@ fn rejoining_replica_replays_journal_to_epoch_parity() {
     assert!(
         eventually(|| {
             let stats = ask(&router, "{\"op\":\"route-stats\"}");
-            field_str(&stats, "applied_seqs") == Some("6,6")
-                && field_str(&stats, "epochs") == Some("6,6")
+            field(&stats, "applied_seqs") == Some("6,6") && field(&stats, "epochs") == Some("6,6")
         }),
         "restarted replica never converged: {}",
         ask(&router, "{\"op\":\"route-stats\"}")
@@ -378,8 +366,8 @@ fn router_over_real_replicas_replicates_dedups_and_routes_by_id() {
     let mutate = ask(&router, "{\"op\":\"mutate\",\"add_vertices\":1,\"add\":\"0-64\"}");
     assert!(mutate.contains("\"replicas_ok\":2") && mutate.contains("\"seq\":2"), "{mutate}");
     let stats = ask(&router, "{\"op\":\"route-stats\"}");
-    assert_eq!(field_str(&stats, "epochs"), Some("2,2"), "{stats}");
-    assert_eq!(field_str(&stats, "applied_seqs"), Some("2,2"), "{stats}");
+    assert_eq!(field(&stats, "epochs"), Some("2,2"), "{stats}");
+    assert_eq!(field(&stats, "applied_seqs"), Some("2,2"), "{stats}");
     assert!(ask(&router, "{\"op\":\"graph-stats\"}").contains("\"in_sync\":true"));
 
     // A replayed write (the journal seq a replica already applied) is
@@ -487,8 +475,8 @@ fn chaos_sweep(seed: u64, disruption: Disruption) {
     };
     let converged = eventually(|| {
         let stats = ask(&router, "{\"op\":\"route-stats\"}");
-        let seqs = field_str(&stats, "applied_seqs").unwrap_or("").to_string();
-        let epochs = field_str(&stats, "epochs").unwrap_or("").to_string();
+        let seqs = field(&stats, "applied_seqs").unwrap_or("").to_string();
+        let epochs = field(&stats, "epochs").unwrap_or("").to_string();
         let uniform = |s: &str| {
             let mut parts = s.split(',');
             let first = parts.next().unwrap_or("");

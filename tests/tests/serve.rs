@@ -21,6 +21,7 @@
 //! stays in `scripts/route_smoke.sh`; the `--client` retry pump is
 //! tested against the real binary in `crates/engine/tests/client_retry.rs`.
 
+use ligra::jsonl::field_u64;
 use ligra_engine::metrics::{Family, StatsKey, FAMILIES, RETIRED, ROUTE_FAMILIES};
 use ligra_engine::scheduler::RETIRED_CAPACITY;
 use ligra_engine::serve::SCRAPE_HEAD_TIMEOUT;
@@ -187,14 +188,10 @@ fn serve_session_over_loopback_agrees_with_stats_and_two_scrapes() {
     assert!(Conn::open(addr).reply().is_none(), "a draining server accepts no new work");
 }
 
-/// An unsigned field of a flat-JSON reply.
+/// An unsigned field every well-formed reply of this kind carries.
 #[track_caller]
-fn field(reply: &str, key: &str) -> u64 {
-    let rest = reply.split_once(&format!("\"{key}\":")).unwrap_or_else(|| {
-        panic!("reply has no {key:?} field: {reply}");
-    });
-    let digits: String = rest.1.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().expect("numeric field")
+fn num(reply: &str, key: &str) -> u64 {
+    field_u64(reply, key).unwrap_or_else(|| panic!("reply has no numeric {key:?} field: {reply}"))
 }
 
 /// Checks one metric table against a scrape and the flat-JSON reply
@@ -241,18 +238,18 @@ fn assert_reply_agrees_with_scrape<S>(
         match (&f.stats, f.kind) {
             (StatsKey::No, _) => {}
             (StatsKey::Key(stem), "histogram") => {
-                let count = field(reply, &format!("{stem}_count"));
+                let count = num(reply, &format!("{stem}_count"));
                 assert_eq!(count, values.iter().sum::<u64>(), "{name}: {stem}_count");
             }
-            (StatsKey::Key(key), _) => assert_eq!(field(reply, key), values[0], "{name}: {key}"),
+            (StatsKey::Key(key), _) => assert_eq!(num(reply, key), values[0], "{name}: {key}"),
             (StatsKey::PerLabel(keys), _) => {
-                let replied: Vec<u64> = keys.iter().map(|k| field(reply, k)).collect();
+                let replied: Vec<u64> = keys.iter().map(|k| num(reply, k)).collect();
                 assert_eq!(replied, values, "{name}: {keys:?}");
             }
             (StatsKey::Prefix(prefix), _) => {
                 for (label, v) in labels.iter().zip(&values) {
                     let value = label.split('"').nth(1).expect("label value").replace('.', "_");
-                    assert_eq!(field(reply, &format!("{prefix}{value}")), *v, "{name}: {label}");
+                    assert_eq!(num(reply, &format!("{prefix}{value}")), *v, "{name}: {label}");
                 }
             }
         }
@@ -296,7 +293,7 @@ fn every_family_agrees_between_the_reply_and_the_scrape() {
         ("wire_malformed", 1),
         ("wire_requests", session.len() as u64 + 1),
     ] {
-        assert_eq!(field(&stats, key), want, "{key}: {stats}");
+        assert_eq!(num(&stats, key), want, "{key}: {stats}");
     }
 
     // The router, probing too rarely to move a counter mid-comparison.
@@ -321,8 +318,8 @@ fn every_family_agrees_between_the_reply_and_the_scrape() {
     }
     let route_stats = router.handle_line(r#"{"op":"route-stats"}"#).0;
     assert_reply_agrees_with_scrape(ROUTE_FAMILIES, &route_stats, &router.exposition(), 2);
-    assert_eq!(field(&route_stats, "requests"), 5, "{route_stats}");
-    assert_eq!(field(&route_stats, "journal_entries"), 1, "{route_stats}");
+    assert_eq!(num(&route_stats, "requests"), 5, "{route_stats}");
+    assert_eq!(num(&route_stats, "journal_entries"), 1, "{route_stats}");
 
     // `stats` carries what the `metrics` op used to; the op is gone.
     for reply in [conn.ask(r#"{"op":"metrics"}"#), router.handle_line(r#"{"op":"metrics"}"#).0] {
@@ -524,7 +521,8 @@ fn injected_wire_fault_and_hostile_lines_get_replies_and_the_connection_survives
     expect(&replies, 5, "not valid UTF-8", "non-UTF-8 line is reported");
     expect(&replies, 6, "\"pong\"", "the same connection keeps serving");
 
-    assert!(conn.ask(r#"{"op":"gen","family":"rmat","log_n":10}"#).contains("\"ok\":true"));
+    let gen = conn.ask(r#"{"op":"gen","family":"rmat","log_n":10}"#);
+    assert_eq!(ligra::jsonl::field_bool(&gen, "ok"), Some(true), "{gen}");
     assert!(conn.ask(r#"{"op":"submit","query":"bfs","source":0}"#).contains("\"id\":1"));
     let done = conn.ask(r#"{"op":"wait","id":1}"#);
     assert!(done.contains("\"status\":\"done\"") && done.contains("\"reached\":"), "{done}");

@@ -212,32 +212,32 @@ fn noop_recorder_matches_traced_results() {
 
 #[test]
 fn engine_span_jsonl_keys_are_a_closed_vocabulary() {
-    // Pin the per-query span export schema next to the trace pins: the
-    // failure counters ride in these spans (`status` gained "panicked"
-    // and "shed"; `retries` counts transient-fault re-dispatches), and
-    // downstream consumers key on exact field names in exact order.
-    use ligra_engine::{Engine, EngineConfig, Query, QueryStatus};
+    // Pin the per-query span schema next to the trace pins: the failure
+    // counters ride in these spans (`status` gained "panicked" and
+    // "shed"; `retries` counts transient-fault re-dispatches), and
+    // downstream consumers key on exact field names in exact order. The
+    // `span` op's reply is the one place a span is serialized.
+    use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica};
     use std::sync::Arc;
 
-    let engine = Engine::new(EngineConfig::default());
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
     engine.install_graph(Arc::new(grid3d(4)));
-    let h = engine.submit(Query::Bfs { source: 0 }, None).expect("submit");
-    assert_eq!(h.wait(), QueryStatus::Done);
+    let log = Arc::new(MutationLog::new(Arc::clone(&engine), MutationConfig::default()));
+    let replica = Replica::new(engine, log);
+    let ask = |line: &str| replica.handle_line(line).0;
+    let submit = ask(r#"{"op":"submit","query":"bfs","source":0,"trace_id":"pin-1"}"#);
+    let id = ligra::jsonl::field_u64(&submit, "id").expect("submit accepted");
+    let done = ask(&format!("{{\"op\":\"wait\",\"id\":{id}}}"));
+    assert_eq!(ligra::jsonl::field(&done, "status"), Some("done"), "{done}");
 
-    let lines = ligra_engine::spans_to_json_lines(&engine.spans());
-    let line = lines.lines().next().expect("one span exported");
-    let keys: Vec<&str> = line
-        .match_indices('"')
-        .collect::<Vec<_>>()
-        .chunks(2)
-        .filter_map(|pair| match pair {
-            [(a, _), (b, _)] if line[*b + 1..].starts_with(':') => Some(&line[*a + 1..*b]),
-            _ => None,
-        })
+    let line = ask(&format!("{{\"op\":\"span\",\"id\":{id}}}"));
+    let keys: Vec<&str> = ligra::jsonl::Fields::new(&line)
+        .map(|pair| pair.unwrap_or_else(|e| panic!("span reply malformed: {e}: {line}")).0)
         .collect();
     assert_eq!(
         keys,
         [
+            "ok",
             "id",
             "trace_id",
             "query",
@@ -252,8 +252,11 @@ fn engine_span_jsonl_keys_are_a_closed_vocabulary() {
             "events",
             "retries"
         ],
-        "span JSONL schema changed: {line}"
+        "span schema changed: {line}"
     );
+    // The same id that names the span names its kernel trace on disk
+    // (`query-<trace_id>.jsonl`; joined in tests/tests/engine.rs).
+    assert_eq!(ligra::jsonl::field(&line, "trace_id"), Some("pin-1"), "{line}");
 }
 
 #[test]
