@@ -41,9 +41,11 @@ pub struct BcResult {
 
 /// Forward phase: accumulate path counts; first contribution claims the
 /// vertex for the next frontier.
-struct BcForwardF<'a> {
-    num_paths: &'a [AtomicF64],
-    visited: &'a AtomicBitVec,
+pub struct BcForwardF<'a> {
+    /// σ per vertex.
+    pub num_paths: &'a [AtomicF64],
+    /// Vertices of this and every earlier level.
+    pub visited: &'a AtomicBitVec,
 }
 
 impl EdgeMapFn for BcForwardF<'_> {
@@ -68,13 +70,42 @@ impl EdgeMapFn for BcForwardF<'_> {
     fn cond(&self, dst: VertexId) -> bool {
         !self.visited.get(dst as usize)
     }
+
+    #[inline]
+    fn gather<I>(&self, dst: VertexId, in_edges: I) -> Option<bool>
+    where
+        I: Iterator<Item = (VertexId, ())>,
+    {
+        let old = sum_into(&self.num_paths[dst as usize], self.num_paths, in_edges);
+        Some(old == 0.0)
+    }
+}
+
+/// `slot += Σ values[src]` over `in_edges`, accumulated in a register from
+/// the slot's current value in list order and stored once; returns the
+/// value the slot had.
+#[inline]
+fn sum_into(
+    slot: &AtomicF64,
+    values: &[AtomicF64],
+    in_edges: impl Iterator<Item = (VertexId, ())>,
+) -> f64 {
+    let old = slot.load(Ordering::Relaxed);
+    let mut sum = old;
+    for (src, ()) in in_edges {
+        sum += values[src as usize].load(Ordering::Relaxed);
+    }
+    slot.store(sum, Ordering::Relaxed);
+    old
 }
 
 /// Backward phase: accumulate `X[d] += X[s]` along reversed edges from the
 /// deeper level; targets are the not-yet-processed shallower vertices.
-struct BcBackwardF<'a> {
-    x: &'a [AtomicF64],
-    visited: &'a AtomicBitVec,
+pub struct BcBackwardF<'a> {
+    /// `X[v] = σ(v)⁻¹·(1 + δ(v))` per vertex.
+    pub x: &'a [AtomicF64],
+    /// Vertices of this and every deeper level.
+    pub visited: &'a AtomicBitVec,
 }
 
 impl EdgeMapFn for BcBackwardF<'_> {
@@ -97,6 +128,15 @@ impl EdgeMapFn for BcBackwardF<'_> {
     #[inline]
     fn cond(&self, dst: VertexId) -> bool {
         !self.visited.get(dst as usize)
+    }
+
+    #[inline]
+    fn gather<I>(&self, dst: VertexId, in_edges: I) -> Option<bool>
+    where
+        I: Iterator<Item = (VertexId, ())>,
+    {
+        sum_into(&self.x[dst as usize], self.x, in_edges);
+        Some(true)
     }
 }
 
@@ -123,22 +163,21 @@ pub fn bc_traced<G: Neighbors<Weight = ()>, R: Recorder>(
     visited.set(source as usize);
 
     // Forward: BFS with path counting; keep every level's frontier.
-    let mut levels: Vec<VertexSubset> = vec![VertexSubset::single(n, source)];
+    let mut levels: Vec<VertexSubset> = Vec::new();
     {
         let f = BcForwardF { num_paths: &num_paths, visited: &visited };
-        let mut frontier = levels[0].clone();
+        let mut frontier = VertexSubset::single(n, source);
         while !frontier.is_empty() {
-            frontier = edge_map_recorded(g, &mut frontier, &f, opts, stats);
+            let next = edge_map_recorded(g, &mut frontier, &f, opts, stats);
             vertex_map_recorded(
-                &frontier,
+                &next,
                 |v| {
                     visited.set(v as usize);
                 },
                 stats,
             );
-            if !frontier.is_empty() {
-                levels.push(frontier.clone());
-            }
+            // Keep the level just expanded by moving it, as BFS does.
+            levels.push(std::mem::replace(&mut frontier, next));
         }
     }
     let rounds = levels.len();

@@ -54,9 +54,11 @@ impl CcResult {
 /// joins the output the first time its ID changes within the round
 /// (detected by comparing against `prev_ids`, the snapshot taken at the
 /// start of the round).
-struct CcF<'a> {
-    ids: &'a [AtomicU32],
-    prev_ids: &'a [AtomicU32],
+pub struct CcF<'a> {
+    /// Current labels.
+    pub ids: &'a [AtomicU32],
+    /// Labels as of the start of the round.
+    pub prev_ids: &'a [AtomicU32],
 }
 
 impl EdgeMapFn for CcF<'_> {
@@ -79,6 +81,24 @@ impl EdgeMapFn for CcF<'_> {
         let slot = &self.ids[dst as usize];
         let orig = slot.load(Ordering::Relaxed);
         write_min_u32(slot, src_id) && orig == self.prev_ids[dst as usize].load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn gather<I>(&self, dst: VertexId, in_edges: I) -> Option<bool>
+    where
+        I: Iterator<Item = (VertexId, ())>,
+    {
+        let slot = &self.ids[dst as usize];
+        let orig = slot.load(Ordering::Relaxed);
+        let mut min = orig;
+        for (src, ()) in in_edges {
+            min = min.min(self.ids[src as usize].load(Ordering::Relaxed));
+        }
+        if min == orig {
+            return Some(false);
+        }
+        slot.store(min, Ordering::Relaxed);
+        Some(orig == self.prev_ids[dst as usize].load(Ordering::Relaxed))
     }
 }
 

@@ -14,23 +14,25 @@
 //! shrinking subset of the graph.
 
 use ligra::{
-    edge_map_recorded, vertex_filter_recorded, vertex_map_recorded, EdgeMapFn, EdgeMapOptions,
-    NoopRecorder, Recorder, VertexSubset,
+    edge_map_recorded, vertex_filter_recorded, vertex_map_recorded, vertex_map_reduce_f64_recorded,
+    EdgeMapFn, EdgeMapOptions, NoopRecorder, Recorder, VertexSubset,
 };
 use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::atomics::{as_atomic_f64, AtomicF64};
 use ligra_parallel::checked_u32;
-use ligra_parallel::reduce::reduce_with;
 use rayon::prelude::*;
 use std::sync::atomic::Ordering;
 
 /// The paper's `PR_F`: pull/push `share[s] = p[s]/deg⁺(s)` into each
 /// target. Shares are precomputed once per iteration, so the per-edge work
-/// is one load and one add — non-atomic in the single-owner dense
-/// traversal, a CAS-loop add when pushes race.
-struct PrF<'a> {
-    shares: &'a [f64],
-    next: &'a [AtomicF64],
+/// is one load and one add — a register add in the dense traversal's
+/// [`gather`](EdgeMapFn::gather), with one store per target; a CAS-loop add
+/// when pushes race.
+pub struct PrF<'a> {
+    /// `share[s]`, read per edge.
+    pub shares: &'a [f64],
+    /// The accumulators, one per target.
+    pub next: &'a [AtomicF64],
 }
 
 impl EdgeMapFn for PrF<'_> {
@@ -47,6 +49,20 @@ impl EdgeMapFn for PrF<'_> {
     fn update_atomic(&self, src: VertexId, dst: VertexId, _w: ()) -> bool {
         self.next[dst as usize].fetch_add(self.shares[src as usize]);
         true
+    }
+
+    #[inline]
+    fn gather<I>(&self, dst: VertexId, in_edges: I) -> Option<bool>
+    where
+        I: Iterator<Item = (VertexId, ())>,
+    {
+        let slot = &self.next[dst as usize];
+        let mut sum = slot.load(Ordering::Relaxed);
+        for (src, ()) in in_edges {
+            sum += self.shares[src as usize];
+        }
+        slot.store(sum, Ordering::Relaxed);
+        Some(true)
     }
 }
 
@@ -92,33 +108,36 @@ pub fn pagerank_traced<G: Neighbors<Weight = ()>, R: Recorder>(
     let mut iterations = 0usize;
     let mut err = f64::INFINITY;
     let mut frontier = VertexSubset::all(n);
-    let mut shares = vec![0.0f64; n];
+    // shares[s] = p[s] / deg⁺(s): this once up front, thereafter by the
+    // vertex pass that produces the next p.
+    let share = |rank: f64, s: VertexId| rank / (g.out_degree(s).max(1)) as f64;
+    let mut shares: Vec<f64> =
+        (0..checked_u32(n)).into_par_iter().map(|s| share(p[s as usize], s)).collect();
     // The iteration count, not the frontier, drives this loop, so the
     // cancellation token must be consulted here — the round boundary.
     while iterations < max_iters && err >= eps && !opts.is_cancelled() {
         iterations += 1;
-        {
-            // shares[s] = p[s] / deg⁺(s), computed once per iteration.
-            shares
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(s, slot)| *slot = p[s] / (g.out_degree(checked_u32(s)).max(1)) as f64);
-            let next_cells = as_atomic_f64(&mut next);
-            let f = PrF { shares: &shares, next: next_cells };
-            let _ = edge_map_recorded(g, &mut frontier, &f, opts, stats);
-            // PR_Vertex_F: damping + teleport.
-            vertex_map_recorded(
-                &frontier,
-                |v| {
-                    let x = next_cells[v as usize].load(Ordering::Relaxed);
-                    next_cells[v as usize].store(base + alpha * x, Ordering::Relaxed);
-                },
-                stats,
-            );
-        }
-        err = reduce_with(n, 0.0f64, |i| (next[i] - p[i]).abs(), |a, b| a + b);
-        std::mem::swap(&mut p, &mut next);
-        next.par_iter_mut().for_each(|x| *x = 0.0);
+        let next_cells = as_atomic_f64(&mut next);
+        let f = PrF { shares: &shares, next: next_cells };
+        let _ = edge_map_recorded(g, &mut frontier, &f, opts, stats);
+        // PR_Vertex_F and everything else that walks `V` between two
+        // edgeMaps, in one pass: damping + teleport, this vertex's L1
+        // term, roll p <- next, re-zero next, the next iteration's share.
+        let p_cells = as_atomic_f64(&mut p);
+        let share_cells = as_atomic_f64(&mut shares);
+        err = vertex_map_reduce_f64_recorded(
+            &frontier,
+            |v| {
+                let i = v as usize;
+                let rank = base + alpha * next_cells[i].load(Ordering::Relaxed);
+                let change = (rank - p_cells[i].load(Ordering::Relaxed)).abs();
+                p_cells[i].store(rank, Ordering::Relaxed);
+                next_cells[i].store(0.0, Ordering::Relaxed);
+                share_cells[i].store(share(rank, v), Ordering::Relaxed);
+                change
+            },
+            stats,
+        );
     }
     PageRankResult { rank: p, iterations, final_error: err }
 }
@@ -158,7 +177,8 @@ pub fn pagerank_delta_traced<G: Neighbors<Weight = ()>, R: Recorder>(
     let mut delta = vec![base; n];
     let mut ngh_sum = vec![0.0f64; n];
 
-    let mut frontier = VertexSubset::all(n);
+    let all = VertexSubset::all(n);
+    let mut frontier = all.clone();
     let mut iterations = 0usize;
     let opts = opts.no_output();
     let mut shares = vec![0.0f64; n];
@@ -188,7 +208,6 @@ pub fn pagerank_delta_traced<G: Neighbors<Weight = ()>, R: Recorder>(
             let p_cells = as_atomic_f64(&mut p);
             let d_cells = as_atomic_f64(&mut delta);
             let s_cells = as_atomic_f64(&mut ngh_sum);
-            let all = VertexSubset::all(n);
             frontier = vertex_filter_recorded(
                 &all,
                 |v| {

@@ -46,11 +46,18 @@ impl RadiiResult {
     }
 }
 
-struct RadiiF<'a> {
-    visited: &'a [AtomicU64],
-    next_visited: &'a [AtomicU64],
-    radii: &'a [AtomicU32],
-    round: u32,
+/// The paper's `Radii_F`: OR the source's wave mask into the target's
+/// next mask; the first growth of a round stamps the round into `radii`
+/// and claims the target for the next frontier.
+pub struct RadiiF<'a> {
+    /// Wave masks as of the start of the round.
+    pub visited: &'a [AtomicU64],
+    /// Wave masks being built this round.
+    pub next_visited: &'a [AtomicU64],
+    /// Last round each vertex's mask grew.
+    pub radii: &'a [AtomicU32],
+    /// This round's number.
+    pub round: u32,
 }
 
 impl RadiiF<'_> {
@@ -95,6 +102,23 @@ impl EdgeMapFn for RadiiF<'_> {
     #[inline]
     fn update_atomic(&self, src: VertexId, dst: VertexId, w: ()) -> bool {
         self.update(src, dst, w)
+    }
+
+    #[inline]
+    fn gather<I>(&self, dst: VertexId, in_edges: I) -> Option<bool>
+    where
+        I: Iterator<Item = (VertexId, ())>,
+    {
+        let vd = self.visited[dst as usize].load(Ordering::Relaxed);
+        let mut to_write = vd;
+        for (src, ()) in in_edges {
+            to_write |= self.visited[src as usize].load(Ordering::Relaxed);
+        }
+        if to_write == vd {
+            return Some(false);
+        }
+        self.next_visited[dst as usize].fetch_or(to_write, Ordering::AcqRel);
+        Some(self.claim(dst))
     }
 }
 

@@ -20,7 +20,12 @@
 //!   early exit reads only a small fraction of edges, and no atomics are
 //!   needed because each target has one owner thread. The frontier is the
 //!   packed [`BitSet`]: one bit per source vertex read, and each task owns
-//!   one 64-bit word of the output.
+//!   one 64-bit word of the output. An `F` that defines
+//!   [`EdgeMapFn::gather`] is a reduction with no early exit to lose, and
+//!   gets the round as a row reduce instead: `cond` once, then the
+//!   target's in-list — already restricted to the frontier, and the bare
+//!   list with no membership probe at all when the frontier is all of
+//!   `V` — folded by the app into a local and written once.
 //! * **dense-forward** (push over dense frontier): the paper's
 //!   write-based dense variant — walks every frontier vertex's out-edges,
 //!   needing no transpose but atomic updates and no early exit. Zero words
@@ -186,7 +191,10 @@ where
     } else {
         match mode {
             Mode::Sparse => sparse(g, frontier.as_slice(), f, opts.deduplicate, opts.output, hooks),
-            Mode::Dense => dense(g, frontier.as_bits(), f, opts.output, hooks),
+            Mode::Dense => {
+                let whole = frontier.len() == n;
+                dense(g, frontier.as_bits(), whole, f, opts.output, hooks)
+            }
             Mode::DenseForward => dense_forward(g, frontier.as_bits(), f, opts.output, hooks),
             Mode::Partitioned => {
                 let part = g.partitioning_with(opts.partition_bits);
@@ -298,6 +306,28 @@ impl Hooks<'_> {
         won
     }
 
+    /// [`EdgeMapFn::gather`] on a target this task owns: one exclusive
+    /// bracket around the whole fold (the target stands in for the
+    /// source). A function that does not gather answers `None` inside the
+    /// bracket and is then scanned through [`Self::apply_exclusive`].
+    #[inline(always)]
+    fn gather_exclusive<W, F, I>(&self, f: &F, v: VertexId, edges: I) -> Option<bool>
+    where
+        F: EdgeMapFn<W>,
+        I: Iterator<Item = (VertexId, W)>,
+    {
+        #[cfg(feature = "race-check")]
+        if let Some(o) = self.oracle {
+            o.enter_exclusive(v, v);
+        }
+        let won = f.gather(v, edges);
+        #[cfg(feature = "race-check")]
+        if let Some(o) = self.oracle {
+            o.exit_exclusive(v, v, won == Some(true));
+        }
+        won
+    }
+
     #[inline]
     fn scanned(&self, edges: u64) {
         if let Some(c) = self.counters {
@@ -326,10 +356,14 @@ fn word_members(wi: usize, mut w: u64) -> impl Iterator<Item = VertexId> {
 }
 
 /// `|U|`'s incident out-edge count, from whichever representation the
-/// frontier currently has (no conversion). The dense pass decodes the
-/// bitset word-at-a-time, skipping 64 non-members per zero word.
+/// frontier currently has (no conversion). All of `V` has all `m` arcs —
+/// what a whole-graph app would otherwise re-derive every iteration; a
+/// proper dense subset is decoded word-at-a-time, skipping 64 non-members
+/// per zero word.
 fn frontier_degree_sum<G: Neighbors>(g: &G, frontier: &VertexSubset) -> u64 {
-    if let Some(vs) = frontier.sparse() {
+    if frontier.len() == g.num_vertices() {
+        g.num_edges() as u64
+    } else if let Some(vs) = frontier.sparse() {
         g.out_degree_sum(vs)
     } else if let Some(bits) = frontier.dense() {
         bits.words()
@@ -450,8 +484,16 @@ where
 /// so the non-atomic [`EdgeMapFn::update`] is used and the in-edge scan
 /// stops as soon as `cond` fails (BFS: parent found). Frontier membership
 /// is one packed bit per source; each task owns one output word, so the
-/// produced bitset needs no atomics either.
-fn dense<G, F>(g: &G, bits: &BitSet, f: &F, output: bool, hooks: Hooks<'_>) -> VertexSubset
+/// produced bitset needs no atomics either. `whole` says the frontier is
+/// all of `V`, which lets a gathering `F` read the bare in-lists.
+fn dense<G, F>(
+    g: &G,
+    bits: &BitSet,
+    whole: bool,
+    f: &F,
+    output: bool,
+    hooks: Hooks<'_>,
+) -> VertexSubset
 where
     G: Neighbors,
     F: EdgeMapFn<G::Weight>,
@@ -470,8 +512,26 @@ where
             for v in lo..hi {
                 let vid = checked_u32(v);
                 if f.cond(vid) {
-                    let edges = g.in_edges(vid);
+                    let mut edges = g.in_edges(vid);
                     let deg = edges.len() as u64;
+                    // A reducing `F` takes the list whole: every in-edge
+                    // is read, and a target nothing in the frontier points
+                    // at is never output. One that declines has not
+                    // touched the list, which the scan below then walks.
+                    let mut any = whole && deg > 0;
+                    let reduced = if whole {
+                        hooks.gather_exclusive(f, vid, &mut edges)
+                    } else {
+                        let members = (&mut edges).filter(|&(u, _)| bits.get(u as usize));
+                        hooks.gather_exclusive(f, vid, members.inspect(|_| any = true))
+                    };
+                    if let Some(won) = reduced {
+                        if won && any && output {
+                            out_w |= 1u64 << (v - lo);
+                        }
+                        scanned_w += deg;
+                        continue;
+                    }
                     let mut scanned = 0u64;
                     for (u, w) in edges {
                         scanned += 1;
@@ -997,6 +1057,113 @@ mod tests {
         assert!(r.edges_scanned <= 64 + 63, "early exit must bound the scan");
         assert!(r.edges_skipped > 0);
         assert_eq!(r.cas_attempts, 0, "pull mode uses no atomics");
+    }
+
+    /// A reducing `F` that records the list each target was handed and
+    /// claims every target it is asked about, empty list or not. `cond`
+    /// admits even targets only.
+    struct Lists {
+        lists: Vec<std::sync::Mutex<Option<Vec<u32>>>>,
+        updates: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Lists {
+        fn new(n: usize) -> Self {
+            Lists {
+                lists: (0..n).map(|_| std::sync::Mutex::new(None)).collect(),
+                updates: std::sync::atomic::AtomicUsize::new(0),
+            }
+        }
+
+        fn handed(&self, v: u32) -> Option<Vec<u32>> {
+            self.lists[v as usize].lock().expect("test lock").clone()
+        }
+    }
+
+    impl EdgeMapFn for Lists {
+        fn update(&self, _: u32, _: u32, _: ()) -> bool {
+            self.updates.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+        fn update_atomic(&self, src: u32, dst: u32, w: ()) -> bool {
+            self.update(src, dst, w)
+        }
+        fn cond(&self, dst: u32) -> bool {
+            dst.is_multiple_of(2)
+        }
+        fn gather<I: Iterator<Item = (u32, ())>>(&self, dst: u32, in_edges: I) -> Option<bool> {
+            let list = in_edges.map(|(u, ())| u).collect();
+            let earlier = self.lists[dst as usize].lock().expect("test lock").replace(list);
+            assert_eq!(earlier, None, "target {dst} gathered twice in one round");
+            Some(true)
+        }
+    }
+
+    #[test]
+    fn gather_gets_each_cond_true_target_once_with_its_frontier_in_edges() {
+        let g = erdos_renyi(300, 2500, 3, false);
+        let m = g.num_edges() as u64;
+        let dense = EdgeMapOptions::new().traversal(Traversal::Dense);
+        for (what, stride) in [("partial", 3u32), ("whole V", 1)] {
+            let f = Lists::new(300);
+            let mut fr = VertexSubset::from_fn(300, |v| v.is_multiple_of(stride));
+            let mut stats = TraversalStats::new();
+            let out = edge_map_recorded(&g, &mut fr, &f, dense, &mut stats);
+
+            let mut nonempty = Vec::new();
+            let mut read = 0u64;
+            for v in 0..300u32 {
+                let members =
+                    g.in_neighbors(v).iter().copied().filter(|u| u.is_multiple_of(stride));
+                let want = v.is_multiple_of(2).then(|| members.collect::<Vec<_>>());
+                assert_eq!(f.handed(v), want, "{what}: list handed for target {v}");
+                if want.is_some() {
+                    read += g.in_degree(v) as u64;
+                }
+                if want.is_some_and(|list| !list.is_empty()) {
+                    nonempty.push(v);
+                }
+            }
+            // `Lists` claims every target; one with nothing gathered is
+            // still not output.
+            assert_eq!(out.to_vec_sorted(), nonempty, "{what}");
+            assert_eq!(f.updates.load(Ordering::Relaxed), 0, "{what}: no per-edge scan");
+            assert_eq!(nonempty.len() < 150, stride == 3, "{what}: empty-fold case exercised");
+
+            let r = stats.rounds[0];
+            assert_eq!((r.mode, r.cas_attempts), (Mode::Dense, 0), "{what}");
+            assert_eq!(r.edges_scanned, read, "{what}: a gathered list is read whole");
+            assert_eq!(r.edges_scanned + r.edges_skipped, m, "{what}");
+
+            let f = Lists::new(300);
+            let out = edge_map_with(&g, &mut fr, &f, dense.no_output());
+            assert!(out.is_empty(), "{what}: no_output");
+            assert!(f.handed(0).is_some(), "{what}: no_output still commits");
+        }
+    }
+
+    #[test]
+    fn auto_sends_a_whole_frontier_to_the_gather_and_push_rounds_never_call_it() {
+        let g = erdos_renyi(300, 2500, 3, true);
+        let f = Lists::new(300);
+        let mut stats = TraversalStats::new();
+        let _ = edge_map_recorded(
+            &g,
+            &mut VertexSubset::all(300),
+            &f,
+            EdgeMapOptions::new(),
+            &mut stats,
+        );
+        assert_eq!(stats.rounds[0].mode, Mode::Dense);
+        assert_eq!(f.handed(2).as_deref(), Some(g.in_neighbors(2)));
+        let into_even: usize = (0..300).step_by(2).map(|v| g.in_degree(v)).sum();
+        for t in [Traversal::Sparse, Traversal::DenseForward, Traversal::Partitioned] {
+            let f = Lists::new(300);
+            let mut fr = VertexSubset::all(300);
+            let _ = edge_map_with(&g, &mut fr, &f, EdgeMapOptions::new().traversal(t));
+            assert!((0..300).all(|v| f.handed(v).is_none()), "traversal {t:?}");
+            assert_eq!(f.updates.load(Ordering::Relaxed), into_even, "traversal {t:?}");
+        }
     }
 
     #[test]

@@ -75,6 +75,7 @@ pub use crate::trace::{from_json_lines, save_jsonl, summary, to_json_lines, Trac
 pub use crate::traits::{cond_true, edge_fn, ClosureEdgeMap, EdgeMapFn};
 pub use crate::vertex_map::{
     vertex_filter, vertex_filter_recorded, vertex_map, vertex_map_recorded, vertex_map_reduce_f64,
+    vertex_map_reduce_f64_recorded,
 };
 pub use crate::vertex_subset::VertexSubset;
 

@@ -21,6 +21,9 @@
 //!   *both* conflicting source vertices;
 //! * **pull exclusivity** — on the dense(pull) path any concurrent pair
 //!   of attempts on one target is a framework bug, independent of `F`.
+//!   An attempt there is one `update` call or, for an `F` that reduces,
+//!   one whole-target `gather` (bracketed once, the target as its own
+//!   source).
 //!
 //! Without the feature the hooks compile away and `edgeMap` is
 //! unchanged; the oracle type itself always exists so harnesses can be

@@ -12,6 +12,20 @@
 //!   breaks out of a target's in-edge scan as soon as `C(v)` turns false
 //!   (e.g. BFS stops reading in-edges once a parent is found), which is
 //!   where the pull direction's big constant-factor win comes from.
+//!
+//! A third, optional callback states the pull direction as what it is for
+//! an accumulating `F` — a row reduce, ⊕ over a target's frontier in-edges
+//! of ⊗(state[src], w), one write per target:
+//!
+//! * [`EdgeMapFn::gather`]`(v, in-edges of v from U) -> Option<bool>` —
+//!   fold the whole list into a local, write `v`'s state **once**, return
+//!   membership. An `F` that has no early exit to lose (PageRank's `+`,
+//!   CC's `min`, BC's path and dependency sums, radii's `|`) defines it
+//!   and the dense traversal calls it once per target instead of `update`
+//!   once per edge; an `F` whose whole win *is* the early exit (BFS,
+//!   Bellman-Ford, k-core, MIS) leaves the default, which returns `None`
+//!   and keeps the per-edge `update`/`cond` loop. The push traversals
+//!   never call it.
 
 use ligra_graph::VertexId;
 
@@ -37,6 +51,33 @@ pub trait EdgeMapFn<W = ()>: Sync {
     fn cond(&self, dst: VertexId) -> bool {
         let _ = dst;
         true
+    }
+
+    /// The dense traversal's whole-target form of [`Self::update`]: reduce
+    /// `dst`'s in-edges from the frontier into `dst`'s state.
+    ///
+    /// `in_edges` yields, in in-list order, exactly the `(src, w)` with
+    /// `src` in the frontier; `cond(dst)` held when it was built and one
+    /// thread owns `dst`, so plain loads and one plain store suffice. An
+    /// implementation folds the list into a local **starting from `dst`'s
+    /// current state** (so the result equals applying `update` per edge in
+    /// the same order), writes the state once, and returns
+    /// `Some(membership)` — what the OR of those `update` calls would have
+    /// been. The kernel never outputs a target whose list turned out
+    /// empty, whatever is returned.
+    ///
+    /// The default returns `None` without touching `in_edges`: this
+    /// function does not reduce, and the traversal scans `dst` with
+    /// `update`/`cond` per edge, early exit included. That scan walks the
+    /// same list, so an implementation that consumed an edge and then
+    /// returned `None` has hidden it from `update`: a contract violation.
+    #[inline]
+    fn gather<I>(&self, dst: VertexId, in_edges: I) -> Option<bool>
+    where
+        I: Iterator<Item = (VertexId, W)>,
+    {
+        let _ = (dst, in_edges);
+        None
     }
 }
 
@@ -122,5 +163,13 @@ mod tests {
             }
         }
         assert!(Always.cond(123));
+    }
+
+    #[test]
+    fn default_gather_declines_without_reading_the_list() {
+        let f = edge_fn(|_, _, _: ()| true, cond_true);
+        let mut list = [(0u32, ()), (2, ())].into_iter();
+        assert_eq!(f.gather(1, &mut list), None, "closures keep the per-edge loop");
+        assert_eq!(list.len(), 2);
     }
 }

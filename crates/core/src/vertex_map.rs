@@ -68,17 +68,18 @@ fn repr_of(subset: &VertexSubset) -> ReprKind {
     }
 }
 
-/// [`vertex_map`] delivering one timed [`RoundStat`] to `rec`.
-pub fn vertex_map_recorded<R: Recorder>(
+/// Runs one pass over `subset`'s members and, when `rec` is listening,
+/// delivers it as one timed [`Op::VertexMap`] [`RoundStat`].
+fn vertex_pass_recorded<T, R: Recorder>(
     subset: &VertexSubset,
-    f: impl Fn(VertexId) + Sync,
     rec: &mut R,
-) {
+    pass: impl FnOnce() -> T,
+) -> T {
     if !rec.enabled() {
-        return vertex_map(subset, f);
+        return pass();
     }
     let start = Instant::now();
-    vertex_map(subset, f);
+    let out = pass();
     let mut r = RoundStat::vertex_op(
         Op::VertexMap,
         subset.len() as u64,
@@ -88,6 +89,27 @@ pub fn vertex_map_recorded<R: Recorder>(
     r.frontier_bytes = subset.repr_bytes();
     r.time_ns = start.elapsed().as_nanos() as u64;
     rec.record(r);
+    out
+}
+
+/// [`vertex_map`] delivering one timed [`RoundStat`] to `rec`.
+pub fn vertex_map_recorded<R: Recorder>(
+    subset: &VertexSubset,
+    f: impl Fn(VertexId) + Sync,
+    rec: &mut R,
+) {
+    vertex_pass_recorded(subset, rec, || vertex_map(subset, f));
+}
+
+/// [`vertex_map_reduce_f64`] delivering the same one [`Op::VertexMap`]
+/// [`RoundStat`] as [`vertex_map_recorded`]: a vertex pass that also
+/// returns a sum is still one pass.
+pub fn vertex_map_reduce_f64_recorded<R: Recorder>(
+    subset: &VertexSubset,
+    f: impl Fn(VertexId) -> f64 + Sync,
+    rec: &mut R,
+) -> f64 {
+    vertex_pass_recorded(subset, rec, || vertex_map_reduce_f64(subset, f))
 }
 
 /// [`vertex_filter`] delivering one timed [`RoundStat`] to `rec`.
@@ -113,11 +135,15 @@ pub fn vertex_filter_recorded<R: Recorder>(
     out
 }
 
-/// Sums `f(v)` over the members of `subset` (a common reduction in the
-/// applications, e.g. PageRank's dangling-mass and error terms).
+/// Sums `f(v)` over the members of `subset`, applying `f` exactly once per
+/// member — so `f` may also update per-vertex state, which is how
+/// PageRank's damping pass returns its L1 error term. The terms are added
+/// in a fixed order (per 64-vertex word, then word by word), so the sum
+/// does not depend on the schedule and a convergence test that reads it
+/// repeats exactly.
 pub fn vertex_map_reduce_f64(subset: &VertexSubset, f: impl Fn(VertexId) -> f64 + Sync) -> f64 {
-    if let Some(vs) = subset.sparse() {
-        vs.par_iter().map(|&v| f(v)).sum()
+    let partials: Vec<f64> = if let Some(vs) = subset.sparse() {
+        vs.par_iter().map(|&v| f(v)).collect()
     } else if let Some(bits) = subset.dense() {
         bits.words()
             .par_iter()
@@ -131,10 +157,11 @@ pub fn vertex_map_reduce_f64(subset: &VertexSubset, f: impl Fn(VertexId) -> f64 
                 }
                 sum
             })
-            .sum()
+            .collect()
     } else {
         unreachable!()
-    }
+    };
+    partials.iter().sum()
 }
 
 #[cfg(test)]
@@ -214,5 +241,20 @@ mod tests {
         let mut d = s.clone();
         d.to_dense();
         assert_eq!(vertex_map_reduce_f64(&d, |v| v as f64), 6.0);
+    }
+
+    #[test]
+    fn recorded_reduce_is_one_vertex_map_event() {
+        use crate::stats::{NoopRecorder, TraversalStats};
+        let s = VertexSubset::all(100);
+        let mut stats = TraversalStats::new();
+        let sum = vertex_map_reduce_f64_recorded(&s, |v| v as f64, &mut stats);
+        assert_eq!(sum, 4950.0);
+        assert_eq!(stats.num_rounds(), 1);
+        let r = stats.rounds[0];
+        assert_eq!((r.op, r.frontier_vertices, r.output_vertices), (Op::VertexMap, 100, 100));
+        assert_eq!(r.frontier_bytes, s.repr_bytes());
+        assert!(r.time_ns > 0);
+        assert_eq!(vertex_map_reduce_f64_recorded(&s, |v| v as f64, &mut NoopRecorder), sum);
     }
 }

@@ -2,7 +2,10 @@
 //! extra Ligra-release applications (k-core, MIS, triangles) and the
 //! Ligra+ compressed representation.
 
-use ligra::{edge_fn, EdgeMapOptions, Mode, NoopRecorder, Traversal, TraversalStats, VertexSubset};
+use ligra::{
+    edge_fn, EdgeMapFn, EdgeMapOptions, Mode, NoopRecorder, RaceOracle, Traversal, TraversalStats,
+    VertexSubset, WinContract,
+};
 use ligra_apps as apps;
 use ligra_apps::seq;
 use ligra_compress::{ByteCode, ByteRleCode, CompressedGraph, NibbleCode};
@@ -10,9 +13,13 @@ use ligra_engine::{Query, QueryOutput, Snapshot, PAGERANK_ALPHA};
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{erdos_renyi, grid3d, random_local, random_weights, rmat};
 use ligra_graph::{
-    apply_batch, build_graph, BuildOptions, DeltaBatch, Graph, Neighbors, UnitWeighted,
+    apply_batch, build_graph, BuildOptions, DeltaBatch, Graph, Neighbors, Transpose, UnitWeighted,
 };
+use ligra_parallel::atomics::{as_atomic_f64, as_atomic_u32, as_atomic_u64, AtomicF64};
+use ligra_parallel::bitvec::AtomicBitVec;
+use ligra_parallel::utils::with_threads;
 use ligra_parallel::{checked_u32, hash32};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Runs one query through the engine's dispatch and unwraps its variant.
@@ -245,6 +252,153 @@ fn every_representation_and_policy_agrees_with_the_sequential_references() {
             let served = served!(&weighted, opts, Query::BellmanFord { source: 0 }, BellmanFord);
             assert_eq!(served.dist, weighted_dist, "{family}/engine/weighted/{t}");
         }
+    }
+}
+
+/// `F` with its [`EdgeMapFn::gather`] hidden: a dense round scans it per
+/// edge through `update`/`cond`, the only form there was before the
+/// reduce existed and so the reference for it.
+struct PerEdge<F>(F);
+
+impl<F: EdgeMapFn> EdgeMapFn for PerEdge<F> {
+    fn update(&self, src: u32, dst: u32, w: ()) -> bool {
+        self.0.update(src, dst, w)
+    }
+    fn update_atomic(&self, src: u32, dst: u32, w: ()) -> bool {
+        self.0.update_atomic(src, dst, w)
+    }
+    fn cond(&self, dst: u32) -> bool {
+        self.0.cond(dst)
+    }
+}
+
+/// One `edgeMap` round of `f`, as written or per edge; the output, sorted.
+fn round<G: Neighbors<Weight = ()>, F: EdgeMapFn>(
+    g: &G,
+    frontier: &VertexSubset,
+    f: F,
+    opts: EdgeMapOptions,
+    per_edge: bool,
+) -> Vec<u32> {
+    let mut frontier = frontier.clone();
+    if per_edge {
+        ligra::edge_map_with(g, &mut frontier, &PerEdge(f), opts).to_vec_sorted()
+    } else {
+        ligra::edge_map_with(g, &mut frontier, &f, opts).to_vec_sorted()
+    }
+}
+
+/// What one round of each reducing application function leaves behind,
+/// from the same seeded mid-run state every call: its state arrays as bit
+/// patterns, then its output subset.
+fn reducing_rounds<G: Neighbors<Weight = ()>>(
+    g: &G,
+    frontier: &VertexSubset,
+    opts: EdgeMapOptions,
+    per_edge: bool,
+) -> Vec<(&'static str, Vec<u64>, Vec<u32>)> {
+    let n = g.num_vertices();
+    let noise = |v: usize, salt: u32| hash32(checked_u32(v) ^ (salt << 24));
+    let floats =
+        |salt: u32| (0..n).map(|v| 1.0 / f64::from(1 + noise(v, salt) % 97)).collect::<Vec<f64>>();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut left = Vec::new();
+
+    // PageRank and PageRank-Delta: accumulators that are not zero.
+    let (shares, mut next) = (floats(1), floats(2));
+    let f = apps::pagerank::PrF { shares: &shares, next: as_atomic_f64(&mut next) };
+    let won = round(g, frontier, f, opts, per_edge);
+    left.push(("pagerank", bits(&next), won));
+
+    // Components: scrambled labels, snapshotted as at the top of a round.
+    let mut ids: Vec<u32> = (0..n).map(|v| noise(v, 3) % checked_u32(n)).collect();
+    let mut prev = ids.clone();
+    let f = apps::cc::CcF { ids: as_atomic_u32(&mut ids), prev_ids: as_atomic_u32(&mut prev) };
+    let won = round(g, frontier, f, opts, per_edge);
+    left.push(("cc", ids.iter().map(|&l| u64::from(l)).collect(), won));
+
+    // BC: the frontier and a third of V besides visited with known path
+    // counts, the rest at zero.
+    let visited = AtomicBitVec::new(n);
+    let member = frontier.to_bools();
+    (0..n).filter(|&v| member[v] || noise(v, 4).is_multiple_of(3)).for_each(|v| {
+        visited.set(v);
+    });
+    let sigma = |v: usize| if visited.get(v) { f64::from(1 + noise(v, 5) % 5) } else { 0.0 };
+    let num_paths: Vec<AtomicF64> = (0..n).map(|v| AtomicF64::new(sigma(v))).collect();
+    let f = apps::bc::BcForwardF { num_paths: &num_paths, visited: &visited };
+    let won = round(g, frontier, f, opts, per_edge);
+    let sigmas = num_paths.iter().map(|c| c.load(Ordering::Relaxed).to_bits()).collect();
+    left.push(("bc-forward", sigmas, won));
+    let mut x = floats(6);
+    let f = apps::bc::BcBackwardF { x: as_atomic_f64(&mut x), visited: &visited };
+    let won = round(&Transpose(g), frontier, f, opts, per_edge);
+    left.push(("bc-backward", bits(&x), won));
+
+    // Radii, entering round 2: four wave bits in play so some masks do
+    // not grow, and some targets already stamped with this round.
+    let mut masks: Vec<u64> =
+        (0..n).map(|v| 1 << (noise(v, 7) % 4) | 1 << (noise(v, 8) % 4)).collect();
+    let mut next_masks = masks.clone();
+    let mut stamps: Vec<u32> = (0..n).map(|v| noise(v, 9) % 3).collect();
+    let f = apps::radii::RadiiF {
+        visited: as_atomic_u64(&mut masks),
+        next_visited: as_atomic_u64(&mut next_masks),
+        radii: as_atomic_u32(&mut stamps),
+        round: 2,
+    };
+    let won = round(g, frontier, f, opts, per_edge);
+    next_masks.extend(stamps.iter().map(|&r| u64::from(r)));
+    left.push(("radii", next_masks, won));
+    left
+}
+
+/// The gather differential on one representation: every reducing `F`,
+/// from a whole-`V` frontier, a partial one forced dense and a small one
+/// under `Auto`, leaves bit-identical state and the same output whether
+/// the dense kernel reduces or scans per edge. Order of evaluation is
+/// part of the claim, so that comparison runs on one thread; the reduce
+/// then runs once more on the ambient pool under the race oracle, which
+/// (in a `race-check` build) certifies one owner per gathered target.
+fn gather_matches_per_edge<G: Neighbors<Weight = ()>>(at: &str, g: &G) {
+    let n = g.num_vertices();
+    let dense = EdgeMapOptions::new().traversal(Traversal::Dense);
+    for (case, frontier, opts) in [
+        ("whole V", VertexSubset::all(n), EdgeMapOptions::new()),
+        ("partial, forced dense", VertexSubset::from_fn(n, |v| v.is_multiple_of(3)), dense),
+        ("small, auto", VertexSubset::from_sparse(n, vec![0, 5, 9]), EdgeMapOptions::new()),
+    ] {
+        let (reduced, scanned) = with_threads(1, || {
+            (reducing_rounds(g, &frontier, opts, false), reducing_rounds(g, &frontier, opts, true))
+        });
+        for (r, s) in reduced.iter().zip(&scanned) {
+            assert_eq!(r.1, s.1, "{at}/{case}/{}: state bits", r.0);
+            assert_eq!(r.2, s.2, "{at}/{case}/{}: output subset", r.0);
+        }
+        let oracle = RaceOracle::new(n, WinContract::MultiWin);
+        let raced = reducing_rounds(g, &frontier, opts.race_oracle(&oracle), false);
+        oracle.certify().unwrap_or_else(|e| panic!("{at}/{case}: {e}"));
+        // Components reads labels other owners are lowering, so only its
+        // fixed point is schedule-independent; everything else is.
+        for (r, p) in reduced.iter().zip(&raced).filter(|(r, _)| r.0 != "cc") {
+            assert_eq!((&r.1, &r.2), (&p.1, &p.2), "{at}/{case}/{}: ambient pool", r.0);
+        }
+    }
+}
+
+#[test]
+fn dense_rounds_reduce_to_exactly_what_the_per_edge_scan_computes() {
+    for (family, base) in [
+        ("grid3d", grid3d(5)),
+        ("rmat", rmat(&RmatOptions::paper(9))),
+        ("directed-er", erdos_renyi(400, 3000, 7, false)),
+    ] {
+        let reps = Reps::of(&base);
+        gather_matches_per_edge(&format!("{family}/csr"), &reps.csr);
+        gather_matches_per_edge(&format!("{family}/overlay"), &reps.overlay);
+        gather_matches_per_edge(&format!("{family}/byte"), &reps.byte);
+        gather_matches_per_edge(&format!("{family}/nibble"), &reps.nibble);
+        gather_matches_per_edge(&format!("{family}/byte-rle"), &reps.rle);
     }
 }
 

@@ -121,6 +121,36 @@ fn bfs_certifies_on_every_forced_traversal() {
 }
 
 #[test]
+fn reducing_apps_certify_through_the_dense_gather() {
+    // Forced dense, every round of the four reducing apps is a gather:
+    // one exclusive bracket per target around the whole fold, under the
+    // same win contracts as their per-edge forms. PageRank shows which
+    // path ran: three whole-`V` rounds are 3n brackets, not 3m.
+    let g = test_graph(15);
+    let n = g.num_vertices();
+    fn dense(opts: EdgeMapOptions<'_>) -> EdgeMapOptions<'_> {
+        opts.traversal(Traversal::Dense)
+    }
+    let oracle = RaceOracle::new(n, WinContract::MultiWin);
+    let opts = dense(EdgeMapOptions::default().race_oracle(&oracle));
+    let _ = apps::pagerank_traced(&g, 0.85, 0.0, 3, opts, &mut NoopRecorder);
+    let report = oracle.certify().unwrap_or_else(|e| panic!("pagerank/dense: {e}"));
+    assert_eq!((report.rounds, report.attempts), (3, 3 * n as u64));
+
+    certify("cc/dense", n, WinContract::MultiWin, |opts| {
+        assert_eq!(apps::cc_traced(&g, dense(opts), &mut NoopRecorder).label, seq::seq_cc(&g));
+    });
+    certify("bc/dense", n, WinContract::MultiWin, |opts| {
+        let r = apps::bc_traced(&g, 0, dense(opts), &mut NoopRecorder);
+        let want = seq::seq_brandes(&g, 0);
+        assert!(r.dependencies.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-9));
+    });
+    certify("radii/dense", n, WinContract::Claim, |opts| {
+        let _ = apps::radii_traced(&g, 5, dense(opts), &mut NoopRecorder);
+    });
+}
+
+#[test]
 fn compressed_traversals_certify_under_claim() {
     use ligra_parallel::atomics::{as_atomic_u32, cas_u32};
     use std::sync::atomic::Ordering;

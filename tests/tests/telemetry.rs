@@ -60,6 +60,64 @@ fn auto_trace_explains_every_direction_decision() {
 }
 
 #[test]
+fn whole_frontier_work_is_n_plus_m_without_walking_it_on_every_representation() {
+    // A frontier of all of `V` reports `m` out-edges straight from the
+    // graph's arc count; a walk over the degrees must agree wherever that
+    // count is kept: directed and symmetric CSR, a live overlay (whose
+    // `m` is maintained per batch), and a byte-coded graph.
+    fn check<G: Neighbors<Weight = ()>>(g: &G, what: &str) {
+        let n = g.num_vertices();
+        let walked: u64 = (0..n as u32).map(|v| g.out_degree(v) as u64).sum();
+        let f = ligra::edge_fn(|_, _, _: ()| true, |_| true);
+        let mut stats = TraversalStats::new();
+        let mut all = ligra::VertexSubset::all(n);
+        let _ = ligra::edge_map_recorded(g, &mut all, &f, EdgeMapOptions::default(), &mut stats);
+        // The same set minus one vertex takes the word-at-a-time walk.
+        let mut most = ligra::VertexSubset::from_fn(n, |v| v != 0);
+        let _ = ligra::edge_map_recorded(g, &mut most, &f, EdgeMapOptions::default(), &mut stats);
+        let (whole, proper) = (stats.rounds[0], stats.rounds[1]);
+        assert_eq!(whole.frontier_out_edges, walked, "{what}");
+        assert_eq!(whole.work, n as u64 + walked, "{what}");
+        assert_eq!(proper.frontier_out_edges, walked - g.out_degree(0) as u64, "{what}");
+        assert_eq!(whole.mode, Mode::Dense, "{what}");
+    }
+    let directed = ligra_graph::generators::erdos_renyi(400, 3000, 7, false);
+    let batch = ligra_graph::DeltaBatch::new()
+        .add_edge(0, 399)
+        .add_edge(7, 3)
+        .del_edge(0, directed.out_neighbors(0)[0]);
+    let (overlay, _, _) = ligra_graph::apply_batch(&directed, &batch).expect("in-range batch");
+    assert!(overlay.has_overlay());
+    check(&directed, "directed");
+    check(&rmat(&RmatOptions::paper(10)), "symmetric");
+    check(&overlay, "overlay");
+    check(&CompressedGraph::<ligra_compress::ByteCode>::from_graph(&directed), "byte-coded");
+}
+
+#[test]
+fn pagerank_trace_is_one_edge_map_and_one_vertex_pass_per_iteration() {
+    // Everything PageRank does to `V` between two edgeMaps (damping, the
+    // L1 term, rolling p, re-zeroing the accumulators, the next shares)
+    // is one recorded vertex pass, so `core.vertex_map_ns_per_vertex`
+    // keeps its meaning: time per vertex of a whole-`V` vertexMap.
+    let g = rmat(&RmatOptions::paper(10));
+    let n = g.num_vertices() as u64;
+    let mut stats = TraversalStats::new();
+    let r = apps::pagerank_traced(&g, 0.85, 0.0, 4, EdgeMapOptions::default(), &mut stats);
+    assert_eq!(r.iterations, 4);
+    let ops: Vec<Op> = stats.rounds.iter().map(|r| r.op).collect();
+    assert_eq!(ops, [Op::EdgeMap, Op::VertexMap].repeat(4));
+    for r in &stats.rounds {
+        assert_eq!(r.frontier_vertices, n);
+        assert!(r.time_ns > 0);
+        if r.op == Op::EdgeMap {
+            assert_eq!((r.mode, r.edges_scanned), (Mode::Dense, g.num_edges() as u64));
+            assert_eq!((r.edges_skipped, r.cas_attempts, r.output_vertices), (0, 0, 0));
+        }
+    }
+}
+
+#[test]
 fn auto_scans_no_more_edges_than_any_forced_policy() {
     // Counts, not clocks: BFS frontiers are deterministic, a push round
     // scans its frontier's out-edges and a pull round's scan depends only
