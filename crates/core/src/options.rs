@@ -40,8 +40,7 @@ impl Traversal {
         Traversal::Partitioned,
     ];
 
-    /// The canonical name [`std::fmt::Display`] renders (and
-    /// [`std::str::FromStr`] accepts, along with a few aliases).
+    /// The canonical name [`std::fmt::Display`] renders.
     pub fn name(self) -> &'static str {
         match self {
             Traversal::Auto => "auto",
@@ -56,28 +55,6 @@ impl Traversal {
 impl std::fmt::Display for Traversal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Traversal {
-    type Err = String;
-
-    /// Parses a policy name. Canonical names are the [`Traversal::name`]
-    /// strings; the historical bench labels (`hybrid`, `sparse-only`,
-    /// `dense-only`, `dense-fwd`) are accepted as aliases. Matching is
-    /// case-insensitive.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" | "hybrid" => Ok(Traversal::Auto),
-            "sparse" | "sparse-only" | "push" => Ok(Traversal::Sparse),
-            "dense" | "dense-only" | "pull" => Ok(Traversal::Dense),
-            "dense-forward" | "dense_forward" | "dense-fwd" => Ok(Traversal::DenseForward),
-            "partitioned" | "partition" | "scatter-gather" => Ok(Traversal::Partitioned),
-            other => Err(format!(
-                "unknown traversal {other:?} (expected auto, sparse, dense, dense-forward, \
-                 or partitioned)"
-            )),
-        }
     }
 }
 
@@ -254,22 +231,11 @@ mod tests {
 
     #[test]
     fn traversal_display_round_trips() {
+        let names: Vec<String> = Traversal::ALL.iter().map(Traversal::to_string).collect();
+        assert_eq!(names, ["auto", "sparse", "dense", "dense-forward", "partitioned"]);
         for t in Traversal::ALL {
-            assert_eq!(t.to_string().parse::<Traversal>().unwrap(), t);
             assert_eq!(t.to_string(), t.name());
         }
-    }
-
-    #[test]
-    fn traversal_parse_accepts_bench_aliases() {
-        assert_eq!("hybrid".parse::<Traversal>().unwrap(), Traversal::Auto);
-        assert_eq!("sparse-only".parse::<Traversal>().unwrap(), Traversal::Sparse);
-        assert_eq!("dense-only".parse::<Traversal>().unwrap(), Traversal::Dense);
-        assert_eq!("dense-fwd".parse::<Traversal>().unwrap(), Traversal::DenseForward);
-        assert_eq!("DENSE".parse::<Traversal>().unwrap(), Traversal::Dense);
-        assert_eq!("partition".parse::<Traversal>().unwrap(), Traversal::Partitioned);
-        assert_eq!("scatter-gather".parse::<Traversal>().unwrap(), Traversal::Partitioned);
-        assert!("diagonal".parse::<Traversal>().is_err());
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! diverges between runs of the same seed — the whole schedule is a
 //! pure function of `(salt, attempt)`.
 //!
-//! When the server supplied an explicit `retry_after_ms` hint (an
-//! overload shed naming its own horizon), the hint overrides the
-//! computed delay: the server knows its queue better than our curve.
+//! When the server supplied an explicit `retry_after_ms` hint (the
+//! router's shed naming the earliest replica backoff it knows), the hint
+//! overrides the computed delay: the server knows its fleet better than
+//! our curve.
 
 use crate::metrics::mix64;
 use std::time::Duration;

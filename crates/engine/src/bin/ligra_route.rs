@@ -9,16 +9,16 @@
 //!
 //! ```text
 //! ligra-route --listen ADDR --backend ADDR [--backend ADDR]...
-//!             [--metrics-addr ADDR] [--max-inflight N]
+//!             [--metrics-addr ADDR]
 //!             [--probe-interval-ms N] [--probe-deadline-ms N]
-//!             [--request-deadline-ms N] [--journal-capacity N]
-//!             [--down-after N] [--retries N] [--drain-deadline-ms N]
+//!             [--request-deadline-ms N]
 //!             [--fault SPEC]... [--fault-seed N]
 //! ```
 //!
 //! Router-local ops: `ping`, `route-stats` (backend states, cursors,
-//! failover/shed/retry counters), `shutdown` (drain then exit 0; also
-//! triggered by SIGTERM on unix). `graph-stats` is answered fleet-wide
+//! failover/shed/retry counters), `shutdown` (drain for up to
+//! `serve::DRAIN_DEADLINE`, then exit 0; also triggered by SIGTERM on
+//! unix). `graph-stats` is answered fleet-wide
 //! with the per-backend epoch set and an `in_sync` verdict. Everything
 //! else is routed: `submit`/`poll`/`wait`/`cancel`/`span`/`stats` as
 //! reads, `load`/`gen`/`mutate`/`compact` as replicated writes.
@@ -41,7 +41,6 @@ struct Args {
     metrics_addr: Option<String>,
     /// The router's own knobs; `fault` is filled in from the specs.
     router: RouterConfig,
-    drain_deadline: Duration,
     fault_specs: Vec<String>,
     fault_seed: u64,
 }
@@ -56,9 +55,8 @@ fn fatal(msg: &str) -> ! {
 fn usage() -> ! {
     eprintln!(
         "usage: ligra-route --listen ADDR --backend ADDR [--backend ADDR]... \
-         [--metrics-addr ADDR] [--max-inflight N] [--probe-interval-ms N] \
-         [--probe-deadline-ms N] [--request-deadline-ms N] [--journal-capacity N] \
-         [--down-after N] [--retries N] [--drain-deadline-ms N] \
+         [--metrics-addr ADDR] [--probe-interval-ms N] \
+         [--probe-deadline-ms N] [--request-deadline-ms N] \
          [--fault SPEC]... [--fault-seed N]"
     );
     std::process::exit(2);
@@ -69,7 +67,6 @@ fn parse_args() -> Args {
         listen: "127.0.0.1:7200".to_string(),
         metrics_addr: None,
         router: RouterConfig::default(),
-        drain_deadline: Duration::from_millis(5_000),
         fault_specs: Vec::new(),
         fault_seed: 1,
     };
@@ -88,9 +85,6 @@ fn parse_args() -> Args {
             "--listen" => args.listen = value("--listen"),
             "--backend" => cfg.backends.push(value("--backend")),
             "--metrics-addr" => args.metrics_addr = Some(value("--metrics-addr")),
-            "--max-inflight" => {
-                cfg.max_inflight = parsed("--max-inflight", &value("--max-inflight"))
-            }
             "--probe-interval-ms" => {
                 cfg.probe_interval = ms("--probe-interval-ms", &value("--probe-interval-ms"))
             }
@@ -99,14 +93,6 @@ fn parse_args() -> Args {
             }
             "--request-deadline-ms" => {
                 cfg.request_deadline = ms("--request-deadline-ms", &value("--request-deadline-ms"))
-            }
-            "--journal-capacity" => {
-                cfg.journal_capacity = parsed("--journal-capacity", &value("--journal-capacity"))
-            }
-            "--down-after" => cfg.down_after = parsed("--down-after", &value("--down-after")),
-            "--retries" => cfg.retries = parsed("--retries", &value("--retries")),
-            "--drain-deadline-ms" => {
-                args.drain_deadline = ms("--drain-deadline-ms", &value("--drain-deadline-ms"))
             }
             "--fault" => args.fault_specs.push(value("--fault")),
             "--fault-seed" => args.fault_seed = parsed("--fault-seed", &value("--fault-seed")),
@@ -120,9 +106,6 @@ fn parse_args() -> Args {
     if args.router.backends.is_empty() {
         eprintln!("at least one --backend is required");
         usage();
-    }
-    if args.router.max_inflight == 0 {
-        fatal("--max-inflight must be at least 1");
     }
     args
 }
@@ -150,7 +133,7 @@ fn main() {
         eprintln!("ligra-route: SIGTERM received");
     }
     eprintln!("ligra-route: draining {} outstanding forwards", router.outstanding_total());
-    if server.quiesce(args.drain_deadline) {
+    if server.quiesce() {
         eprintln!("ligra-route: drained; exiting");
     } else {
         eprintln!("ligra-route: drain deadline hit with forwards still in flight; exiting");

@@ -8,11 +8,9 @@
 //! ```text
 //! ligra-serve [--listen ADDR | --client ADDR] [--metrics-addr ADDR]
 //!             [--workers N] [--queue N] [--cache N]
-//!             [--memory-budget BYTES]
-//!             [--traversal auto|sparse|dense|dense-forward]
 //!             [--graph PATH [--directed] [--weighted]]
 //!             [--fault SPEC]... [--fault-seed N]
-//!             [--compact-threshold ARCS] [--drain-deadline-ms N]
+//!             [--compact-threshold ARCS]
 //! ```
 //!
 //! This file is flag parsing and the `--client` pump. The request
@@ -21,9 +19,9 @@
 //! `ligra_engine::serve`, shared with `ligra-route`.
 //!
 //! The `shutdown` op (or SIGTERM on unix) stops the server gracefully:
-//! new connections are refused, in-flight queries drain up to
-//! `--drain-deadline-ms` (default 5000), and the process exits 0 — a
-//! clean stop is distinguishable from a crash by exit code.
+//! new connections are refused, in-flight queries drain for up to
+//! `serve::DRAIN_DEADLINE` (5 s), and the process exits 0 — a clean stop
+//! is distinguishable from a crash by exit code.
 //!
 //! `--metrics-addr` starts a loopback HTTP listener speaking Prometheus
 //! text exposition (format 0.0.4) over the engine's metrics registry —
@@ -36,18 +34,16 @@
 //!
 //! `--fault point:action[:nth]` arms a deterministic fault (DESIGN.md
 //! §11); it is accepted only in builds with the `fault-inject` feature.
-//! The traversal policy may also come from `LIGRA_TRAVERSAL` (the flag
-//! wins). Overlays past `--compact-threshold` arcs compact
-//! automatically (0 disables).
+//! Every query runs the paper's `Auto` traversal. Overlays past
+//! `--compact-threshold` arcs compact automatically (0 disables).
 
 use ligra::jsonl::field_bool;
 use ligra_engine::backoff::{retry_after_ms, Backoff};
-use ligra_engine::serve::{fault_plan, install_sigterm_latch};
+use ligra_engine::serve::{fault_plan, install_sigterm_latch, DRAIN_DEADLINE};
 use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Server};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Args {
     listen: Option<String>,
@@ -62,7 +58,6 @@ struct Args {
     fault_specs: Vec<String>,
     fault_seed: u64,
     compact_threshold: Option<u64>,
-    drain_deadline: Duration,
 }
 
 /// Operator-facing fatal error: report and exit instead of panicking
@@ -75,9 +70,9 @@ fn fatal(msg: &str) -> ! {
 fn usage() -> ! {
     eprintln!(
         "usage: ligra-serve [--listen ADDR | --client ADDR] [--metrics-addr ADDR] \
-         [--workers N] [--queue N] [--cache N] [--memory-budget BYTES] [--traversal POLICY] \
+         [--workers N] [--queue N] [--cache N] \
          [--graph PATH [--directed] [--weighted]] [--fault SPEC]... [--fault-seed N] \
-         [--compact-threshold ARCS] [--drain-deadline-ms N]"
+         [--compact-threshold ARCS]"
     );
     std::process::exit(2);
 }
@@ -94,11 +89,7 @@ fn parse_args() -> Args {
         fault_specs: Vec::new(),
         fault_seed: 1,
         compact_threshold: MutationConfig::default().compact_threshold,
-        drain_deadline: Duration::from_millis(5_000),
     };
-    if let Some(t) = std::env::var("LIGRA_TRAVERSAL").ok().and_then(|s| s.parse().ok()) {
-        args.engine.traversal = t;
-    }
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let cfg = &mut args.engine;
@@ -114,10 +105,6 @@ fn parse_args() -> Args {
             "--workers" => cfg.workers = parsed("--workers", &value("--workers")),
             "--queue" => cfg.queue_capacity = parsed("--queue", &value("--queue")),
             "--cache" => cfg.cache_capacity = parsed("--cache", &value("--cache")),
-            "--memory-budget" => {
-                cfg.memory_budget = Some(parsed("--memory-budget", &value("--memory-budget")))
-            }
-            "--traversal" => cfg.traversal = parsed("--traversal", &value("--traversal")),
             "--graph" => args.graph = Some(value("--graph")),
             "--directed" => args.symmetric = false,
             "--weighted" => args.weighted = true,
@@ -127,12 +114,6 @@ fn parse_args() -> Args {
                 // 0 disables auto-compaction (explicit `compact` still works).
                 let arcs: u64 = parsed("--compact-threshold", &value("--compact-threshold"));
                 args.compact_threshold = (arcs > 0).then_some(arcs);
-            }
-            "--drain-deadline-ms" => {
-                args.drain_deadline = Duration::from_millis(parsed(
-                    "--drain-deadline-ms",
-                    &value("--drain-deadline-ms"),
-                ));
             }
             "--help" | "-h" => usage(),
             other => {
@@ -149,7 +130,7 @@ fn parse_args() -> Args {
 }
 
 /// Client-side retry budget for responses flagged `"transient":true`
-/// (overload sheds, queue-full, injected transient faults).
+/// (queue-full, router sheds, injected transient faults).
 const CLIENT_RETRIES: u32 = 3;
 
 fn run_client(addr: &str) {
@@ -175,7 +156,7 @@ fn run_client(addr: &str) {
                 Ok(0) => return,
                 Ok(_) => {}
             }
-            // Transient shed (overload, queue-full, injected fault):
+            // Transient shed (queue-full, router shed, injected fault):
             // honor the server's retry-after hint when present, else
             // the shared jittered exponential backoff schedule
             // (`ligra_engine::backoff`), up to the retry budget.
@@ -241,16 +222,15 @@ fn main() {
     install_sigterm_latch();
     let stopper = {
         let server = Arc::clone(&server);
-        let deadline = args.drain_deadline;
         std::thread::spawn(move || {
             if server.wait_for_stop() {
                 eprintln!("ligra-serve: SIGTERM received");
             }
             eprintln!(
                 "ligra-serve: draining in-flight queries (deadline {} ms)",
-                deadline.as_millis()
+                DRAIN_DEADLINE.as_millis()
             );
-            if server.quiesce(deadline) {
+            if server.quiesce() {
                 eprintln!("ligra-serve: drained; exiting");
             } else {
                 eprintln!("ligra-serve: drain deadline hit with queries still in flight; exiting");

@@ -160,10 +160,6 @@ impl Replica {
                 match engine.submit_traced(query, deadline, trace_id) {
                     Ok(h) => Ok(status_response(&h.report()).finish()),
                     Err(SubmitError::QueueFull) => Ok(transient_error("queue full", None)),
-                    Err(SubmitError::Overloaded { retry_after }) => Ok(transient_error(
-                        "engine overloaded",
-                        Some(u64::try_from(retry_after.as_millis()).unwrap_or(u64::MAX)),
-                    )),
                     Err(SubmitError::NoGraph) => Err("no graph installed".to_string()),
                 }
             })(),
@@ -181,7 +177,7 @@ impl Replica {
                 let report = engine.report(id).map_err(|e| e.to_string())?;
                 Ok(status_response(&report).finish())
             })(),
-            "span" => Ok(span_response(engine, req.u64_or("id", 0).unwrap_or(0))),
+            "span" => req.u64_or("id", 0).map(|id| span_response(engine, id)),
             "mutate" => replicated_write(&req, engine, last_rseq, || mutate_response(log, &req)),
             "compact" => replicated_write(&req, engine, last_rseq, || compact_response(log, &req)),
             "graph-stats" | "graph_stats" => Ok(graph_stats_response(engine, log)),
@@ -255,7 +251,7 @@ fn replicated_write<F>(
 where
     F: FnOnce() -> Result<String, String>,
 {
-    let rseq = req.u64_or("rseq", 0).unwrap_or(0);
+    let rseq = req.u64_or("rseq", 0)?;
     if rseq > 0 && rseq <= last_rseq.load(Ordering::Acquire) {
         return Ok(JsonObj::new()
             .bool("ok", true)
@@ -402,17 +398,14 @@ fn batch_from(req: &Request) -> Result<DeltaBatch, String> {
 }
 
 /// Renders a mutation/compaction failure; transient ones carry
-/// `"transient":true` (and a retry hint when the engine has one) so the
-/// built-in client's backoff loop handles them like overload sheds.
+/// `"transient":true` so the built-in client's backoff loop retries them
+/// like a full queue.
 fn mutate_error_response(e: &MutateError) -> String {
-    let mut obj = JsonObj::new()
+    JsonObj::new()
         .bool("ok", false)
         .str("error", &e.to_string())
-        .bool("transient", e.is_transient());
-    if let MutateError::Overloaded { retry_after } = e {
-        obj = obj.u64("retry_after_ms", u64::try_from(retry_after.as_millis()).unwrap_or(u64::MAX));
-    }
-    obj.finish()
+        .bool("transient", e.is_transient())
+        .finish()
 }
 
 fn mutate_response(log: &Arc<MutationLog>, req: &Request) -> Result<String, String> {

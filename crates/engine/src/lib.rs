@@ -43,9 +43,9 @@
 //!   replay (DESIGN.md §16).
 //!
 //! Robustness (DESIGN.md §11): workers isolate query panics with
-//! `catch_unwind` and self-heal; admission sheds on a memory budget
-//! ([`SubmitError::Overloaded`]) and at dequeue when queue wait consumed
-//! the deadline ([`QueryStatus::Shed`]); the `fault-inject` feature arms
+//! `catch_unwind` and self-heal; admission refuses at a full queue
+//! ([`SubmitError::QueueFull`]) and sheds at dequeue when queue wait
+//! consumed the deadline ([`QueryStatus::Shed`]); the `fault-inject` feature arms
 //! deterministic fault schedules ([`FaultPlan`], re-exported from
 //! `ligra`) at named points for chaos testing.
 

@@ -113,10 +113,6 @@ pub const FAMILIES: &[Family<EngineStats>] = &[
         Key("queued"), |s| Scalar(s.queued)),
     row("ligra_running_queries", "gauge", "", "Jobs executing on workers",
         Key("running"), |s| Scalar(s.running)),
-    row("ligra_inflight_bytes", "gauge", "", "Estimated bytes of admitted unfinished work",
-        Key("inflight_bytes"), |s| Scalar(s.inflight_bytes)),
-    row("ligra_memory_budget_bytes", "gauge", "", "Configured memory budget (0 = unlimited)",
-        Key("memory_budget_bytes"), |s| Scalar(s.memory_budget_bytes)),
     row("ligra_cache_entries", "gauge", "", "Resident result-cache entries",
         Key("cache_len"), |s| Scalar(s.cache_len)),
     row("ligra_queries_submitted_total", "counter", "", "Queries accepted by the engine",
@@ -125,8 +121,6 @@ pub const FAMILIES: &[Family<EngineStats>] = &[
         Key("rejected"), |s| Scalar(s.rejected)),
     row("ligra_queries_retired_total", "counter", "status", "Terminal query outcomes by status",
         PerLabel(&["completed", "cancelled", "failed", "panics", "queue_deadline_sheds"]), retired),
-    row("ligra_overload_sheds_total", "counter", "", "Queries shed at admission by memory budget",
-        Key("sheds"), |s| Scalar(s.sheds)),
     row("ligra_dispatch_retries_total", "counter", "", "Fault-injected dispatches re-enqueued",
         Key("retries"), |s| Scalar(s.retries)),
     row("ligra_worker_busy_ns_total", "counter", "", "Nanoseconds workers spent executing jobs",

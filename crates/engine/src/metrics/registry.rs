@@ -10,7 +10,7 @@
 //!
 //! The read side is `Engine::stats`: one point-in-time fold of every
 //! instrument plus the lock-guarded values (cache counters, fault
-//! injections) and static configuration (worker count, budget), which
+//! injections) and static configuration (worker count, queue capacity), which
 //! the `stats` reply and the Prometheus exposition both render through
 //! [`super::prometheus::FAMILIES`], so the two surfaces can never
 //! disagree.
@@ -32,14 +32,8 @@ pub struct MetricsRegistry {
     pub submitted: Counter,
     /// Queries refused at admission (queue full).
     pub rejected: Counter,
-    /// Queries shed at admission by the overload policy (memory budget).
-    pub overload_sheds: Counter,
     /// Jobs currently waiting in the queue.
     pub queue_depth: Gauge,
-    /// Estimated bytes of all admitted-but-unfinished work.
-    pub inflight_bytes: Gauge,
-    /// Configured memory budget (0 = unlimited); set once at startup.
-    pub memory_budget_bytes: Gauge,
 
     // --- worker pool ---
     /// Jobs currently executing on a worker.
@@ -86,9 +80,9 @@ pub struct MetricsRegistry {
 
 /// Terminal statuses a job can retire with, in the order the `retired`
 /// counters use; the Prometheus `status` label is each one's
-/// [`QueryStatus::name`]. `Shed` here means a queue-deadline shed —
-/// overload sheds at admission never become jobs and are counted
-/// separately.
+/// [`QueryStatus::name`]. `Shed` here means a queue-deadline shed; a
+/// submit refused at admission never becomes a job and is counted in
+/// `rejected`.
 pub const RETIRED: [QueryStatus; 5] = [
     QueryStatus::Done,
     QueryStatus::Cancelled,

@@ -29,7 +29,7 @@ use crate::snapshot::Snapshot;
 #[cfg(feature = "fault-inject")]
 use ligra::FaultPoint;
 use ligra_graph::delta::{self, DeltaBatch, NormalizedBatch};
-use ligra_graph::{Graph, VertexId};
+use ligra_graph::Graph;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -58,12 +58,6 @@ pub enum MutateError {
     /// The batch was invalid (out-of-range vertex), or the graph was
     /// installed weighted and takes no writes. Fix the request.
     Invalid(String),
-    /// Admission control shed the batch under memory pressure. Retry
-    /// after the hint.
-    Overloaded {
-        /// Suggested client backoff.
-        retry_after: Duration,
-    },
     /// A fault-injection schedule fired a transient error. Retryable.
     Injected {
         /// Fault-point name (`mutate.apply` / `mutate.compact`).
@@ -89,13 +83,7 @@ pub enum MutateError {
 impl MutateError {
     /// Whether a client retry is a reasonable response.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            MutateError::Overloaded { .. }
-                | MutateError::Injected { .. }
-                | MutateError::Busy
-                | MutateError::Superseded
-        )
+        matches!(self, MutateError::Injected { .. } | MutateError::Busy | MutateError::Superseded)
     }
 }
 
@@ -104,9 +92,6 @@ impl std::fmt::Display for MutateError {
         match self {
             MutateError::NoGraph => f.write_str("no graph installed"),
             MutateError::Invalid(msg) => write!(f, "invalid mutation: {msg}"),
-            MutateError::Overloaded { retry_after } => {
-                write!(f, "mutation shed under memory pressure; retry after {retry_after:?}")
-            }
             MutateError::Injected { point, hit } => {
                 write!(f, "fault-inject: injected fault at {point} (hit {hit})")
             }
@@ -246,20 +231,6 @@ impl MutationLog {
             st.generation += 1;
         }
         let graph = Arc::clone(snap.graph());
-
-        // Admission: the overlay the apply would build is charged against
-        // the same memory budget queries use. The estimate is coarse
-        // (degree mass of the touched endpoints); an otherwise idle
-        // engine always admits, mirroring query admission.
-        if let Some(budget) = self.engine.memory_budget() {
-            let in_use = self.engine.metrics().inflight_bytes.get();
-            let est = estimated_apply_bytes(&graph, batch);
-            if in_use > 0 && in_use.saturating_add(est) > budget {
-                return Err(MutateError::Overloaded {
-                    retry_after: self.engine.retry_after_hint(),
-                });
-            }
-        }
 
         // The dispatch under `state` is the write-serialization contract
         // itself — applies must be ordered, queries never take this lock
@@ -421,25 +392,6 @@ fn from_panic(payload: &(dyn std::any::Any + Send)) -> MutateError {
         QueryError::Panicked { point, msg } => MutateError::Panicked { point, msg },
         QueryError::App(msg) => MutateError::Invalid(msg),
     }
-}
-
-/// Coarse upper estimate of the overlay bytes an apply would add: the
-/// merged lists of every touched endpoint, per stored direction, at 4
-/// bytes an arc, plus side-CSR bookkeeping. Deliberately cheap — O(batch)
-/// degree lookups, no edge walking.
-fn estimated_apply_bytes(g: &Graph, batch: &DeltaBatch) -> u64 {
-    let n = g.num_vertices();
-    let dirs: u64 = if g.is_symmetric() { 1 } else { 2 };
-    let deg = |v: VertexId| if (v as usize) < n { g.out_degree(v) as u64 } else { 0 };
-    let mut touched_mass = 0u64;
-    for &(u, v) in batch.add_edges.iter().chain(&batch.del_edges) {
-        touched_mass += deg(u) + deg(v);
-    }
-    for &v in &batch.del_vertices {
-        touched_mass += 2 * deg(v);
-    }
-    let new_arcs = 2 * batch.add_edges.len() as u64;
-    (g.overlay_arcs() + (touched_mass + new_arcs) * dirs) * 4 + (n as u64) / 8
 }
 
 #[cfg(test)]

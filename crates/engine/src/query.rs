@@ -118,29 +118,6 @@ impl Query {
         Ok(())
     }
 
-    /// Coarse upper estimate of the bytes this query's run allocates on
-    /// `snap`: per-vertex app state plus frontier buffers — no query
-    /// allocates per-arc state, so the estimate is proportional to `n`
-    /// alone. The memory-budget admission check sums these for in-flight
-    /// queries — it bounds the order of magnitude of engine memory
-    /// pressure, not the exact byte count.
-    pub fn estimated_run_bytes(&self, snap: &Snapshot) -> u64 {
-        let n = snap.num_vertices() as u64;
-        let per_vertex: u64 = match self {
-            Query::Bfs { .. } => 8,          // parent + dist (u32 each)
-            Query::Bc { .. } => 24,          // sigma + dependency (f64) + visited
-            Query::Cc => 8,                  // label + prev label
-            Query::PageRank { .. } => 16,    // rank + next (f64 each)
-            Query::Radii { .. } => 20,       // radii + two 64-bit visit masks / 8
-            Query::BellmanFord { .. } => 12, // i64 dist + relaxed flag
-            Query::KCore => 8,               // coreness + live degree
-            Query::Mis { .. } => 9,          // priority (u64) + state
-        };
-        // Frontier overhead: dense bitsets both ways plus sparse output
-        // buffers, called 8 bytes per vertex.
-        n * (per_vertex + 8)
-    }
-
     /// Runs the query on `snap`, delivering per-round telemetry to `rec`.
     /// `opts` carries the traversal policy and the cancellation token; a
     /// cancelled run still returns `Ok` with whatever partial state the
@@ -309,8 +286,6 @@ mod tests {
     #[test]
     fn every_query_runs_on_a_symmetric_graph() {
         let s = snap(grid3d(4));
-        // Same n (64), a third of the arcs.
-        let sparser = snap(cycle(64));
         let queries = [
             Query::Bfs { source: 0 },
             Query::Bc { source: 0 },
@@ -325,8 +300,6 @@ mod tests {
             let out = q.run(&s, EdgeMapOptions::new(), &mut NoopRecorder).unwrap();
             let summary = out.summary();
             assert!(!summary.is_empty(), "{q:?}");
-            // No query allocates per-arc state: the estimate ignores m.
-            assert_eq!(q.estimated_run_bytes(&s), q.estimated_run_bytes(&sparser), "{q:?}");
         }
     }
 }

@@ -85,14 +85,26 @@ impl BackendState {
     }
 }
 
+/// Per-backend in-flight request cap; excess reads shed or fail over
+/// instead of queueing on a struggling replica.
+const MAX_INFLIGHT: usize = 32;
+
+/// Write-journal capacity (entries). A replica that falls further
+/// behind than this cannot be replayed and is held Degraded.
+pub const JOURNAL_CAPACITY: usize = 4096;
+
+/// Consecutive forward/probe failures before Down (the first failure
+/// already demotes to Degraded).
+const DOWN_AFTER: u32 = 2;
+
+/// Transient-response / failover retry budget per client request.
+const RETRIES: u32 = 3;
+
 /// Router tuning knobs; every field has a serving-ready default.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Backend addresses (`host:port`), one per replica, in id order.
     pub backends: Vec<String>,
-    /// Per-backend in-flight request cap; excess reads shed or fail
-    /// over instead of queueing on a struggling replica.
-    pub max_inflight: usize,
     /// How often the prober sweeps the fleet.
     pub probe_interval: Duration,
     /// Connect + read deadline for one health probe; a backend that
@@ -100,14 +112,6 @@ pub struct RouterConfig {
     pub probe_deadline: Duration,
     /// Read deadline for one forwarded client request.
     pub request_deadline: Duration,
-    /// Bounded write-journal capacity (entries). A replica that falls
-    /// further behind than this cannot be replayed and stays Degraded.
-    pub journal_capacity: usize,
-    /// Consecutive forward/probe failures before Down (the first
-    /// failure already demotes to Degraded).
-    pub down_after: u32,
-    /// Transient-response / failover retry budget per client request.
-    pub retries: u32,
     /// Deterministic fault plan armed at `route.forward`
     /// (`fault-inject` builds only).
     pub fault: Option<Arc<FaultPlan>>,
@@ -117,13 +121,9 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             backends: Vec::new(),
-            max_inflight: 32,
             probe_interval: Duration::from_millis(200),
             probe_deadline: Duration::from_millis(500),
             request_deadline: Duration::from_secs(30),
-            journal_capacity: 4096,
-            down_after: 2,
-            retries: 3,
             fault: None,
         }
     }
@@ -473,7 +473,7 @@ impl Router {
         let bm = &self.metrics.backends[backend.id];
         let pooled = {
             let mut inner = tracked_lock(&backend.inner, "route.backend");
-            if !selectable(&inner, Instant::now(), self.cfg.max_inflight) {
+            if !selectable(&inner, Instant::now()) {
                 return Err(ForwardError::NotSelectable);
             }
             inner.outstanding += 1;
@@ -553,7 +553,7 @@ impl Router {
         inner.outstanding = inner.outstanding.saturating_sub(1);
         bm.outstanding.set(inner.outstanding as u64);
         inner.failures = 0;
-        if inner.idle.len() < self.cfg.max_inflight {
+        if inner.idle.len() < MAX_INFLIGHT {
             inner.idle.push(conn);
         }
         if field_bool(resp, "transient") == Some(true) {
@@ -583,11 +583,8 @@ impl Router {
     /// sockets are almost certainly dead too.
     fn penalize_locked(cfg: &RouterConfig, inner: &mut BackendInner, bm: &BackendMetrics) {
         inner.failures = inner.failures.saturating_add(1);
-        inner.state = if inner.failures >= cfg.down_after {
-            BackendState::Down
-        } else {
-            BackendState::Degraded
-        };
+        inner.state =
+            if inner.failures >= DOWN_AFTER { BackendState::Down } else { BackendState::Degraded };
         if inner.state == BackendState::Down {
             inner.idle.clear();
         }
@@ -629,7 +626,7 @@ impl Router {
             }
             let score = {
                 let inner = tracked_lock(&b.inner, "route.backend");
-                if !selectable(&inner, now, self.cfg.max_inflight) {
+                if !selectable(&inner, now) {
                     continue;
                 }
                 // Degraded replicas only win over Healthy ones when the
@@ -639,7 +636,7 @@ impl Router {
                     BackendState::Healthy => 0u64,
                     _ => 1u64,
                 };
-                tier * (self.cfg.max_inflight as u64 + 1) + inner.outstanding as u64
+                tier * (MAX_INFLIGHT as u64 + 1) + inner.outstanding as u64
             };
             if best.as_ref().is_none_or(|(s, _)| score < *s) {
                 best = Some((score, Arc::clone(b)));
@@ -679,7 +676,7 @@ impl Router {
                 // Every replica tried or unselectable. One more pass is
                 // allowed after a backoff if the budget remains and the
                 // exhaustion came from failures rather than saturation.
-                if attempt < self.cfg.retries && tried.len() > exclude.len() {
+                if attempt < RETRIES && tried.len() > exclude.len() {
                     attempt += 1;
                     tried.truncate(exclude.len());
                     std::thread::sleep(bo.delay(attempt).min(Duration::from_millis(250)));
@@ -691,10 +688,7 @@ impl Router {
                 return (self.shed_response(), None);
             };
             match self.forward(&b, line, self.cfg.request_deadline) {
-                Ok(resp)
-                    if field_bool(&resp, "transient") == Some(true)
-                        && attempt < self.cfg.retries =>
-                {
+                Ok(resp) if field_bool(&resp, "transient") == Some(true) && attempt < RETRIES => {
                     // The replica shed us; try a sibling after the
                     // hinted (or computed) delay.
                     self.metrics.retries.incr();
@@ -820,7 +814,7 @@ impl Router {
             // copy instead of double-applying and forking its epoch.
             let tagged = set_u64(line, "rseq", seq);
             j.entries.push_back(JournalEntry { seq, line: tagged.clone() });
-            while j.entries.len() > self.cfg.journal_capacity {
+            while j.entries.len() > JOURNAL_CAPACITY {
                 j.entries.pop_front();
             }
             self.metrics.journal_entries.set(j.entries.len() as u64);
@@ -985,6 +979,10 @@ impl Router {
 
     fn probe_one(&self, b: &Arc<Backend>) {
         self.metrics.probes.incr();
+        let seen = {
+            let inner = tracked_lock(&b.inner, "route.backend");
+            (inner.epoch, inner.applied_seq)
+        };
         let probe = self.dial(&b.addr, self.cfg.probe_deadline).and_then(|mut c| {
             Self::exchange(&mut c, "{\"op\":\"stats\"}", self.cfg.probe_deadline)
         });
@@ -1007,6 +1005,14 @@ impl Router {
             let mut inner = tracked_lock(&b.inner, "route.backend");
             inner.failures = 0;
             inner.next_probe_at = Instant::now() + self.cfg.probe_interval;
+            if (inner.epoch, inner.applied_seq) != seen {
+                // A replicated write reached this replica while the
+                // probe was in flight, so the reply's epoch predates
+                // the router's record: read as a regression it would
+                // rewind a healthy replica's cursor, and as a fork hold
+                // it. The next probe judges.
+                return;
+            }
             if epoch < inner.epoch {
                 // The replica's own epoch history regressed: it
                 // restarted and lost state. Rewind the cursor so
@@ -1066,7 +1072,8 @@ impl Router {
     // ---- aggregate responses ---------------------------------------
 
     /// Router-level state for scripts and tests: per-backend states,
-    /// cursors, epochs, and the headline counters.
+    /// cursors, epochs, why a replica is held (`-` when it is not), and
+    /// the headline counters.
     fn route_stats_response(&self) -> String {
         let head = {
             let j = tracked_lock(&self.journal, "route.journal");
@@ -1075,22 +1082,26 @@ impl Router {
         let mut states = String::new();
         let mut epochs = String::new();
         let mut seqs = String::new();
+        let mut held = String::new();
         for (i, b) in self.backends.iter().enumerate() {
             let inner = tracked_lock(&b.inner, "route.backend");
             if i > 0 {
                 states.push(',');
                 epochs.push(',');
                 seqs.push(',');
+                held.push(',');
             }
             states.push_str(inner.state.name());
             epochs.push_str(&inner.epoch.to_string());
             seqs.push_str(&inner.applied_seq.to_string());
+            held.push_str(inner.unrecoverable.unwrap_or("-"));
         }
         let obj = JsonObj::new()
             .bool("ok", true)
             .str("states", &states)
             .str("epochs", &epochs)
             .str("applied_seqs", &seqs)
+            .str("held", &held)
             .u64("fleet_seq", head);
         stats_fields(ROUTE_FAMILIES, &self.metrics, obj).finish()
     }
@@ -1163,10 +1174,10 @@ enum WriteOutcome {
 /// Whether routing may hand `b` another request right now: not Down,
 /// not inside a backoff window the replica asked for, and under the
 /// in-flight cap.
-fn selectable(b: &BackendInner, now: Instant, max_inflight: usize) -> bool {
+fn selectable(b: &BackendInner, now: Instant) -> bool {
     b.state != BackendState::Down
         && b.retry_at.is_none_or(|t| t <= now)
-        && b.outstanding < max_inflight
+        && b.outstanding < MAX_INFLIGHT
 }
 
 /// A backend reply with its backend-local `id` swapped for the

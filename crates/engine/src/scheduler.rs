@@ -1,16 +1,15 @@
 //! The engine proper: a bounded admission queue feeding a fixed pool of
 //! panic-isolated worker threads, with per-query deadlines, cooperative
-//! cancellation, graceful overload shedding, and an epoch-keyed result
-//! cache.
+//! cancellation, and an epoch-keyed result cache.
 //!
 //! Design points:
 //!
 //! * **Admission control.** `submit` rejects (`QueueFull`) instead of
-//!   blocking when the queue is at capacity, and sheds (`Overloaded`,
-//!   with a retry-after hint) when the estimated memory footprint of
-//!   in-flight queries would exceed the configured budget — a serving
-//!   front-end should shed load at the edge, not accumulate unbounded
-//!   backlog.
+//!   blocking when the queue is at capacity — a serving front-end should
+//!   shed load at the edge, not accumulate unbounded backlog. Only the
+//!   `workers` running jobs hold per-vertex state (a queued job holds a
+//!   snapshot `Arc` and its query), so the worker count is what bounds
+//!   query memory.
 //! * **Snapshot binding.** The snapshot is captured at submit time, so a
 //!   graph installed mid-flight never changes what an admitted query
 //!   computes on; its epoch keys the cache entry.
@@ -47,7 +46,7 @@ use crate::metrics::{mix64, HistogramSnapshot, MetricsRegistry};
 use crate::query::{Answer, Query, QueryOutput, Summary};
 use crate::snapshot::{GraphStore, Snapshot};
 use crate::span::{fill_span_buckets, QuerySpan, QueryStatus, TeeRecorder};
-use ligra::{CancelToken, EdgeMapOptions, FaultPlan, FaultPoint, Traversal};
+use ligra::{CancelToken, EdgeMapOptions, FaultPlan, FaultPoint};
 use ligra_graph::{Graph, WeightedGraph};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,17 +80,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Result-cache entries.
     pub cache_capacity: usize,
-    /// Deadline applied to queries submitted without one (`None` = no
-    /// deadline).
-    pub default_deadline: Option<Duration>,
-    /// Traversal policy handed to every query's `EdgeMapOptions`.
-    pub traversal: Traversal,
-    /// Estimated-memory budget for in-flight queries, in bytes
-    /// (`None` = unlimited). When admitting another query would push the
-    /// estimated footprint past the budget, `submit` sheds it with
-    /// [`SubmitError::Overloaded`]. A query submitted to an idle engine
-    /// is always admitted, so a retry after the hint eventually lands.
-    pub memory_budget: Option<u64>,
     /// Deterministic fault-injection schedule. Checked at the
     /// `engine.dispatch`, `engine.cache`, and `edgemap.round` points
     /// only in builds with the `fault-inject` feature; inert otherwise.
@@ -111,9 +99,6 @@ impl Default for EngineConfig {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 32,
-            default_deadline: None,
-            traversal: Traversal::Auto,
-            memory_budget: None,
             fault: None,
             trace_dir: None,
         }
@@ -127,12 +112,6 @@ pub enum SubmitError {
     NoGraph,
     /// The admission queue is at capacity; retry later.
     QueueFull,
-    /// Admitting the query would exceed the engine's memory budget;
-    /// retry after roughly the hinted duration.
-    Overloaded {
-        /// Load-proportional backoff hint.
-        retry_after: Duration,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -140,9 +119,6 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::NoGraph => f.write_str("no graph installed"),
             SubmitError::QueueFull => f.write_str("admission queue full"),
-            SubmitError::Overloaded { retry_after } => {
-                write!(f, "engine overloaded; retry after {}ms", retry_after.as_millis())
-            }
         }
     }
 }
@@ -162,8 +138,6 @@ pub struct EngineStats {
     pub workers: u64,
     /// Configured admission-queue capacity.
     pub queue_capacity: u64,
-    /// Configured memory budget in bytes (0 = unlimited).
-    pub memory_budget_bytes: u64,
     /// Queries waiting for a worker right now.
     pub queued: u64,
     /// Queries executing right now.
@@ -179,8 +153,6 @@ pub struct EngineStats {
     /// Queries that failed validation or hit an injected transient
     /// error.
     pub failed: u64,
-    /// Queries shed at submit time by the memory-budget admission check.
-    pub sheds: u64,
     /// Queries that panicked and were contained by a worker.
     pub panics: u64,
     /// Jobs re-enqueued after a transient dispatch fault.
@@ -188,8 +160,6 @@ pub struct EngineStats {
     /// Queries retired at dequeue because their queue wait had already
     /// consumed the deadline.
     pub queue_deadline_sheds: u64,
-    /// Estimated bytes of in-flight (queued + running) query state.
-    pub inflight_bytes: u64,
     /// Nanoseconds workers spent executing jobs.
     pub worker_busy_ns: u64,
     /// Nanoseconds workers spent parked waiting for work.
@@ -251,8 +221,6 @@ struct Job {
     snapshot: Arc<Snapshot>,
     token: CancelToken,
     submitted: Instant,
-    /// Estimated run footprint charged against the memory budget.
-    cost_bytes: u64,
     /// Dispatch-fault re-enqueues so far.
     retries: AtomicU64,
     state: Mutex<JobState>,
@@ -474,7 +442,6 @@ impl Engine {
         let workers_n = config.workers.max(1);
         let cache = ResultCache::new(config.cache_capacity);
         let metrics = Arc::new(MetricsRegistry::new());
-        metrics.memory_budget_bytes.set(config.memory_budget.unwrap_or(0));
         // Wall-clock nanos as id entropy; a clock before the epoch
         // (misconfigured container) degrades to a fixed nonce rather
         // than failing engine construction.
@@ -528,21 +495,14 @@ impl Engine {
         self.shared.store.current()
     }
 
-    /// The configured memory budget, if any (shared with the mutation
-    /// log's admission check).
-    pub(crate) fn memory_budget(&self) -> Option<u64> {
-        self.shared.config.memory_budget
-    }
-
     /// The fault plan this engine was configured with, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.shared.config.fault.clone()
     }
 
-    /// Submits a query against the current snapshot. `deadline` (if any,
-    /// else the config default) starts counting immediately — time spent
-    /// queued is charged against it. Returns a handle; cache hits come
-    /// back already `Done`.
+    /// Submits a query against the current snapshot. `deadline` (if any)
+    /// starts counting immediately — time spent queued is charged
+    /// against it. Returns a handle; cache hits come back already `Done`.
     pub fn submit(
         &self,
         query: Query,
@@ -564,7 +524,6 @@ impl Engine {
     ) -> Result<QueryHandle, SubmitError> {
         let sh = &self.shared;
         let snapshot = sh.store.current().ok_or(SubmitError::NoGraph)?;
-        let deadline = deadline.or(sh.config.default_deadline);
         let token = match deadline {
             Some(d) => CancelToken::with_timeout(d),
             None => CancelToken::new(),
@@ -576,7 +535,6 @@ impl Engine {
         };
         let key = (snapshot.epoch(), query.clone());
         let cached = lock(&sh.cache, "scheduler.cache").get(&key);
-        let cost_bytes = query.estimated_run_bytes(&snapshot);
 
         let job = Arc::new(Job {
             id,
@@ -585,7 +543,6 @@ impl Engine {
             snapshot,
             token,
             submitted: Instant::now(),
-            cost_bytes,
             retries: AtomicU64::new(0),
             state: Mutex::new(JobState {
                 status: QueryStatus::Queued,
@@ -611,23 +568,6 @@ impl Engine {
             return Ok(handle);
         }
 
-        // Memory-budget admission. The check-then-charge pair is not
-        // atomic — concurrent submits may overshoot the budget by one
-        // estimate each — but the estimate itself is coarse; the budget
-        // bounds the order of magnitude, not the byte. An idle engine
-        // (nothing charged) always admits, so the retry contract is
-        // sound even for a single query larger than the budget.
-        if let Some(budget) = sh.config.memory_budget {
-            let in_use = sh.metrics.inflight_bytes.get();
-            if in_use > 0 && in_use.saturating_add(cost_bytes) > budget {
-                sh.metrics.overload_sheds.incr();
-                return Err(SubmitError::Overloaded { retry_after: self.retry_after_hint() });
-            }
-        }
-        // Charge before publishing the job so a fast worker's release
-        // can never precede the charge.
-        sh.metrics.inflight_bytes.add(cost_bytes);
-
         // Into the table before the queue: a fast worker retiring the
         // job must find it there, or the entry would never leave.
         lock(&sh.jobs, "scheduler.jobs").live.insert(id, Arc::clone(&job));
@@ -642,22 +582,12 @@ impl Engine {
         };
         if full {
             lock(&sh.jobs, "scheduler.jobs").live.remove(&id);
-            sh.metrics.inflight_bytes.sub(cost_bytes);
             sh.metrics.rejected.incr();
             return Err(SubmitError::QueueFull);
         }
         sh.queue_cv.notify_one();
         sh.metrics.submitted.incr();
         Ok(QueryHandle { job })
-    }
-
-    /// Load-proportional backoff hint for [`SubmitError::Overloaded`]:
-    /// grows with the number of in-flight queries, capped at 500ms.
-    pub(crate) fn retry_after_hint(&self) -> Duration {
-        let sh = &self.shared;
-        let queued = lock(&sh.queue, "scheduler.queue").len() as u64;
-        let running = sh.metrics.running.get();
-        Duration::from_millis((20 * (queued + running + 1)).min(500))
     }
 
     /// The handle of a submitted query that has not finished yet, to
@@ -706,7 +636,6 @@ impl Engine {
             epoch: self.current_epoch(),
             workers: self.workers.len() as u64,
             queue_capacity: sh.config.queue_capacity as u64,
-            memory_budget_bytes: m.memory_budget_bytes.get(),
             queued: m.queue_depth.get(),
             running: m.running.get(),
             submitted: m.submitted.get(),
@@ -714,11 +643,9 @@ impl Engine {
             completed: m.retired(QueryStatus::Done),
             cancelled: m.retired(QueryStatus::Cancelled),
             failed: m.retired(QueryStatus::Failed),
-            sheds: m.overload_sheds.get(),
             panics: m.retired(QueryStatus::Panicked),
             retries: m.retries.get(),
             queue_deadline_sheds: m.retired(QueryStatus::Shed),
-            inflight_bytes: m.inflight_bytes.get(),
             worker_busy_ns: m.worker_busy_ns.get(),
             worker_idle_ns: m.worker_idle_ns.get(),
             cache_hits,
@@ -872,7 +799,7 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
 
     job.set_status(QueryStatus::Running);
     #[allow(unused_mut)]
-    let mut opts = EdgeMapOptions::new().traversal(sh.config.traversal).cancel(&job.token);
+    let mut opts = EdgeMapOptions::new().cancel(&job.token);
     #[cfg(feature = "fault-inject")]
     if let Some(plan) = &sh.config.fault {
         opts = opts.fault_plan(plan);
@@ -987,8 +914,8 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
 }
 
 /// Single exit point for terminal jobs: counts the terminal outcome,
-/// stamps the span's histogram buckets, releases the memory-budget
-/// charge, retires the job's report into the ring, and (gauge before
+/// stamps the span's histogram buckets, retires the job's report into
+/// the ring, and (gauge before
 /// notification) drops the running count before waking waiters, so a
 /// waiter that observes the terminal status also observes the query as
 /// no longer running.
@@ -1003,7 +930,6 @@ fn finalize(
     span.status = status;
     fill_span_buckets(&mut span);
     sh.metrics.retire(status);
-    sh.metrics.inflight_bytes.sub(job.cost_bytes);
     lock(&sh.jobs, "scheduler.jobs").retire(QueryReport {
         id: job.id,
         trace_id: job.trace_id.clone(),
@@ -1116,45 +1042,13 @@ mod tests {
                 Ok(_) => {}
                 Err(e) => panic!("unexpected {e:?}"),
             }
+            // The two caps are the whole admission bound.
+            let s = e.stats();
+            assert!(s.running <= s.workers, "{} running on {} workers", s.running, s.workers);
+            assert!(s.queued <= s.queue_capacity, "{} queued past {}", s.queued, s.queue_capacity);
         }
         assert!(rejected > 0, "bounded queue never rejected");
         assert!(e.stats().rejected > 0);
-    }
-
-    #[test]
-    fn memory_budget_sheds_with_retry_hint() {
-        let g = Arc::new(rmat(&RmatOptions::paper(9)));
-        let cost = Query::PageRank { iters: 1_000_000 }
-            .estimated_run_bytes(&Snapshot::from_graph(1, Arc::clone(&g)));
-        // Budget fits two in-flight PageRanks but not three. With one
-        // worker, the second submit stays *queued* (still charged), so
-        // the third submit deterministically sees the budget exceeded.
-        let e = Engine::new(EngineConfig {
-            workers: 1,
-            queue_capacity: 8,
-            cache_capacity: 8,
-            memory_budget: Some(2 * cost + cost / 2),
-            ..EngineConfig::default()
-        });
-        e.install_graph(g);
-        let b1 = e.submit(Query::PageRank { iters: 1_000_000 }, None).unwrap();
-        let b2 = e.submit(Query::PageRank { iters: 1_000_001 }, None).unwrap();
-        match e.submit(Query::PageRank { iters: 1_000_002 }, None) {
-            Err(SubmitError::Overloaded { retry_after }) => {
-                assert!(retry_after > Duration::ZERO);
-            }
-            other => panic!("expected Overloaded, got {other:?}"),
-        }
-        assert_eq!(e.stats().sheds, 1);
-        b1.cancel();
-        b2.cancel();
-        assert_eq!(b1.wait(), QueryStatus::Cancelled);
-        assert_eq!(b2.wait(), QueryStatus::Cancelled);
-        // The budget charge is released at terminal state: an idle
-        // engine admits again (the retry contract).
-        let h3 = e.submit(Query::Bfs { source: 0 }, None).unwrap();
-        assert_eq!(h3.wait(), QueryStatus::Done);
-        assert_eq!(e.stats().inflight_bytes, 0);
     }
 
     #[test]
@@ -1196,7 +1090,7 @@ mod tests {
         let stats = e.stats();
         assert_eq!(stats.completed, 16);
         assert_eq!(stats.panics, 0);
-        assert_eq!(stats.inflight_bytes, 0);
+        assert_eq!((stats.queued, stats.running), (0, 0));
         assert_eq!(e.spans().len(), 16);
         assert!(e.workers_alive());
     }
@@ -1272,7 +1166,6 @@ mod tests {
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.queued, 0);
         assert_eq!(m.running, 0);
-        assert_eq!(m.inflight_bytes, 0);
         // Four executed runs (the cache hit never ran), all of them BFS.
         let rt = HistogramSnapshot::merged(&m.run_time);
         assert_eq!(rt.count, 4);

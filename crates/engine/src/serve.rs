@@ -147,11 +147,11 @@ impl<F: Frontend> Server<F> {
         by_signal
     }
 
-    /// Waits for the front-end to go quiet, up to `deadline`; returns
-    /// whether it did. Work still in flight at the deadline is the
-    /// caller's to abandon — a stop must not block forever.
-    pub fn quiesce(&self, deadline: Duration) -> bool {
-        drain_until(|| self.front.is_quiescent(), deadline)
+    /// Waits for the front-end to go quiet, up to [`DRAIN_DEADLINE`];
+    /// returns whether it did. Work still in flight at the deadline is
+    /// the caller's to abandon — a stop must not block forever.
+    pub fn quiesce(&self) -> bool {
+        drain_until(|| self.front.is_quiescent(), DRAIN_DEADLINE)
     }
 }
 
@@ -294,6 +294,11 @@ pub fn install_sigterm_latch() {
 pub fn sigterm_received() -> bool {
     SIGTERM.load(Ordering::Relaxed)
 }
+
+/// How long a stopping `ligra-serve` or `ligra-route` waits for
+/// in-flight work (queued and running queries, outstanding forwards)
+/// before it exits 0 anyway.
+pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Polls `quiesced` every 10ms until it holds or `deadline` elapses;
 /// returns whether the system drained in time.

@@ -121,7 +121,11 @@ fn sweep_seeds_and_points_every_query_terminal_no_worker_dies() {
                 assert_eq!(h.wait(), QueryStatus::Done, "{label}: post-fault query failed");
 
                 let stats = engine.stats();
-                assert_eq!(stats.inflight_bytes, 0, "{label}: admission charge leaked");
+                assert_eq!(
+                    (stats.queued, stats.running),
+                    (0, 0),
+                    "{label}: scheduler accounting did not return to idle"
+                );
                 // A front-end panic is contained in the handler and never
                 // reaches a worker; an engine-side one retires a query.
                 let front_end = matches!(point, FaultPoint::WireRead | FaultPoint::GraphLoad);
@@ -265,7 +269,7 @@ fn periodic_faults_under_load_leave_the_engine_consistent() {
             "seed {seed}: terminal accounting does not balance: {stats:?}"
         );
         assert!(engine.workers_alive(), "seed {seed}");
-        assert_eq!(stats.inflight_bytes, 0, "seed {seed}");
+        assert_eq!((stats.queued, stats.running), (0, 0), "seed {seed}: not idle after quiesce");
     }
 }
 

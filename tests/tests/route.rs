@@ -19,7 +19,7 @@
 //! `router_over_real_replicas_*`, over two in-process loopback replicas.
 
 use ligra::jsonl::{field, field_bool, field_u64};
-use ligra_engine::route::{Router, RouterConfig};
+use ligra_engine::route::{Router, RouterConfig, JOURNAL_CAPACITY};
 use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -198,8 +198,6 @@ fn router_over(fakes: &[&Fake]) -> Arc<Router> {
         probe_interval: Duration::from_millis(50),
         probe_deadline: Duration::from_millis(150),
         request_deadline: Duration::from_millis(300),
-        down_after: 2,
-        retries: 3,
         ..RouterConfig::default()
     })
     .expect("router start")
@@ -410,6 +408,77 @@ fn all_replicas_down_sheds_with_retry_hint() {
     router.begin_shutdown();
 }
 
+/// The bounded journal's documented sharp edge: a replica that is Down
+/// while more than [`JOURNAL_CAPACITY`] writes land cannot be replayed.
+/// The router holds it Degraded and says why in `route-stats`, never
+/// replays a partial gap into it, and keeps reads on its sibling.
+#[test]
+fn replica_behind_a_lost_journal_window_is_held_degraded() {
+    let a = Fake::start();
+    let b = Fake::start();
+    let router = router_over(&[&a, &b]);
+    assert!(is_ok(&ask(&router, "{\"op\":\"gen\",\"family\":\"rmat\",\"log_n\":8}")));
+    let b_addr = b.addr.clone();
+    b.kill();
+    assert!(eventually(|| {
+        field(&ask(&router, "{\"op\":\"route-stats\"}"), "states") == Some("healthy,down")
+    }));
+    // The fakes answer in microseconds, so overrunning the window is cheap.
+    for i in 0..=JOURNAL_CAPACITY {
+        let resp = ask(&router, "{\"op\":\"mutate\",\"add\":\"0-1\"}");
+        assert!(is_ok(&resp), "write {i} with a dead replica failed: {resp}");
+    }
+
+    let _b2 = Fake::restart_at(&b_addr);
+    let held = "-,journal window lost; reload required";
+    assert!(
+        eventually(|| field(&ask(&router, "{\"op\":\"route-stats\"}"), "held") == Some(held)),
+        "replica never held: {}",
+        ask(&router, "{\"op\":\"route-stats\"}")
+    );
+    let forwarded_to_b = router.metrics().backends[1].forwarded.get();
+    for _ in 0..4 {
+        let resp = ask(&router, "{\"op\":\"submit\",\"query\":\"bfs\",\"source\":0}");
+        assert!(is_ok(&resp), "read with a held replica failed: {resp}");
+    }
+    assert_eq!(router.metrics().backends[1].forwarded.get(), forwarded_to_b, "read reached b");
+    let stats = ask(&router, "{\"op\":\"route-stats\"}");
+    assert_eq!(field(&stats, "states"), Some("healthy,degraded"), "{stats}");
+    assert_eq!(field(&stats, "held"), Some(held), "{stats}");
+    let head = JOURNAL_CAPACITY as u64 + 2;
+    assert_eq!(field_u64(&stats, "fleet_seq"), Some(head), "{stats}");
+    assert_eq!(field(&stats, "applied_seqs"), Some(format!("{head},0").as_str()), "{stats}");
+    assert_eq!(router.metrics().journal_replayed.get(), 0, "a partial gap was replayed");
+    router.begin_shutdown();
+}
+
+/// The other sharp edge: a replica whose cursor is at the journal head
+/// but whose epoch moved without the router (a write applied to it
+/// directly) has forked. Replay cannot repair a fork, so it is held.
+#[test]
+fn replica_whose_epoch_forked_at_head_is_held_degraded() {
+    let a = Fake::start();
+    let b = Fake::start();
+    let router = router_over(&[&a, &b]);
+    assert!(is_ok(&ask(&router, "{\"op\":\"gen\",\"family\":\"rmat\",\"log_n\":8}")));
+    // A local install the router never saw.
+    b.state.epoch.fetch_add(1, Ordering::AcqRel);
+
+    let held = "-,epoch diverged from fleet";
+    assert!(
+        eventually(|| field(&ask(&router, "{\"op\":\"route-stats\"}"), "held") == Some(held)),
+        "fork never held: {}",
+        ask(&router, "{\"op\":\"route-stats\"}")
+    );
+    let stats = ask(&router, "{\"op\":\"route-stats\"}");
+    assert_eq!(field(&stats, "states"), Some("healthy,degraded"), "{stats}");
+    assert_eq!(field(&stats, "applied_seqs"), Some("1,1"), "{stats}");
+    assert_eq!(field(&stats, "epochs"), Some("1,2"), "{stats}");
+    let gs = ask(&router, "{\"op\":\"graph-stats\"}");
+    assert!(gs.contains("\"in_sync\":false"), "a forked fleet reported in sync: {gs}");
+    router.begin_shutdown();
+}
+
 // ---- chaos acceptance sweeps --------------------------------------
 
 enum Disruption {
@@ -525,8 +594,6 @@ fn injected_forward_faults_reroute_across_seeds() {
             probe_interval: Duration::from_millis(50),
             probe_deadline: Duration::from_millis(150),
             request_deadline: Duration::from_millis(300),
-            down_after: 2,
-            retries: 3,
             fault: Some(Arc::new(plan)),
             ..RouterConfig::default()
         })

@@ -161,7 +161,7 @@ fn serve_session_over_loopback_agrees_with_stats_and_two_scrapes() {
     expect_families(
         &after,
         "ligra_epoch ligra_queue_depth ligra_running_queries ligra_queries_submitted_total \
-         ligra_queries_retired_total ligra_overload_sheds_total ligra_cache_hits_total \
+         ligra_queries_retired_total ligra_queries_rejected_total ligra_cache_hits_total \
          ligra_fault_injections_total ligra_wire_requests_total ligra_wire_malformed_total \
          ligra_queue_wait_ns ligra_run_time_ns",
     );
@@ -184,7 +184,7 @@ fn serve_session_over_loopback_agrees_with_stats_and_two_scrapes() {
     assert!(conn.ask(r#"{"op":"shutdown"}"#).contains("\"shutting-down\""));
     assert!(conn.reply().is_none(), "the connection ends after the acknowledgement");
     assert!(!server.wait_for_stop(), "stopped by the op, not by a signal");
-    assert!(server.quiesce(Duration::from_secs(5)));
+    assert!(server.quiesce());
     assert!(Conn::open(addr).reply().is_none(), "a draining server accepts no new work");
 }
 

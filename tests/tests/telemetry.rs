@@ -331,13 +331,10 @@ fn prometheus_families_are_a_closed_vocabulary() {
         ("ligra_queue_capacity", "gauge", ""),
         ("ligra_queue_depth", "gauge", ""),
         ("ligra_running_queries", "gauge", ""),
-        ("ligra_inflight_bytes", "gauge", ""),
-        ("ligra_memory_budget_bytes", "gauge", ""),
         ("ligra_cache_entries", "gauge", ""),
         ("ligra_queries_submitted_total", "counter", ""),
         ("ligra_queries_rejected_total", "counter", ""),
         ("ligra_queries_retired_total", "counter", "status"),
-        ("ligra_overload_sheds_total", "counter", ""),
         ("ligra_dispatch_retries_total", "counter", ""),
         ("ligra_worker_busy_ns_total", "counter", ""),
         ("ligra_worker_idle_ns_total", "counter", ""),

@@ -1,14 +1,17 @@
 //! One accept/reject corpus for the two readers of "one flat JSON object
 //! per line": `ligra_engine::Request::parse` (requests) and
-//! `ligra::from_json_lines` (kernel-trace import).
+//! `ligra::from_json_lines` (kernel-trace import), plus the well-formed
+//! requests whose typed fields the replica handler must refuse.
 //!
 //! The table pins the *set* of accepted lines and, on accept, every field
 //! and value — not error wording. It was written against the parsers the
 //! shared `ligra::jsonl` scanner replaced and passes unchanged on both,
 //! which is the evidence that the replacement kept the grammar.
 
+use ligra::jsonl::{field, field_bool};
 use ligra::{from_json_lines, to_json_lines, Mode, Op, ReprKind, RoundStat, TraversalStats};
-use ligra_engine::Request;
+use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Request};
+use std::sync::Arc;
 
 /// Asserts `line` parses to exactly `want` (and nothing under a key
 /// that is not listed).
@@ -177,6 +180,36 @@ fn hostile_bulk_is_rejected_without_blowing_up() {
     // Long but well-formed is still accepted.
     let long = "x".repeat(60 * 1024);
     accepts(&format!("{{\"a\":\"{long}\"}}"), &[("a", &long)]);
+}
+
+/// Lines the grammar accepts but the handler must refuse: a numeric field
+/// whose value does not parse is an error naming that field, never a
+/// silent 0. (`span` used to answer such an `id` as "no finished span for
+/// id 0", and a write's `rseq` used to turn replicated-write dedup off.)
+#[test]
+fn typed_fields_the_handler_refuses() {
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    let log =
+        Arc::new(MutationLog::new(Arc::clone(&engine), MutationConfig { compact_threshold: None }));
+    let replica = Replica::new(engine, log);
+    let gen = replica.handle_line(r#"{"op":"gen","family":"grid3d","side":3}"#).0;
+    assert_eq!(field_bool(&gen, "ok"), Some(true), "{gen}");
+    let epoch = replica.engine().current_epoch();
+    for line in [
+        r#"{"op":"poll","id":"x"}"#,
+        r#"{"op":"wait","id":"x"}"#,
+        r#"{"op":"cancel","id":"x"}"#,
+        r#"{"op":"span","id":"x"}"#,
+        r#"{"op":"span","id":-1}"#,
+        r#"{"op":"mutate","add":"0-26","rseq":"x"}"#,
+        r#"{"op":"compact","rseq":1.5}"#,
+    ] {
+        let reply = replica.handle_line(line).0;
+        assert_eq!(field_bool(&reply, "ok"), Some(false), "{line} -> {reply}");
+        let error = field(&reply, "error").unwrap_or_default();
+        assert!(error.contains("cannot parse"), "{line} -> {reply}");
+    }
+    assert_eq!(replica.engine().current_epoch(), epoch, "a refused write was applied");
 }
 
 // ---- kernel-trace import -------------------------------------------------
