@@ -165,31 +165,8 @@ pub fn radii_traced<G: Neighbors<Weight = ()>, R: Recorder>(
 ) -> RadiiResult {
     let n = g.num_vertices();
     assert!(n > 0, "empty graph");
+    // At most SAMPLES distinct vertices: each source owns one mask bit.
     let sample = pick_sample(g, seed);
-    radii_from_sample(g, sample, opts, stats)
-}
-
-/// Multi-BFS radii estimation from an explicit source sample (at most
-/// [`SAMPLES`] vertices; used directly by the two-pass eccentricity
-/// estimator, which seeds pass 2 with pass 1's most eccentric vertices).
-///
-/// # Panics
-/// Panics if the sample is larger than [`SAMPLES`] or contains duplicates
-/// (each source needs its own mask bit).
-pub fn radii_from_sample<G: Neighbors<Weight = ()>, R: Recorder>(
-    g: &G,
-    sample: Vec<VertexId>,
-    opts: EdgeMapOptions,
-    stats: &mut R,
-) -> RadiiResult {
-    let n = g.num_vertices();
-    assert!(sample.len() <= SAMPLES, "sample exceeds the {SAMPLES} mask bits");
-    {
-        let mut s = sample.clone();
-        s.sort_unstable();
-        s.dedup();
-        assert_eq!(s.len(), sample.len(), "sample contains duplicates");
-    }
 
     let mut visited = vec![0u64; n];
     let mut next_visited = vec![0u64; n];

@@ -177,25 +177,11 @@ pub fn seq_brandes(g: &Graph, source: VertexId) -> Vec<f64> {
     delta
 }
 
-/// Exact eccentricity of every vertex by one BFS per vertex — O(nm);
-/// small graphs only. Unreachable pairs are ignored (per-component
-/// eccentricity), matching what the sampled radii estimate converges to
-/// when the sample covers each component. Isolated vertices get 0.
-pub fn seq_eccentricities(g: &Graph) -> Vec<u32> {
-    let n = g.num_vertices();
-    (0..checked_u32(n))
-        .map(|v| {
-            let (dist, _) = seq_bfs(g, v);
-            dist.iter().filter(|&&d| d != UNREACHED).max().copied().unwrap_or(0)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ligra_graph::generators::random_weights;
-    use ligra_graph::generators::{cycle, path, star};
+    use ligra_graph::generators::{cycle, path};
     use ligra_graph::{build_graph, build_weighted_graph, BuildOptions};
 
     #[test]
@@ -267,12 +253,6 @@ mod tests {
         let g = path(4);
         let d = seq_brandes(&g, 0);
         assert_eq!(d, vec![3.0, 2.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn seq_eccentricities_of_star_and_path() {
-        assert_eq!(seq_eccentricities(&star(5)), vec![1, 2, 2, 2, 2]);
-        assert_eq!(seq_eccentricities(&path(4)), vec![3, 2, 2, 3]);
     }
 
     #[test]

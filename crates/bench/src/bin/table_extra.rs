@@ -1,11 +1,6 @@
-//! **Extension table** — the applications of the official Ligra release
-//! beyond the paper's six (k-core, MIS, triangle counting) plus the
-//! SPAA'14 linear-work connectivity, with sequential baselines.
-//!
-//! Shape to check: `cc_ldd` is competitive with label propagation on
-//! low-diameter graphs and beats it on high-diameter ones (where label
-//! propagation pays a round per hop of label distance); triangle counting
-//! dominates everything (it is O(m^{3/2})-ish, not O(m)).
+//! **Extension table** — the two applications of the official Ligra
+//! release beyond the paper's six that the engine also serves (k-core,
+//! MIS), with sequential baselines.
 
 use ligra_apps as apps;
 use ligra_bench::{fmt_secs, inputs, time_best, Scale};
@@ -20,7 +15,7 @@ fn main() {
     for input in inputs(scale) {
         let g = &input.graph;
         if !g.is_symmetric() {
-            continue; // all four extensions are undirected-graph algorithms
+            continue; // both extensions are undirected-graph algorithms
         }
 
         let seq = time_best(2, || apps::kcore::seq_kcore(g));
@@ -48,30 +43,6 @@ fn main() {
             seq / par,
             r.size(),
             r.rounds
-        );
-
-        let seq = time_best(1, || apps::triangle::seq_triangle_count(g));
-        let par = time_best(2, || apps::triangle_count(g));
-        let r = apps::triangle_count(g);
-        println!(
-            "{:<14} {:<16} {:>12} {:>12} {:>8.2}x  triangles = {}",
-            input.name,
-            "triangles",
-            fmt_secs(seq),
-            fmt_secs(par),
-            seq / par,
-            r.triangles
-        );
-
-        let label_prop = time_best(2, || apps::cc(g));
-        let ldd_cc = time_best(2, || apps::cc_ldd(g, 7));
-        println!(
-            "{:<14} {:<16} {:>12} {:>12} {:>8.2}x  (sequential col = label-prop CC)",
-            input.name,
-            "CC (LDD)",
-            fmt_secs(label_prop),
-            fmt_secs(ldd_cc),
-            label_prop / ldd_cc,
         );
     }
 }

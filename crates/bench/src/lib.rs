@@ -4,7 +4,8 @@
 //! evaluation section (see DESIGN.md §4 for the experiment index). The
 //! graph suite mirrors Table 1's input families at laptop scale; set
 //! `LIGRA_SCALE=large` for bigger inputs (paper-shaped, minutes of
-//! runtime) or `LIGRA_SCALE=tiny` for smoke tests.
+//! runtime) or `LIGRA_SCALE=tiny` for smoke tests; any other value is
+//! refused.
 
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{grid3d, random_local, rmat};
@@ -35,12 +36,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment.
+    /// Reads the scale from the environment; unset means `Default`. Any
+    /// other value than `tiny`, `default` or `large` exits the process
+    /// with status 2 and a message naming the accepted values.
     pub fn from_env() -> Scale {
-        match std::env::var("LIGRA_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("large") => Scale::Large,
-            _ => Scale::Default,
+        let value = match std::env::var("LIGRA_SCALE") {
+            Ok(v) => Some(v),
+            Err(std::env::VarError::NotPresent) => None,
+            Err(std::env::VarError::NotUnicode(raw)) => Some(raw.to_string_lossy().into_owned()),
+        };
+        Scale::parse(value.as_deref()).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
+    }
+
+    fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("default") => Ok(Scale::Default),
+            Some("tiny") => Ok(Scale::Tiny),
+            Some("large") => Ok(Scale::Large),
+            Some(other) => {
+                Err(format!("LIGRA_SCALE={other:?} is not one of: tiny, default, large"))
+            }
         }
     }
 }
@@ -72,13 +90,6 @@ pub fn inputs(scale: Scale) -> Vec<Input> {
     out
 }
 
-/// Wall-clock seconds for one invocation of `f`.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed().as_secs_f64())
-}
-
 /// Minimum wall-clock seconds over `reps` invocations (the paper reports
 /// per-run medians; min is the conventional low-noise choice for
 /// single-machine microbenchmarks).
@@ -86,8 +97,9 @@ pub fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     assert!(reps >= 1);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let (_, t) = time(&mut f);
-        best = best.min(t);
+        let start = Instant::now();
+        let _result = f(); // dropped after the clock is read
+        best = best.min(start.elapsed().as_secs_f64());
     }
     best
 }
@@ -138,11 +150,25 @@ mod tests {
 
     #[test]
     fn timer_measures_something() {
-        let (x, t) = time(|| (0..100_000u64).sum::<u64>());
-        assert_eq!(x, 4999950000);
-        assert!(t >= 0.0);
-        let best = time_best(3, || std::hint::black_box(1 + 1));
+        let mut calls = 0;
+        let best = time_best(3, || {
+            calls += 1;
+            std::hint::black_box((0..100_000u64).sum::<u64>())
+        });
+        assert_eq!(calls, 3);
         assert!(best >= 0.0);
+    }
+
+    #[test]
+    fn scale_accepts_exactly_three_spellings() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("default")), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("tiny")), Ok(Scale::Tiny));
+        assert_eq!(Scale::parse(Some("large")), Ok(Scale::Large));
+        for bad in ["", "Tiny", "TINY", "small", " tiny", "large ", "bogus", "tiny\u{fffd}"] {
+            let msg = Scale::parse(Some(bad)).unwrap_err();
+            assert!(msg.contains("tiny, default, large"), "{bad:?}: {msg}");
+        }
     }
 
     #[test]

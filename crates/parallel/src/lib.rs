@@ -17,7 +17,7 @@
 //! ## Module map
 //!
 //! * [`utils`] — granularity control and thread-pool helpers.
-//! * [`scan`] — blocked two-pass parallel prefix sums (exclusive/inclusive).
+//! * [`scan`] — blocked two-pass parallel exclusive prefix sums.
 //! * [`reduce`] — parallel reductions (sum, min/max with index, count).
 //! * [`pack`] — parallel filter/pack and `pack_index`.
 //! * [`histogram`] — parallel bounded-key counting (degree histograms).
@@ -49,5 +49,5 @@ pub use counter::StripedU64;
 pub use hash::{hash32, hash64, mix64};
 pub use pack::{filter, pack, pack_index, pack_index_bits};
 pub use reduce::{max_index, reduce, sum_u64, sum_usize};
-pub use scan::{plus_scan_inclusive_u32, prefix_sums, scan_exclusive, scan_inplace_exclusive};
+pub use scan::{prefix_sums, scan_exclusive, scan_inplace_exclusive};
 pub use utils::{checked_u32, num_threads, with_threads, GRANULARITY};

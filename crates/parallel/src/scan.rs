@@ -161,19 +161,6 @@ pub fn prefix_sums(xs: &[u64]) -> (Vec<u64>, u64) {
     scan_exclusive(xs, 0u64, |a, b| a + b)
 }
 
-/// Inclusive `+`-scan of `u32` values, in place; returns the total.
-pub fn plus_scan_inclusive_u32(xs: &mut [u32]) -> u32 {
-    let total = scan_inplace_exclusive(xs, 0u32, |a, b| a + b);
-    // Convert exclusive -> inclusive: slot i needs prefix(i+1), which the
-    // exclusive scan left at slot i+1 (the last slot becomes the total).
-    let n = xs.len();
-    if n > 0 {
-        xs.copy_within(1..n, 0);
-        xs[n - 1] = total;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,22 +228,5 @@ mod tests {
             assert_eq!(out[i], running);
             running = running.max(x);
         }
-    }
-
-    #[test]
-    fn inclusive_scan_u32() {
-        let mut xs: Vec<u32> = vec![1, 2, 3, 4, 5];
-        let total = plus_scan_inclusive_u32(&mut xs);
-        assert_eq!(xs, vec![1, 3, 6, 10, 15]);
-        assert_eq!(total, 15);
-    }
-
-    #[test]
-    fn inclusive_scan_empty_and_single() {
-        let mut e: Vec<u32> = vec![];
-        assert_eq!(plus_scan_inclusive_u32(&mut e), 0);
-        let mut s = vec![9u32];
-        assert_eq!(plus_scan_inclusive_u32(&mut s), 9);
-        assert_eq!(s, vec![9]);
     }
 }

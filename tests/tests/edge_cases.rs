@@ -14,7 +14,6 @@ fn singleton_graph_through_every_app() {
     let bfs = apps::bfs(&g, 0);
     assert_eq!(bfs.reached, 1);
     assert_eq!(apps::cc(&g).label, vec![0]);
-    assert_eq!(apps::cc_ldd(&g, 1), vec![0]);
     let bc = apps::bc(&g, 0);
     assert_eq!(bc.dependencies, vec![0.0]);
     // No dangling redistribution (Ligra semantics): an isolated vertex
@@ -26,7 +25,6 @@ fn singleton_graph_through_every_app() {
     assert_eq!(apps::kcore(&g).coreness, vec![0]);
     let m = apps::mis(&g, 1);
     assert!(m.in_set[0]);
-    assert_eq!(apps::triangle_count(&g).triangles, 0);
 }
 
 #[test]
@@ -35,12 +33,8 @@ fn edgeless_graph_through_every_app() {
     let g = build_graph(n, &[], BuildOptions::symmetric());
     assert_eq!(apps::bfs(&g, 7).reached, 1);
     assert_eq!(apps::cc(&g).num_components(), n);
-    assert_eq!(apps::cc_ldd(&g, 2), (0..n as u32).collect::<Vec<_>>());
     assert!(apps::mis(&g, 3).in_set.iter().all(|&b| b));
     assert_eq!(apps::kcore(&g).max_core, 0);
-    assert_eq!(apps::triangle_count(&g).triangles, 0);
-    let two = apps::eccentricity::two_approx(&g);
-    assert!(two.iter().all(|&e| e == 0));
 }
 
 #[test]
