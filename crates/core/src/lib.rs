@@ -68,9 +68,7 @@ pub use crate::fault::{FaultAction, FaultError, FaultPlan, FaultPoint};
 pub use crate::lockdep::{EdgeWitness, LockOracle, LockReport, LockViolation};
 pub use crate::options::{EdgeMapOptions, Traversal};
 pub use crate::race::{OracleReport, RaceOracle, Violation, ViolationKind, WinContract};
-pub use crate::stats::{
-    EdgeCounters, Mode, NoopRecorder, Op, Recorder, ReprKind, RoundStat, TraversalStats,
-};
+pub use crate::stats::{Mode, NoopRecorder, Op, Recorder, ReprKind, RoundStat, TraversalStats};
 pub use crate::trace::{from_json_lines, save_jsonl, summary, to_json_lines, TraceSummary};
 pub use crate::traits::{cond_true, edge_fn, ClosureEdgeMap, EdgeMapFn};
 pub use crate::vertex_map::{

@@ -12,13 +12,11 @@
 //!
 //! Collection is driven by the [`Recorder`] trait. The default
 //! [`NoopRecorder`] reports `enabled() == false`, which lets the hot path
-//! skip timers, counter allocation, and even the O(|U|) frontier-degree
-//! pass when the traversal direction is forced — tracing off costs
-//! nothing. [`TraversalStats`] is the recording implementation: it stores
-//! every event in execution order and can export them as JSON lines
-//! (see [`crate::trace`]).
-
-use ligra_parallel::counter::StripedU64;
+//! skip timers, the per-task counter adds, and even the O(|U|)
+//! frontier-degree pass when the traversal direction is forced — tracing
+//! off costs nothing. [`TraversalStats`] is the recording implementation:
+//! it stores every event in execution order and can export them as JSON
+//! lines (see [`crate::trace`]).
 
 /// Which concrete traversal `edgeMap` executed for one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +170,9 @@ pub struct RoundStat {
     /// in-edges read before the early exit by the pull traversal.
     pub edges_scanned: u64,
     /// In-edges *not* read in dense-pull rounds because `cond` failed at or
-    /// during the target's scan (the early-exit saving; 0 for push modes).
+    /// during the target's scan (the early-exit saving, `m −
+    /// edges_scanned`; 0 for push modes). Partitioned rounds count the bin
+    /// entries the gather dropped on `cond`.
     pub edges_skipped: u64,
     /// Cache-fitting vertex partitions the graph was segmented into for a
     /// partitioned round (0 for the classic traversals).
@@ -222,9 +222,9 @@ impl RoundStat {
 ///
 /// `edge_map` and the recorded `vertexMap` variants consult
 /// [`Recorder::enabled`] once per operation: when it returns `false`, all
-/// measurement work (timers, counter striping, the O(|U|) degree pass for
-/// a forced traversal) is skipped, making the disabled path effectively
-/// free. [`TraversalStats`] records; [`NoopRecorder`] does not.
+/// measurement work (timers, the per-task counter adds, the O(|U|) degree
+/// pass for a forced traversal) is skipped, making the disabled path
+/// effectively free. [`TraversalStats`] records; [`NoopRecorder`] does not.
 pub trait Recorder {
     /// Whether events should be measured and delivered.
     fn enabled(&self) -> bool;
@@ -313,29 +313,6 @@ impl TraversalStats {
     }
 }
 
-/// Live counters one `edgeMap` round accumulates into, striped per thread
-/// so the traversal's inner loops pay one uncontended relaxed RMW per
-/// frontier vertex (or per edge on nested-parallel hubs). Only allocated
-/// when the recorder is enabled.
-#[derive(Debug, Default)]
-pub struct EdgeCounters {
-    /// `update_atomic` calls on `cond`-passing targets.
-    pub cas_attempts: StripedU64,
-    /// `update_atomic` calls that returned `true`.
-    pub cas_wins: StripedU64,
-    /// Edges examined (out-edges pushed, or in-edges read before early exit).
-    pub edges_scanned: StripedU64,
-    /// In-edges skipped by the pull traversal's early exit / `cond` filter.
-    pub edges_skipped: StripedU64,
-}
-
-impl EdgeCounters {
-    /// Fresh zeroed counters striped for the current thread pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,14 +393,5 @@ mod tests {
         Recorder::record(&mut t, round(Mode::Dense, 3));
         assert_eq!(t.num_rounds(), 1);
         assert_eq!(t.total_time_ns(), 42);
-    }
-
-    #[test]
-    fn edge_counters_accumulate() {
-        let c = EdgeCounters::new();
-        c.cas_attempts.add(5);
-        c.cas_wins.add(3);
-        assert_eq!(c.cas_attempts.sum(), 5);
-        assert_eq!(c.cas_wins.sum(), 3);
     }
 }

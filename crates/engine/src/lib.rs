@@ -83,5 +83,5 @@ pub use scheduler::{
 };
 pub use serve::{Frontend, Server, WireEvent};
 pub use snapshot::{GraphStore, Snapshot};
-pub use span::{QuerySpan, QueryStatus, RoundCounter, TeeRecorder};
+pub use span::{QuerySpan, QueryStatus, RoundCounter};
 pub use wire::{error_response, JsonObj, Request};

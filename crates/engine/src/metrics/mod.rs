@@ -15,9 +15,9 @@
 //!   served by `--metrics-addr`) and `stats` reply fields derived from
 //!   it; pinned family-by-family in the integration tests.
 //!
-//! Engine workers are plain `std::thread`s, not rayon workers, so the
-//! rayon-indexed `ligra_parallel::StripedU64` would collapse onto one
-//! stripe here. This module instead assigns each OS thread a stripe id
+//! Engine workers are plain `std::thread`s, not rayon workers, so a
+//! stripe indexed by `rayon::current_thread_index` would collapse onto
+//! one slot here. This module instead assigns each OS thread a stripe id
 //! at first use ([`stripe_id`]) and stripes over a fixed power-of-two
 //! slab count.
 

@@ -45,7 +45,7 @@ use crate::metrics::registry::N_KINDS;
 use crate::metrics::{mix64, HistogramSnapshot, MetricsRegistry};
 use crate::query::{Answer, Query, QueryOutput, Summary};
 use crate::snapshot::{GraphStore, Snapshot};
-use crate::span::{fill_span_buckets, QuerySpan, QueryStatus, TeeRecorder};
+use crate::span::{fill_span_buckets, QuerySpan, QueryStatus, RoundCounter};
 use ligra::{CancelToken, EdgeMapOptions, FaultPlan, FaultPoint};
 use ligra_graph::{Graph, WeightedGraph};
 use std::collections::{HashMap, VecDeque};
@@ -805,7 +805,7 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
         opts = opts.fault_plan(plan);
     }
 
-    let mut counter = TeeRecorder::new(sh.config.trace_dir.is_some());
+    let mut counter = RoundCounter::new(sh.config.trace_dir.is_some());
     let start = Instant::now();
     // The unwind boundary: everything a query can make panic — the
     // dispatch fault point, the app itself (including injected faults at
@@ -848,8 +848,8 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
         }
     }));
     span.run_ns = start.elapsed().as_nanos() as u64;
-    span.rounds = counter.counter.edge_map_rounds;
-    span.events = counter.counter.events;
+    span.rounds = counter.edge_map_rounds;
+    span.events = counter.events;
 
     let (status, answer, error) = match exec {
         Ok(Executed::Success(answer)) => (QueryStatus::Done, Some(answer), None),

@@ -13,7 +13,7 @@
 /// misunderstanding or an unannotated algorithm change. Per-crate policy:
 ///
 /// * `parallel` — defines the atomic vocabulary (CAS, writeMin, bitsets,
-///   striped counters): needs the full acquire/release set.
+///   `AtomicF64`): needs the full acquire/release set.
 /// * `core` — relaxed telemetry and bitset output stores, plus the
 ///   acquire/release pair on the cancellation flag; the race oracle's
 ///   shadow cells use acquire/release RMWs.

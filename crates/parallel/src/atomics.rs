@@ -71,8 +71,8 @@ pub fn cas_u32(a: &AtomicU32, old: u32, new: u32) -> bool {
 /// Reads before writing (the SPAA'13 priority-update discipline): losers
 /// take a read-only fast path instead of a contended RMW. The early
 /// return is sound because the stored value only ever decreases — once
-/// `*a <= v` holds it holds forever. The `priority_update` microbench
-/// measures this at >10× under contention vs a blind `fetch_min`.
+/// `*a <= v` holds it holds forever. EXPERIMENTS A2/A3 records the one-off
+/// measurement: >10× under contention vs a blind `fetch_min`.
 #[inline]
 pub fn write_min_u32(a: &AtomicU32, v: u32) -> bool {
     if a.load(Ordering::Relaxed) <= v {
@@ -98,32 +98,6 @@ pub fn write_min_i64(a: &AtomicI64, v: i64) -> bool {
         return false;
     }
     a.fetch_min(v, Ordering::AcqRel) > v
-}
-
-/// General priority update over `u32` values (SPAA 2013).
-///
-/// Installs `new` iff `prefer(new, current)` holds, retrying on contention.
-/// Returns `true` iff this call performed the write. `prefer` must define a
-/// strict partial order (irreflexive), otherwise the loop may livelock with
-/// two values that each "prefer" the other.
-#[inline]
-pub fn priority_write(a: &AtomicU32, new: u32, prefer: impl Fn(u32, u32) -> bool) -> bool {
-    let mut cur = a.load(Ordering::Acquire);
-    while prefer(new, cur) {
-        match a.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return true,
-            Err(actual) => cur = actual,
-        }
-    }
-    false
-}
-
-/// Priority update specialized to `min` — identical semantics to
-/// [`write_min_u32`] but via the generic CAS loop; kept for the A2 ablation
-/// bench comparing `fetch_min` against the CAS-loop formulation.
-#[inline]
-pub fn priority_min(a: &AtomicU32, new: u32) -> bool {
-    priority_write(a, new, |n, c| n < c)
 }
 
 /// A `f64` with atomic load/store/add, built over `AtomicU64` bit patterns.
@@ -224,21 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn priority_write_matches_fetch_min_under_contention() {
-        let a = AtomicU32::new(u32::MAX);
-        let wins: u32 =
-            (0..10_000u32).into_par_iter().map(|i| u32::from(priority_min(&a, i))).sum();
-        assert_eq!(a.load(Ordering::Relaxed), 0);
-        // At least the final winner wrote; at most one write per distinct
-        // improving value.
-        assert!(wins >= 1);
-    }
-
-    #[test]
     fn exactly_one_winner_per_value_level() {
         // All threads write the same value: exactly one must win.
         let a = AtomicU32::new(u32::MAX);
-        let wins: u32 = (0..1000u32).into_par_iter().map(|_| u32::from(priority_min(&a, 7))).sum();
+        let wins: u32 = (0..1000u32).into_par_iter().map(|_| u32::from(write_min_u32(&a, 7))).sum();
         assert_eq!(wins, 1);
         assert_eq!(a.load(Ordering::Relaxed), 7);
     }

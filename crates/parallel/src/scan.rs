@@ -9,7 +9,7 @@
 //! returns bit-identical results to the sequential scan for any associative
 //! operation.
 
-use crate::utils::{block_range, num_blocks, GRANULARITY};
+use crate::utils::{block_range, num_blocks, SendPtr, GRANULARITY};
 use rayon::prelude::*;
 
 /// Generic exclusive scan into a fresh vector.
@@ -79,80 +79,6 @@ where
     (out, total)
 }
 
-/// Raw-pointer wrapper so disjoint parallel writes can cross the closure
-/// boundary. Safety rests on the callers writing disjoint indices.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-// SAFETY: bare address; the scan passes write disjoint block ranges, so
-// sharing the pointer across workers cannot alias a write.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above — all concurrent use is disjoint-range writes.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// In-place exclusive scan; returns the total.
-///
-/// `xs[i] <- id ⊕ xs[0] ⊕ … ⊕ xs[i-1]`. This is the allocation-free variant
-/// used on the hot path of sparse `edgeMap` (the degree array is consumed
-/// into the offset array).
-pub fn scan_inplace_exclusive<T, F>(xs: &mut [T], id: T, op: F) -> T
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    let n = xs.len();
-    if n == 0 {
-        return id;
-    }
-    let nblocks = num_blocks(n, GRANULARITY);
-    if nblocks == 1 {
-        let mut acc = id;
-        for x in xs.iter_mut() {
-            let next = op(acc, *x);
-            *x = acc;
-            acc = next;
-        }
-        return acc;
-    }
-
-    let mut sums: Vec<T> = (0..nblocks)
-        .into_par_iter()
-        .map(|b| {
-            let r = block_range(n, nblocks, b);
-            xs[r].iter().fold(id, |acc, &x| op(acc, x))
-        })
-        .collect();
-
-    let mut acc = id;
-    for s in sums.iter_mut() {
-        let next = op(acc, *s);
-        *s = acc;
-        acc = next;
-    }
-    let total = acc;
-
-    // Second pass rewrites blocks in place; par_chunks via split_at_mut
-    // style decomposition using rayon's chunk iterator over computed ranges.
-    let base = n / nblocks;
-    let extra = n % nblocks;
-    let mut rest = xs;
-    let mut pieces: Vec<&mut [T]> = Vec::with_capacity(nblocks);
-    for b in 0..nblocks {
-        let len = base + usize::from(b < extra);
-        let (head, tail) = rest.split_at_mut(len);
-        pieces.push(head);
-        rest = tail;
-    }
-    pieces.into_par_iter().zip(sums.into_par_iter()).for_each(|(block, seed)| {
-        let mut acc = seed;
-        for x in block.iter_mut() {
-            let next = op(acc, *x);
-            *x = acc;
-            acc = next;
-        }
-    });
-    total
-}
-
 /// Exclusive `+`-scan of `u64` degrees — the common case in the framework.
 ///
 /// Returns `(offsets, total)` with `offsets.len() == xs.len()`.
@@ -206,16 +132,6 @@ mod tests {
         let (seq, seq_total) = seq_exclusive(&xs);
         assert_eq!(par, seq);
         assert_eq!(total, seq_total);
-    }
-
-    #[test]
-    fn inplace_matches_out_of_place() {
-        let xs: Vec<u64> = (0..100_000u32).map(|i| (hash32(i) % 7) as u64).collect();
-        let (expect, expect_total) = prefix_sums(&xs);
-        let mut ys = xs.clone();
-        let total = scan_inplace_exclusive(&mut ys, 0u64, |a, b| a + b);
-        assert_eq!(ys, expect);
-        assert_eq!(total, expect_total);
     }
 
     #[test]

@@ -12,8 +12,7 @@ use ligra_parallel::atomics::{as_atomic_u32, write_min_u32};
 use ligra_parallel::bitvec::AtomicBitVec;
 use ligra_parallel::histogram::histogram_u32;
 use ligra_parallel::pack::{filter, pack, pack_index};
-use ligra_parallel::reduce::{max_index, reduce, sum_u64};
-use ligra_parallel::scan::{prefix_sums, scan_exclusive, scan_inplace_exclusive};
+use ligra_parallel::scan::{prefix_sums, scan_exclusive};
 use proptest::prelude::*;
 use rayon::prelude::*;
 
@@ -29,15 +28,6 @@ proptest! {
             acc += x;
         }
         prop_assert_eq!(total, acc);
-    }
-
-    #[test]
-    fn scan_inplace_matches_out_of_place(xs in proptest::collection::vec(0u64..100, 0..3000)) {
-        let (expect, expect_total) = prefix_sums(&xs);
-        let mut ys = xs.clone();
-        let total = scan_inplace_exclusive(&mut ys, 0u64, |a, b| a + b);
-        prop_assert_eq!(ys, expect);
-        prop_assert_eq!(total, expect_total);
     }
 
     #[test]
@@ -75,21 +65,6 @@ proptest! {
         // pack_index is filter over the identity sequence.
         let ids: Vec<u32> = (0..flags.len() as u32).collect();
         prop_assert_eq!(idx, filter(&ids, |&i| flags[i as usize]));
-    }
-
-    #[test]
-    fn sum_and_reduce_match(xs in proptest::collection::vec(0u64..1_000_000, 0..4000)) {
-        prop_assert_eq!(sum_u64(&xs), xs.iter().sum::<u64>());
-        prop_assert_eq!(reduce(&xs, u64::MAX, |a, b| a.min(b)),
-            xs.iter().copied().min().unwrap_or(u64::MAX));
-    }
-
-    #[test]
-    fn max_index_is_first_argmax(xs in proptest::collection::vec(0u32..50, 1..3000)) {
-        let i = max_index(&xs, |&x| x).unwrap();
-        let m = *xs.iter().max().unwrap();
-        prop_assert_eq!(xs[i], m);
-        prop_assert_eq!(i, xs.iter().position(|&x| x == m).unwrap());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use ligra_compress::CompressedGraph;
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{grid3d, rmat};
 use ligra_graph::Neighbors;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 #[test]
 fn bfs_trace_has_one_event_per_round_and_nonzero_monotone_time() {
@@ -174,6 +175,136 @@ fn dense_pull_scans_at_most_all_in_edges() {
     }
 }
 
+/// Forwards to the inner function and counts, with one `fetch_add` each,
+/// its own `update_atomic` calls and `true` returns: the per-edge truth
+/// the kernels' per-task tallies must add up to. It does not gather, so
+/// dense rounds take the per-edge scan with its early exit.
+struct Counted<F> {
+    inner: F,
+    attempts: AtomicU64,
+    wins: AtomicU64,
+}
+
+impl<F: ligra::EdgeMapFn> ligra::EdgeMapFn for Counted<F> {
+    fn update(&self, src: u32, dst: u32, w: ()) -> bool {
+        self.inner.update(src, dst, w)
+    }
+    fn update_atomic(&self, src: u32, dst: u32, w: ()) -> bool {
+        self.attempts.fetch_add(1, Ordering::Relaxed);
+        let won = self.inner.update_atomic(src, dst, w);
+        if won {
+            self.wins.fetch_add(1, Ordering::Relaxed);
+        }
+        won
+    }
+    fn cond(&self, dst: u32) -> bool {
+        self.inner.cond(dst)
+    }
+}
+
+#[test]
+fn per_task_tallies_equal_per_edge_truth_on_every_policy_and_representation() {
+    // Every kernel adds its counters to the round once per task. Under
+    // real rayon (CI's `test` job) those adds come from several threads;
+    // the sums must still equal what a per-edge count sees. The function
+    // lowers a target to half its source's label and is done with a
+    // target once it drops below a quarter of the range, so rounds mix
+    // CAS wins and losses, `cond` filtering and dense early exits.
+    use ligra::edge_map::EDGE_BLOCK;
+    use ligra_parallel::atomics::write_min_u32;
+    const DONE_BELOW: u32 = u32::MAX / 4;
+
+    #[derive(Default)]
+    struct Seen {
+        modes: [bool; 4],
+        lost_cas: bool,
+        dense_skipped: bool,
+    }
+
+    fn check<G: Neighbors<Weight = ()>>(g: &G, what: &str, seen: &mut Seen) {
+        let n = g.num_vertices();
+        let m = g.num_edges() as u64;
+        let in_degrees: u64 = (0..n as u32).map(|v| g.in_degree(v) as u64).sum();
+        assert_eq!(in_degrees, m, "{what}: in-lists hold all m arcs");
+        type Member = fn(u32) -> bool;
+        let frontiers: [(&str, Member); 4] = [
+            ("hub", |v| v == 0),
+            ("every 7th", |v| v % 7 == 3),
+            ("two thirds", |v| v % 3 != 0),
+            ("all", |_| true),
+        ];
+        for t in Traversal::ALL {
+            for output in [true, false] {
+                for (name, member) in frontiers {
+                    let labels: Vec<AtomicU32> =
+                        (0..n as u32).map(|v| AtomicU32::new(ligra_parallel::hash32(v))).collect();
+                    let label = |v: u32| labels[v as usize].load(Ordering::Relaxed);
+                    let lower =
+                        |u: u32, v: u32, _: ()| write_min_u32(&labels[v as usize], label(u) / 2);
+                    let f = Counted {
+                        inner: ligra::edge_fn(lower, |v: u32| label(v) >= DONE_BELOW),
+                        attempts: AtomicU64::new(0),
+                        wins: AtomicU64::new(0),
+                    };
+                    let members: Vec<u32> = (0..n as u32).filter(|&v| member(v)).collect();
+                    let out_edges: u64 = members.iter().map(|&u| g.out_degree(u) as u64).sum();
+                    let mut frontier = if name == "two thirds" {
+                        ligra::VertexSubset::from_fn(n, member)
+                    } else {
+                        ligra::VertexSubset::from_sparse(n, members)
+                    };
+                    let opts = EdgeMapOptions::new().traversal(t);
+                    let opts = if output { opts } else { opts.no_output() };
+                    let mut stats = TraversalStats::new();
+                    let _ = ligra::edge_map_recorded(g, &mut frontier, &f, opts, &mut stats);
+                    let r = stats.rounds[0];
+                    let at = format!("{what}, {t:?}, output {output}, {name}: {r:?}");
+                    assert_eq!(r.cas_attempts, f.attempts.load(Ordering::Relaxed), "{at}");
+                    assert_eq!(r.cas_wins, f.wins.load(Ordering::Relaxed), "{at}");
+                    assert_eq!(r.frontier_out_edges, out_edges, "{at}");
+                    match r.mode {
+                        Mode::Dense => {
+                            assert!(r.edges_scanned <= m, "{at}");
+                            assert_eq!(r.edges_scanned + r.edges_skipped, m, "{at}");
+                            seen.dense_skipped |= r.edges_scanned > 0 && r.edges_skipped > 0;
+                        }
+                        Mode::Sparse | Mode::DenseForward => {
+                            assert_eq!((r.edges_scanned, r.edges_skipped), (out_edges, 0), "{at}");
+                        }
+                        Mode::Partitioned => assert_eq!(r.edges_scanned, out_edges, "{at}"),
+                    }
+                    seen.modes[r.mode as usize] = true;
+                    seen.lost_cas |= r.cas_wins > 0 && r.cas_attempts > r.cas_wins;
+                }
+            }
+        }
+    }
+
+    // A hub whose out-list spans more than two edge blocks, over a sparse
+    // symmetric background.
+    let n = 3 * EDGE_BLOCK;
+    let hub_deg = 2 * EDGE_BLOCK + 100;
+    let mut edges: Vec<(u32, u32)> = (1..=hub_deg as u32).map(|v| (0, v)).collect();
+    edges.extend((1..n as u32).map(|v| (v, ligra_parallel::hash32(v) % n as u32)));
+    edges.extend((1..n as u32).map(|v| (v, (v + 1) % n as u32)));
+    let csr = ligra_graph::build_graph(n, &edges, ligra_graph::BuildOptions::symmetric());
+    assert!(csr.out_degree(0) > 2 * EDGE_BLOCK);
+    let batch = ligra_graph::DeltaBatch::new()
+        .add_edge(0, n as u32 - 1)
+        .add_edge(5, 9)
+        .del_edge(0, csr.out_neighbors(0)[0]);
+    let (overlay, _, _) = ligra_graph::apply_batch(&csr, &batch).expect("in-range batch");
+    assert!(overlay.has_overlay());
+
+    let mut seen = Seen::default();
+    check(&csr, "csr", &mut seen);
+    check(&overlay, "overlay", &mut seen);
+    check(&CompressedGraph::<ligra_compress::ByteCode>::from_graph(&csr), "byte-coded", &mut seen);
+    assert_eq!(seen.modes, [true; 4], "every kernel ran");
+    assert!(seen.lost_cas, "some round lost a CAS");
+    assert!(seen.dense_skipped, "some dense round both scanned and skipped");
+}
+
 #[test]
 fn frontier_bytes_pin_exact_push_output_and_packed_dense_reads() {
     // Pins the memory-traffic contract of the representation work: the
@@ -255,6 +386,31 @@ fn real_traces_round_trip_through_both_formats() {
     // The summary is computed off the events alone, so it is identical
     // for the original and the re-imported trace.
     assert_eq!(format!("{}", summary(&stats)), format!("{}", summary(&via_json)));
+}
+
+#[test]
+fn design_event_schema_table_matches_the_exporter() {
+    // DESIGN §8's schema table is the reader's copy of `to_json_lines`:
+    // the same keys in the same order, so the two cannot drift apart.
+    let mut stats = TraversalStats::new();
+    stats.rounds.push(ligra::RoundStat::vertex_op(Op::VertexMap, 1, ligra::ReprKind::Dense, 1));
+    let line = to_json_lines(&stats);
+    let exported: Vec<&str> = ligra::jsonl::Fields::new(line.trim_end())
+        .map(|pair| pair.unwrap_or_else(|e| panic!("export malformed: {e}: {line}")).0)
+        .collect();
+
+    let design = include_str!("../../DESIGN.md");
+    let documented: Vec<&str> = design
+        .lines()
+        .skip_while(|l| !l.starts_with("**Event schema**"))
+        .skip(1)
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter(|l| l.starts_with("| `"))
+        .flat_map(|row| row.split('|').nth(1).expect("first cell").split(" / "))
+        .map(|key| key.trim().trim_matches('`'))
+        .collect();
+    assert_eq!(documented, exported, "DESIGN.md §8 event schema differs from to_json_lines");
 }
 
 #[test]
