@@ -1,6 +1,7 @@
 //! Compressed sparse row graph representations.
 
 use ligra_parallel::checked_u32;
+use ligra_parallel::utils::SendPtr;
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -305,22 +306,6 @@ impl<W: Copy + Send + Sync> Adjacency<W> {
     }
 }
 
-/// A bare pointer that rayon may carry across threads for disjoint-range
-/// scatter writes. Every use site must justify disjointness with its own
-/// SAFETY comment.
-struct SendPtr<T>(*mut T);
-// SAFETY: the wrapper only smuggles the address; use sites guarantee the
-// concurrent writes hit disjoint slots.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above — scatter destinations are disjoint.
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
 /// A graph in CSR form: out-edges plus, for directed graphs, the transpose.
 ///
 /// * **Symmetric** graphs store a single CSR used for both directions
@@ -370,7 +355,10 @@ impl<W: Copy + Send + Sync> Graph<W> {
 
     /// Creates a directed graph from its out-CSR alone, computing the
     /// in-CSR (transpose) in parallel.
-    pub fn directed_from_out(out: Adjacency<W>) -> Self {
+    pub fn directed_from_out(out: Adjacency<W>) -> Self
+    where
+        W: Ord,
+    {
         let incoming = transpose(&out);
         Graph::directed(out, incoming)
     }
@@ -507,98 +495,21 @@ impl<W: Copy + Send + Sync> Graph<W> {
 }
 
 /// Computes the transpose of a CSR direction: the in-CSR whose list for
-/// `v` holds every `u` with an arc `u -> v` (sorted), weights carried along.
+/// `v` holds every `u` with an arc `u -> v`, sorted by `(u, weight)`.
 ///
-/// An overlaid direction is materialized first — the histogram/scatter
-/// below walks the raw base arrays.
-pub fn transpose<W: Copy + Send + Sync>(adj: &Adjacency<W>) -> Adjacency<W> {
-    use ligra_parallel::atomics::{as_atomic_u32, as_atomic_u64};
-    use ligra_parallel::histogram::histogram_u32;
-    use ligra_parallel::scan::prefix_sums;
-    use std::sync::atomic::Ordering;
-
+/// An overlaid direction is materialized first — the count/scatter below
+/// walks the raw base arrays.
+pub fn transpose<W: Copy + Send + Sync + Ord>(adj: &Adjacency<W>) -> Adjacency<W> {
     if adj.has_overlay() {
         return transpose(&adj.materialized());
     }
     let n = adj.num_vertices();
-    let m = adj.num_edges();
-    let weighted = std::mem::size_of::<W>() != 0;
-
-    // In-degrees = histogram of targets.
-    let degrees: Vec<u64> =
-        histogram_u32(adj.targets(), n).into_par_iter().map(u64::from).collect();
-    let (mut offsets, total) = prefix_sums(&degrees);
-    offsets.push(total);
-    debug_assert_eq!(total as usize, m);
-
-    // Scatter sources into the in-lists with atomic cursors; record where
-    // each arc landed so the weight scatter can follow.
-    let mut cursors: Vec<u64> = offsets[..n].to_vec();
-    let mut sources: Vec<VertexId> = vec![0; m];
-    let mut landing: Vec<u64> = vec![0; m];
-    {
-        let cur = as_atomic_u64(&mut cursors);
-        let src = as_atomic_u32(&mut sources);
-        let land = as_atomic_u64(&mut landing);
-        (0..n).into_par_iter().for_each(|u| {
-            let u = checked_u32(u);
-            let base = adj.offset(u) as usize;
-            for (i, &v) in adj.neighbors(u).iter().enumerate() {
-                let slot = cur[v as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                src[slot].store(u, Ordering::Relaxed);
-                land[base + i].store(slot as u64, Ordering::Relaxed);
-            }
-        });
-    }
-
-    let mut weights: Vec<W> = Vec::new();
-    if weighted {
-        weights.reserve_exact(m);
-        let spare = weights.spare_capacity_mut();
-        let ptr = SendPtr(spare.as_mut_ptr());
-        let all_weights = adj.weight_slice();
-        (0..m).into_par_iter().for_each(|i| {
-            let p = ptr;
-            // SAFETY: `landing` is a permutation of 0..m, so writes are
-            // disjoint and within the reserved capacity.
-            unsafe { (*p.0.add(landing[i] as usize)).write(all_weights[i]) };
-        });
-        // SAFETY: all m slots initialized (landing is a permutation).
-        unsafe { weights.set_len(m) };
-    }
-
-    // Sort each in-list (carrying weights) for determinism.
-    let mut src_pieces: Vec<&mut [VertexId]> = Vec::with_capacity(n);
-    let mut w_pieces: Vec<&mut [W]> = Vec::with_capacity(if weighted { n } else { 0 });
-    {
-        let mut rest: &mut [VertexId] = &mut sources;
-        let mut wrest: &mut [W] = &mut weights;
-        for v in 0..n {
-            let len = (offsets[v + 1] - offsets[v]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            src_pieces.push(head);
-            rest = tail;
-            if weighted {
-                let (wh, wt) = wrest.split_at_mut(len);
-                w_pieces.push(wh);
-                wrest = wt;
-            }
-        }
-    }
-    if weighted {
-        src_pieces.into_par_iter().zip(w_pieces.into_par_iter()).for_each(|(ss, ws)| {
-            let mut idx: Vec<usize> = (0..ss.len()).collect();
-            idx.sort_unstable_by_key(|&i| ss[i]);
-            let sorted_s: Vec<VertexId> = idx.iter().map(|&i| ss[i]).collect();
-            let sorted_w: Vec<W> = idx.iter().map(|&i| ws[i]).collect();
-            ss.copy_from_slice(&sorted_s);
-            ws.copy_from_slice(&sorted_w);
-        });
-    } else {
-        src_pieces.into_par_iter().for_each(|p| p.sort_unstable());
-    }
-
-    Adjacency::new(offsets, sources, weights)
+    crate::builder::counting_csr(n, n, adj.weight_slice(), |u| {
+        let base = adj.offsets[u] as usize;
+        let u = checked_u32(u);
+        adj.neighbors(u).iter().enumerate().map(move |(i, &v)| (v, u, base + i))
+    })
+    .finish()
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 use crate::builder::{build_graph, BuildOptions};
 use crate::csr::{Graph, VertexId};
 use ligra_parallel::checked_u32;
-use ligra_parallel::hash::{hash_to_unit, mix64};
+use ligra_parallel::hash::mix64;
 use rayon::prelude::*;
 
 /// Parameters for [`rmat`].
@@ -68,11 +68,26 @@ impl RmatOptions {
 }
 
 /// Generates the rMAT edge list (may contain duplicates and self loops).
+///
+/// # Panics
+/// Panics unless `1 <= log_n <= 31` and `a`, `b`, `c` are finite,
+/// non-negative and sum to at most 1.
 pub fn rmat_edges(opts: &RmatOptions) -> Vec<(VertexId, VertexId)> {
     assert!(opts.log_n >= 1 && opts.log_n <= 31, "log_n out of range");
+    assert!(
+        [opts.a, opts.b, opts.c].iter().all(|p| p.is_finite() && *p >= 0.0),
+        "quadrant probabilities must be finite and non-negative"
+    );
     let ab = opts.a + opts.b;
     let abc = ab + opts.c;
     assert!(abc < 1.0 + 1e-9, "quadrant probabilities exceed 1");
+    // Each level draws `r`, the top 53 bits of a hash, uniform below 2^53.
+    // `r / 2^53 < p` holds exactly when `r < ⌈p · 2^53⌉`, since scaling by a
+    // power of two is exact, so the quadrant is picked by comparing
+    // integers: top-left below `a`, top-right below `a + b`, bottom-left
+    // below `a + b + c`, bottom-right above.
+    let threshold = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+    let (t_a, t_ab, t_abc) = (threshold(opts.a), threshold(ab), threshold(abc));
     let nedges = opts.num_edge_samples();
     (0..nedges as u64)
         .into_par_iter()
@@ -82,19 +97,9 @@ pub fn rmat_edges(opts: &RmatOptions) -> Vec<(VertexId, VertexId)> {
             // One hash stream per (edge, level); mix the seed in once.
             let base = mix64(opts.seed ^ (i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
             for level in 0..opts.log_n {
-                let r = hash_to_unit(base ^ ((level as u64 + 1) << 32));
-                u <<= 1;
-                v <<= 1;
-                if r < opts.a {
-                    // top-left: (0, 0)
-                } else if r < ab {
-                    v |= 1; // top-right: (0, 1)
-                } else if r < abc {
-                    u |= 1; // bottom-left: (1, 0)
-                } else {
-                    u |= 1;
-                    v |= 1; // bottom-right: (1, 1)
-                }
+                let r = mix64(base ^ ((level as u64 + 1) << 32)) >> 11;
+                u = (u << 1) | u64::from(r >= t_ab);
+                v = (v << 1) | u64::from((t_a <= r) & (r < t_ab) | (r >= t_abc));
             }
             (checked_u32(u), checked_u32(v))
         })
@@ -151,6 +156,13 @@ mod tests {
         assert!(g.is_symmetric());
         crate::properties::assert_valid(&g);
         assert!(crate::properties::is_symmetric(&g));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_quadrant_probability_panics() {
+        // a + b + c = 0.5, but a negative `b` breaks the threshold order.
+        let _ = rmat_edges(&RmatOptions { a: 0.6, b: -0.2, c: 0.1, ..RmatOptions::paper(4) });
     }
 
     #[test]

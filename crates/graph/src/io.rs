@@ -225,7 +225,7 @@ pub fn read_weighted_adjacency_graph<R: Read>(
     finish_graph(adj, symmetric)
 }
 
-fn finish_graph<W: Copy + Send + Sync>(
+fn finish_graph<W: Copy + Send + Sync + Ord>(
     adj: Adjacency<W>,
     symmetric: bool,
 ) -> Result<Graph<W>, IoError> {

@@ -10,7 +10,9 @@
 use ligra_graph::csr::transpose;
 use ligra_graph::io::{read_adjacency_graph, write_adjacency_graph};
 use ligra_graph::{build_graph, build_weighted_graph, properties, BuildOptions, Graph};
+use ligra_parallel::mix64;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // Arbitrary edge list over `n` vertices.
 fn edges_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -37,6 +39,32 @@ fn reference_neighbors(n: usize, edges: &[(u32, u32)], v: u32, symmetrize: bool)
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// The weighted build's model: every kept arc's weights, by
+/// `(source, target)`, sorted — or just the smallest when deduplicating.
+fn reference_arcs(
+    edges: &[(u32, u32)],
+    weights: &[i32],
+    opts: BuildOptions,
+) -> BTreeMap<(u32, u32), Vec<i32>> {
+    let mut arcs: BTreeMap<(u32, u32), Vec<i32>> = BTreeMap::new();
+    for (&(a, b), &w) in edges.iter().zip(weights) {
+        if opts.remove_self_loops && a == b {
+            continue;
+        }
+        arcs.entry((a, b)).or_default().push(w);
+        if opts.symmetrize && a != b {
+            arcs.entry((b, a)).or_default().push(w);
+        }
+    }
+    for ws in arcs.values_mut() {
+        ws.sort_unstable();
+        if opts.dedup {
+            ws.truncate(1);
+        }
+    }
+    arcs
 }
 
 proptest! {
@@ -111,6 +139,42 @@ proptest! {
             let ws = g.out_weights(u);
             for (i, &v) in ns.iter().enumerate() {
                 prop_assert_eq!(ws[i], (u as i32) * 1000 + v as i32, "arc {}->{}", u, v);
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_build_matches_reference_model_under_every_option(
+        (n, edges) in edges_strategy(30, 200),
+        seed in any::<u64>(),
+    ) {
+        // Few distinct weights, so repeated arcs carry both equal and
+        // different weights.
+        let weights: Vec<i32> =
+            (0..edges.len() as u64).map(|i| (mix64(seed ^ i) % 7) as i32 - 3).collect();
+        for bits in 0..8 {
+            let opts = BuildOptions {
+                symmetrize: bits & 1 != 0,
+                remove_self_loops: bits & 2 != 0,
+                dedup: bits & 4 != 0,
+            };
+            let g = build_weighted_graph(n, &edges, &weights, opts);
+            let arcs = reference_arcs(&edges, &weights, opts);
+            prop_assert_eq!(g.is_symmetric(), opts.symmetrize);
+            prop_assert_eq!(g.num_edges(), arcs.values().map(Vec::len).sum::<usize>());
+            for v in 0..n as u32 {
+                let list = |dir: &dyn Fn(&(u32, u32)) -> Option<u32>| -> (Vec<u32>, Vec<i32>) {
+                    arcs.iter()
+                        .filter_map(|(arc, ws)| dir(arc).map(|u| (u, ws)))
+                        .flat_map(|(u, ws)| ws.iter().map(move |&w| (u, w)))
+                        .unzip()
+                };
+                let (out, out_w) = list(&|&(a, b)| (a == v).then_some(b));
+                let (inc, inc_w) = list(&|&(a, b)| (b == v).then_some(a));
+                prop_assert_eq!(g.out_neighbors(v), &out[..], "{:?} out of {}", opts, v);
+                prop_assert_eq!(g.out_weights(v), &out_w[..], "{:?} out of {}", opts, v);
+                prop_assert_eq!(g.in_neighbors(v), &inc[..], "{:?} in of {}", opts, v);
+                prop_assert_eq!(g.in_weights(v), &inc_w[..], "{:?} in of {}", opts, v);
             }
         }
     }

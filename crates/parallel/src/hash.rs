@@ -50,13 +50,6 @@ pub fn hash_to_range(v: u64, bound: u64) -> u64 {
     ((mix64(v) as u128 * bound as u128) >> 64) as u64
 }
 
-/// Hash `v` to a float uniform in `[0, 1)`.
-#[inline]
-pub fn hash_to_unit(v: u64) -> f64 {
-    // Take the top 53 bits so the result is exactly representable.
-    (mix64(v) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,19 +98,6 @@ mod tests {
                 assert!(hash_to_range(v, bound) < bound);
             }
         }
-    }
-
-    #[test]
-    fn hash_to_unit_is_in_unit_interval() {
-        let mut sum = 0.0;
-        let n = 10_000u64;
-        for v in 0..n {
-            let x = hash_to_unit(v);
-            assert!((0.0..1.0).contains(&x));
-            sum += x;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean} far from 0.5");
     }
 
     #[test]

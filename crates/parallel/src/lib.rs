@@ -19,7 +19,6 @@
 //! * [`utils`] — granularity control and thread-pool helpers.
 //! * [`scan`] — blocked two-pass parallel exclusive prefix sums.
 //! * [`pack`] — parallel filter/pack and `pack_index`.
-//! * [`histogram`] — parallel bounded-key counting (degree histograms).
 //! * [`atomics`] — `cas`, `write_min` (the priority update), `AtomicF64`,
 //!   and slice-as-atomic views.
 //! * [`bins`] — per-partition propagation bins (scatter-fragment stitch).
@@ -34,7 +33,6 @@ pub mod atomics;
 pub mod bins;
 pub mod bitvec;
 pub mod hash;
-pub mod histogram;
 pub mod pack;
 pub mod scan;
 pub mod utils;

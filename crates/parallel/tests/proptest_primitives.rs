@@ -10,7 +10,6 @@
 
 use ligra_parallel::atomics::{as_atomic_u32, write_min_u32};
 use ligra_parallel::bitvec::AtomicBitVec;
-use ligra_parallel::histogram::histogram_u32;
 use ligra_parallel::pack::{filter, pack, pack_index};
 use ligra_parallel::scan::{prefix_sums, scan_exclusive};
 use proptest::prelude::*;
@@ -65,16 +64,6 @@ proptest! {
         // pack_index is filter over the identity sequence.
         let ids: Vec<u32> = (0..flags.len() as u32).collect();
         prop_assert_eq!(idx, filter(&ids, |&i| flags[i as usize]));
-    }
-
-    #[test]
-    fn histogram_matches_counting(keys in proptest::collection::vec(0u32..256, 0..4000)) {
-        let got = histogram_u32(&keys, 256);
-        let mut expect = vec![0u32; 256];
-        for &k in &keys {
-            expect[k as usize] += 1;
-        }
-        prop_assert_eq!(got, expect);
     }
 
     #[test]

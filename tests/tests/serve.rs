@@ -17,6 +17,9 @@
 //! * `injected_*`, `graph_load_*` — `chaos_smoke.sh` phase 1 (needs
 //!   `--features fault-inject`).
 //!
+//! `out_of_range_gen_*` has no script: it pins the error replies of `gen`
+//! parameters outside the ranges their generators assert.
+//!
 //! What only real processes can show — exit codes, SIGKILL, restart —
 //! stays in `scripts/route_smoke.sh`; the `--client` retry pump is
 //! tested against the real binary in `crates/engine/tests/client_retry.rs`.
@@ -489,6 +492,30 @@ fn finished_ids_answer_until_they_leave_the_ring() {
     assert_eq!(replies[1], r#"{"ok":false,"error":"expired id 1"}"#);
     expect(&replies, 3, "\"reached\":27", "newest id still answers with its summary");
     expect(&replies, 4, "\"status\":\"done\"", "and its span");
+}
+
+/// A `gen` whose parameter is outside the range its generator asserts
+/// gets an error reply naming the parameter — the generator would panic
+/// the connection thread — and the replica then serves a valid `gen`.
+#[test]
+fn out_of_range_gen_parameters_get_error_replies() {
+    let replica = replica_with(EngineConfig::default());
+    let replies = session(
+        &replica,
+        &[
+            r#"{"op":"gen","family":"rmat","log_n":0}"#,
+            r#"{"op":"gen","family":"grid3d","side":1}"#,
+            r#"{"op":"gen","family":"random-local","n":1}"#,
+            r#"{"op":"gen","family":"erdos-renyi","n":0}"#,
+            r#"{"op":"gen","family":"rmat","log_n":4,"weighted":true,"max_w":0}"#,
+            r#"{"op":"gen","family":"rmat","log_n":4,"weighted":true,"max_w":5}"#,
+        ],
+    );
+    for (i, value) in ["log_n 0", "side 1", "n 1", "n 0", "max_w 0"].into_iter().enumerate() {
+        let error = format!(r#"{{"ok":false,"error":"{value} out of range"#);
+        expect(&replies, i + 1, &error, "typed error");
+    }
+    expect(&replies, 6, r#"{"ok":true,"epoch":1,"vertices":16"#, "valid gen after the errors");
 }
 
 /// `chaos_smoke.sh` phase 1: an armed `wire.read` fault, a malformed
