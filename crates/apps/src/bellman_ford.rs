@@ -219,16 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_option_does_not_change_result() {
-        let g = random_weights(&random_local(800, 6, 5), 40, 6);
-        let plain = bellman_ford(&g, 3);
-        let mut stats = TraversalStats::new();
-        let deduped =
-            bellman_ford_traced(&g, 3, EdgeMapOptions::new().deduplicate(true), &mut stats);
-        assert_eq!(plain.dist, deduped.dist);
-    }
-
-    #[test]
     fn zero_weight_graph_reduces_to_reachability() {
         let g = random_weights(&grid3d(4), 1, 7);
         // All weights are exactly 1 (max_w = 1), so dist == hop count.

@@ -68,12 +68,6 @@ impl<C: Codec> CompressedAdjacency<C> {
         self.degrees[v as usize] as usize
     }
 
-    /// Bytes used by the encoded neighbor data (excluding offsets/degrees).
-    #[inline]
-    pub fn data_bytes(&self) -> usize {
-        self.data.len()
-    }
-
     /// Total bytes of the structure (data + offsets + degrees).
     pub fn total_bytes(&self) -> usize {
         self.data.len() + self.offsets.len() * 8 + self.degrees.len() * 4
@@ -273,8 +267,8 @@ mod tests {
                 assert_eq!(cg.out_edges(v).len(), cg.out_degree(v));
                 assert_eq!(cg.in_edges(v).len(), cg.in_degree(v));
             }
-            let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
-            assert_eq!(cg.out_degree_sum(&all), g.num_edges() as u64);
+            let degree_sum: usize = (0..g.num_vertices() as u32).map(|v| cg.out_degree(v)).sum();
+            assert_eq!(degree_sum, g.num_edges());
             assert_eq!(cg.partitioning().total_in_edges(), g.num_edges() as u64);
             assert_eq!(*cg.partitioning_with(Some(7)), *g.partitioning_with(Some(7)));
         }

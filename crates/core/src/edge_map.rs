@@ -12,8 +12,11 @@
 //!   parallel_for), so skewed degree distributions load-balance without
 //!   per-edge task overhead. Each block writes the targets it claims into a
 //!   local buffer; a prefix-sum stitch then copies the buffers into an
-//!   exact-size output — no sentinel-filled `Σ deg⁺(u)` array, no second
-//!   full-array compaction pass, and deduplication folds into the same walk.
+//!   exact-size output — no sentinel-filled `Σ deg⁺(u)` array and no second
+//!   full-array compaction pass. The frontier's out-degrees are read once
+//!   per round, before the direction test: their sum is the heuristic's
+//!   `Σ deg⁺(U)`, and a push round scans the same array into its block
+//!   offsets.
 //! * **dense** (pull): parallel over *all* vertices, scanning each
 //!   unclaimed target's in-edges sequentially with an early exit as soon as
 //!   `cond` turns false. O(n + m) worst case, but for huge frontiers the
@@ -65,8 +68,8 @@
 //! locals and adds them to the round once when it ends, so recording costs
 //! a few adds per task and no shared write per edge. When disabled (the
 //! [`NoopRecorder`] default), no clock is read and nothing is added — not
-//! even the O(|U|) frontier-degree pass runs, if the traversal direction is
-//! forced and the heuristic doesn't need it.
+//! even the O(|U|) frontier-degree pass runs, if the round is forced into
+//! a non-push traversal and the heuristic doesn't need it.
 
 use crate::options::{EdgeMapOptions, Traversal};
 use crate::race::RaceOracle;
@@ -76,9 +79,9 @@ use crate::vertex_subset::VertexSubset;
 use ligra_graph::partition::Partitioning;
 use ligra_graph::{Neighbors, VertexId};
 use ligra_parallel::bins::{fragment_row, stitch, Fragments};
-use ligra_parallel::bitvec::{AtomicBitVec, BitSet};
+use ligra_parallel::bitvec::BitSet;
 use ligra_parallel::checked_u32;
-use ligra_parallel::scan::prefix_sums;
+use ligra_parallel::scan::{prefix_sums, scan_exclusive};
 use ligra_parallel::utils::SendPtr;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,10 +151,22 @@ where
     let start = tracing.then(Instant::now);
 
     let frontier_vertices = frontier.len() as u64;
-    // The degree sum is only an input to the Auto heuristic; when the
-    // direction is forced and nobody is recording, skip the O(|U|) pass.
+    // Σ deg⁺(U) is read only by the Auto heuristic and the record, so a
+    // forced, unrecorded round skips it. A sparse frontier's degrees are
+    // read once, here, whenever the sum or a push round needs them: the
+    // push scans the same array into its block offsets.
     let need_work = tracing || matches!(opts.traversal, Traversal::Auto);
-    let out_edges = if need_work { frontier_degree_sum(g, frontier) } else { 0 };
+    let degrees = match frontier.sparse() {
+        Some(vs) if need_work || opts.traversal == Traversal::Sparse => Some(out_degrees(g, vs)),
+        _ => None,
+    };
+    let out_edges = if !need_work {
+        0
+    } else if let Some(d) = &degrees {
+        d.par_iter().sum()
+    } else {
+        frontier_degree_sum(g, frontier)
+    };
     let work = frontier_vertices + out_edges;
     let threshold = opts.effective_threshold(g.num_edges());
 
@@ -192,7 +207,13 @@ where
         VertexSubset::empty(n)
     } else {
         match mode {
-            Mode::Sparse => sparse(g, frontier.as_slice(), f, opts.deduplicate, opts.output, hooks),
+            Mode::Sparse => {
+                // A dense frontier's degrees were not read above: it is
+                // converted first, then walked.
+                let vs = frontier.as_slice();
+                let degrees = degrees.unwrap_or_else(|| out_degrees(g, vs));
+                sparse(g, vs, &degrees, f, opts.output, hooks)
+            }
             Mode::Dense => {
                 let whole = frontier.len() == n;
                 dense(g, frontier.as_bits(), whole, f, opts.output, hooks)
@@ -408,16 +429,19 @@ fn word_members(wi: usize, mut w: u64) -> impl Iterator<Item = VertexId> {
     })
 }
 
-/// `|U|`'s incident out-edge count, from whichever representation the
-/// frontier currently has (no conversion). All of `V` has all `m` arcs —
-/// what a whole-graph app would otherwise re-derive every iteration; a
-/// proper dense subset is decoded word-at-a-time, skipping 64 non-members
-/// per zero word.
+/// The out-degrees of a sparse frontier's members, in frontier order.
+fn out_degrees<G: Neighbors>(g: &G, vs: &[VertexId]) -> Vec<u64> {
+    vs.par_iter().map(|&u| g.out_degree(u) as u64).collect()
+}
+
+/// `|U|`'s incident out-edge count for a frontier whose degrees were not
+/// read by [`out_degrees`], without converting it. All of `V` has all `m`
+/// arcs — what a whole-graph app would otherwise re-derive every
+/// iteration; a proper dense subset is decoded word-at-a-time, skipping
+/// 64 non-members per zero word.
 fn frontier_degree_sum<G: Neighbors>(g: &G, frontier: &VertexSubset) -> u64 {
     if frontier.len() == g.num_vertices() {
         g.num_edges() as u64
-    } else if let Some(vs) = frontier.sparse() {
-        g.out_degree_sum(vs)
     } else if let Some(bits) = frontier.dense() {
         bits.words()
             .par_iter()
@@ -425,16 +449,17 @@ fn frontier_degree_sum<G: Neighbors>(g: &G, frontier: &VertexSubset) -> u64 {
             .map(|(wi, &w)| word_members(wi, w).map(|v| g.out_degree(v) as u64).sum::<u64>())
             .sum()
     } else {
-        unreachable!()
+        unreachable!("a sparse frontier's degrees are read by out_degrees")
     }
 }
 
-/// Push traversal over a sparse frontier.
+/// Push traversal over a sparse frontier `vs` whose out-degrees are
+/// `degrees`.
 fn sparse<G, F>(
     g: &G,
     vs: &[VertexId],
+    degrees: &[u64],
     f: &F,
-    deduplicate: bool,
     output: bool,
     hooks: Hooks<'_>,
 ) -> VertexSubset
@@ -444,17 +469,11 @@ where
 {
     let n = g.num_vertices();
     // Offsets of each source's run within the frontier's edge range.
-    let degrees: Vec<u64> = vs.par_iter().map(|&u| g.out_degree(u) as u64).collect();
-    let (offsets, total) = prefix_sums(&degrees);
+    let (offsets, total) = prefix_sums(degrees);
     let total = total as usize;
     if total == 0 {
         return VertexSubset::empty(n);
     }
-
-    // Deduplication folds into the walk: the first claim of a target wins a
-    // bit in `seen` and enters its block's buffer; later claims are dropped
-    // at the source instead of in a second pass over the output.
-    let seen = (deduplicate && output).then(|| AtomicBitVec::new(n));
 
     // Edge-balanced blocks: block `b` covers edges [b*EDGE_BLOCK, ...) of
     // the frontier's concatenated edge range. On a seekable representation
@@ -491,11 +510,7 @@ where
                 };
                 c.edges_scanned += range.len() as u64;
                 for (v, w) in g.out_edges_range(u, range) {
-                    if f.cond(v)
-                        && hooks.apply_atomic(f, u, v, w, &mut c)
-                        && output
-                        && seen.as_ref().is_none_or(|s| s.set(v as usize))
-                    {
+                    if f.cond(v) && hooks.apply_atomic(f, u, v, w, &mut c) && output {
                         buf.push(v);
                     }
                 }
@@ -510,13 +525,8 @@ where
     }
 
     // Prefix-sum stitch: one copy of each winner into an exact-size vector.
-    let mut starts: Vec<usize> = buffers.iter().map(Vec::len).collect();
-    let mut acc = 0usize;
-    for s in starts.iter_mut() {
-        let next = acc + *s;
-        *s = acc;
-        acc = next;
-    }
+    let lens: Vec<usize> = buffers.iter().map(Vec::len).collect();
+    let (starts, acc) = scan_exclusive(&lens, 0, |a, b| a + b);
     let mut next: Vec<u32> = Vec::with_capacity(acc);
     {
         let spare = next.spare_capacity_mut();
@@ -788,13 +798,16 @@ mod tests {
     use crate::traits::edge_fn;
     use ligra_graph::generators::{erdos_renyi, star};
     use ligra_graph::{build_graph, BuildOptions, Graph};
+    use ligra_parallel::bitvec::AtomicBitVec;
 
     /// Frontier's neighborhood, computed three ways, must agree.
     fn neighborhood_via(g: &Graph, frontier: &[u32], traversal: Traversal) -> Vec<u32> {
         let f = edge_fn(|_s: u32, _d: u32, _w: ()| true, |_| true);
         let mut fr = VertexSubset::from_sparse(g.num_vertices(), frontier.to_vec());
-        let opts = EdgeMapOptions::new().traversal(traversal).deduplicate(true);
-        edge_map_with(g, &mut fr, &f, opts).to_vec_sorted()
+        let opts = EdgeMapOptions::new().traversal(traversal);
+        let mut out = edge_map_with(g, &mut fr, &f, opts).to_vec_sorted();
+        out.dedup();
+        out
     }
 
     fn reference_neighborhood(g: &Graph, frontier: &[u32]) -> Vec<u32> {
@@ -905,13 +918,6 @@ mod tests {
         let out =
             edge_map_with(&g, &mut fr, &f, EdgeMapOptions::new().traversal(Traversal::Sparse));
         assert_eq!(out.to_vec_sorted(), vec![2, 2]);
-        let deduped = edge_map_with(
-            &g,
-            &mut fr,
-            &f,
-            EdgeMapOptions::new().traversal(Traversal::Sparse).deduplicate(true),
-        );
-        assert_eq!(deduped.to_vec_sorted(), vec![2]);
     }
 
     #[test]
@@ -1244,6 +1250,80 @@ mod tests {
         );
         assert_eq!(stats.rounds[0].frontier_out_edges, 15);
         assert!(stats.rounds[0].forced);
+    }
+
+    /// A graph that counts the `out_degree` calls made on it.
+    struct DegreeCounting<'g> {
+        g: &'g Graph,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Neighbors for DegreeCounting<'_> {
+        type Weight = ();
+        type Edges<'a>
+            = <Graph as Neighbors>::Edges<'a>
+        where
+            Self: 'a;
+
+        const SEEKABLE: bool = true;
+
+        fn num_vertices(&self) -> usize {
+            self.g.num_vertices()
+        }
+        fn num_edges(&self) -> usize {
+            self.g.num_edges()
+        }
+        fn is_symmetric(&self) -> bool {
+            self.g.is_symmetric()
+        }
+        fn out_degree(&self, v: VertexId) -> usize {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.g.out_degree(v)
+        }
+        fn in_degree(&self, v: VertexId) -> usize {
+            self.g.in_degree(v)
+        }
+        fn out_edges(&self, v: VertexId) -> Self::Edges<'_> {
+            Neighbors::out_edges(self.g, v)
+        }
+        fn in_edges(&self, v: VertexId) -> Self::Edges<'_> {
+            Neighbors::in_edges(self.g, v)
+        }
+        fn out_edges_range(&self, v: VertexId, range: std::ops::Range<usize>) -> Self::Edges<'_> {
+            self.g.out_edges_range(v, range)
+        }
+        fn in_edges_range(&self, v: VertexId, range: std::ops::Range<usize>) -> Self::Edges<'_> {
+            self.g.in_edges_range(v, range)
+        }
+        fn partitioning(&self) -> std::sync::Arc<ligra_graph::partition::Partitioning> {
+            self.g.partitioning()
+        }
+    }
+
+    #[test]
+    fn a_push_round_reads_each_frontier_degree_once() {
+        let g = erdos_renyi(1000, 10_000, 5, true);
+        let counting = DegreeCounting { g: &g, calls: Default::default() };
+        let f = edge_fn(|_, _, _: ()| true, |_| true);
+        let frontier: Vec<u32> = (0..20).collect();
+
+        // Recorded Auto round that stays sparse: the heuristic's sum and
+        // the block offsets come from one read of each degree.
+        let mut stats = TraversalStats::new();
+        let mut fr = VertexSubset::from_sparse(1000, frontier.clone());
+        let out = edge_map_recorded(&counting, &mut fr, &f, EdgeMapOptions::new(), &mut stats);
+        assert_eq!(stats.rounds[0].mode, Mode::Sparse);
+        let degree_sum = frontier.iter().map(|&u| g.out_degree(u) as u64).sum::<u64>();
+        assert_eq!(stats.rounds[0].frontier_out_edges, degree_sum);
+        assert_eq!(out.len() as u64, degree_sum, "every edge claims its target");
+        assert_eq!(counting.calls.load(Ordering::Relaxed), frontier.len());
+
+        // Forced pull, unrecorded: nothing asks for a degree.
+        counting.calls.store(0, Ordering::Relaxed);
+        let mut fr = VertexSubset::from_sparse(1000, frontier);
+        let dense = EdgeMapOptions::new().traversal(Traversal::Dense);
+        let _ = edge_map_with(&counting, &mut fr, &f, dense);
+        assert_eq!(counting.calls.load(Ordering::Relaxed), 0);
     }
 
     #[test]

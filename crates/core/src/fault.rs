@@ -25,6 +25,7 @@
 //! `fault-inject` cargo feature and compiles away entirely when it is
 //! off.
 
+use ligra_parallel::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -206,7 +207,7 @@ impl FaultPlan {
     /// deterministically from `(seed, point)` — between the 1st and 8th
     /// hit, so short runs still reach the fault.
     pub fn arm(mut self, point: FaultPoint, action: FaultAction) -> Self {
-        let nth = 1 + splitmix64(self.seed ^ (0x9e37 + point.index() as u64)) % 8;
+        let nth = 1 + mix64(self.seed ^ (0x9e37 + point.index() as u64)) % 8;
         self.arms[point.index()] = Some(Arm { action, schedule: Schedule::Once(nth) });
         self
     }
@@ -306,15 +307,6 @@ impl FaultPlan {
             }
         }
     }
-}
-
-/// SplitMix64 — the same cheap deterministic mixer the generators use;
-/// duplicated here so `core` needs no dependency on graph internals.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -64,12 +64,6 @@ pub struct EdgeMapOptions<'a> {
     /// Direction-switch threshold; `None` means the paper's default
     /// `m / 20`.
     pub threshold: Option<u64>,
-    /// Remove duplicate vertices from the sparse output. Needed only when
-    /// the user's `update_atomic` may return `true` more than once for the
-    /// same target in one round (e.g. Bellman–Ford, where a vertex's
-    /// distance can improve repeatedly); BFS-style CAS functions guarantee
-    /// a single winner and can skip the extra pass.
-    pub deduplicate: bool,
     /// Traversal selection.
     pub traversal: Traversal,
     /// When `false`, skip materializing the output subset (Ligra's
@@ -102,7 +96,6 @@ impl Default for EdgeMapOptions<'_> {
     fn default() -> Self {
         EdgeMapOptions {
             threshold: None,
-            deduplicate: false,
             traversal: Traversal::Auto,
             output: true,
             cancel: None,
@@ -114,7 +107,7 @@ impl Default for EdgeMapOptions<'_> {
 }
 
 impl<'a> EdgeMapOptions<'a> {
-    /// Default options (auto direction, `m/20` threshold, no dedup).
+    /// Default options (auto direction, `m/20` threshold).
     pub fn new() -> Self {
         Self::default()
     }
@@ -122,12 +115,6 @@ impl<'a> EdgeMapOptions<'a> {
     /// Sets an explicit direction-switch threshold.
     pub fn threshold(mut self, t: u64) -> Self {
         self.threshold = Some(t);
-        self
-    }
-
-    /// Enables duplicate removal on the sparse output.
-    pub fn deduplicate(mut self, on: bool) -> Self {
-        self.deduplicate = on;
         self
     }
 
@@ -196,8 +183,7 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let o = EdgeMapOptions::new().deduplicate(true).traversal(Traversal::Sparse).no_output();
-        assert!(o.deduplicate);
+        let o = EdgeMapOptions::new().traversal(Traversal::Sparse).no_output();
         assert_eq!(o.traversal, Traversal::Sparse);
         assert!(!o.output);
         assert!(o.cancel.is_none());

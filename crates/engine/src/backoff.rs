@@ -14,7 +14,7 @@
 //! overrides the computed delay: the server knows its fleet better than
 //! our curve.
 
-use crate::metrics::mix64;
+use ligra_parallel::mix64;
 use std::time::Duration;
 
 /// A deterministic jittered-exponential retry schedule.

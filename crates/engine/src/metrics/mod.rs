@@ -147,17 +147,6 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-distributed `u64 → u64` mixer.
-/// Used for generated trace ids and the serve client's retry jitter —
-/// one shared definition so both derive from the same stream shape.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +193,7 @@ mod tests {
 
     #[test]
     fn mix64_spreads_nearby_inputs() {
+        use ligra_parallel::mix64;
         let a = mix64(1);
         let b = mix64(2);
         assert_ne!(a, b);

@@ -42,12 +42,13 @@ use crate::cache::ResultCache;
 use crate::error::{classify_panic, QueryError};
 use crate::lockdep::{tracked_lock, TrackedGuard};
 use crate::metrics::registry::N_KINDS;
-use crate::metrics::{mix64, HistogramSnapshot, MetricsRegistry};
+use crate::metrics::{HistogramSnapshot, MetricsRegistry};
 use crate::query::{Answer, Query, QueryOutput, Summary};
 use crate::snapshot::{GraphStore, Snapshot};
 use crate::span::{fill_span_buckets, QuerySpan, QueryStatus, RoundCounter};
 use ligra::{CancelToken, EdgeMapOptions, FaultPlan, FaultPoint};
 use ligra_graph::{Graph, WeightedGraph};
+use ligra_parallel::mix64;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;

@@ -89,6 +89,14 @@ pub enum DeltaError {
         /// The id space size the batch would produce.
         n: usize,
     },
+    /// `add_vertices` would grow the id space past the 2^32 ids a `u32`
+    /// vertex id can name.
+    IdSpaceOverflow {
+        /// The id space size before the batch.
+        n: usize,
+        /// The requested growth.
+        add_vertices: usize,
+    },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -96,6 +104,12 @@ impl std::fmt::Display for DeltaError {
         match self {
             DeltaError::VertexOutOfRange { v, n } => {
                 write!(f, "vertex {v} out of range for id space of size {n}")
+            }
+            DeltaError::IdSpaceOverflow { n, add_vertices } => {
+                write!(
+                    f,
+                    "add_vertices {add_vertices} would grow the id space of size {n} past 2^32"
+                )
             }
         }
     }
@@ -140,7 +154,10 @@ pub fn apply_batch(
     batch: &DeltaBatch,
 ) -> Result<(Graph, NormalizedBatch, ApplyStats), DeltaError> {
     let n0 = g.num_vertices();
-    let n_after = n0 + batch.add_vertices;
+    let n_after = n0
+        .checked_add(batch.add_vertices)
+        .filter(|&n| n as u64 <= 1 << 32)
+        .ok_or(DeltaError::IdSpaceOverflow { n: n0, add_vertices: batch.add_vertices })?;
     let check = |v: VertexId| -> Result<(), DeltaError> {
         if (v as usize) < n_after {
             Ok(())
@@ -373,6 +390,16 @@ mod tests {
         // The original snapshot is untouched.
         assert_eq!(g.out_neighbors(0), &[1]);
         assert!(g2.has_overlay() && !g.has_overlay());
+    }
+
+    #[test]
+    fn growth_past_u32_ids_is_rejected_before_allocating() {
+        let g = build_graph(1, &[], BuildOptions::symmetric());
+        for add_vertices in [1 << 32, usize::MAX] {
+            let err = apply_batch(&g, &DeltaBatch::new().grow(add_vertices)).expect_err("too big");
+            assert_eq!(err, DeltaError::IdSpaceOverflow { n: 1, add_vertices });
+            assert!(err.to_string().contains("add_vertices"), "{err}");
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::csr::{Graph, VertexId};
 use crate::partition::{default_bits, Partitioning, MAX_BITS, MIN_BITS};
-use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -90,16 +89,6 @@ pub trait Neighbors: Sync {
                 }))
             }
             _ => cached,
-        }
-    }
-
-    /// Sum of out-degrees over `vs` — the `Σ deg⁺(u)` term of the paper's
-    /// direction heuristic.
-    fn out_degree_sum(&self, vs: &[VertexId]) -> u64 {
-        if vs.len() < 2048 {
-            vs.iter().map(|&v| self.out_degree(v) as u64).sum()
-        } else {
-            vs.par_iter().map(|&v| self.out_degree(v) as u64).sum()
         }
     }
 }
@@ -398,8 +387,8 @@ mod tests {
     #[test]
     fn degree_sum_and_explicit_width_partitioning() {
         let g = build_graph(3, &[(0, 1), (0, 2), (1, 2)], BuildOptions::directed());
-        assert_eq!(g.out_degree_sum(&[0, 1, 2]), 3);
-        assert_eq!(g.out_degree_sum(&[2]), 0);
+        assert_eq!((0..3).map(|v| Neighbors::out_degree(&g, v)).sum::<usize>(), 3);
+        assert_eq!(Neighbors::out_degree(&g, 2), 0);
         let p1 = g.partitioning();
         assert!(Arc::ptr_eq(&p1, &g.partitioning_with(None)));
         assert!(Arc::ptr_eq(&p1, &g.partitioning_with(Some(p1.bits()))));
@@ -426,7 +415,7 @@ mod tests {
         // inner *in*-list (2's in-list is [0, 1, 3, 4]).
         assert_eq!(t.out_edges_range(2, 1..3).map(|e| e.0).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(t.in_edges_range(0, 1..2).map(|e| e.0).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(t.out_degree_sum(&[2, 0]), 4);
+        assert_eq!(t.out_degree(2) + t.out_degree(0), 4);
     }
 
     #[test]

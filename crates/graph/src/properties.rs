@@ -85,27 +85,6 @@ pub fn is_symmetric<W: Copy + Send + Sync>(g: &Graph<W>) -> bool {
     })
 }
 
-/// True iff the graph contains an arc `v -> v`.
-pub fn has_self_loops<W: Copy + Send + Sync>(g: &Graph<W>) -> bool {
-    let n = g.num_vertices();
-    (0..n).into_par_iter().any(|v| {
-        let v = checked_u32(v);
-        g.out_neighbors(v).binary_search(&v).is_ok()
-    })
-}
-
-/// Out-degree histogram capped at `max_bucket`: `out[d]` is the number of
-/// vertices with out-degree `d` (the last bucket absorbs larger degrees).
-/// Used to report the degree-distribution shape for the rMat inputs.
-pub fn degree_histogram<W: Copy + Send + Sync>(g: &Graph<W>, max_bucket: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; max_bucket + 1];
-    for v in 0..g.num_vertices() {
-        let d = g.out_degree(checked_u32(v)).min(max_bucket);
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,21 +115,6 @@ mod tests {
         assert!(is_symmetric(&sym));
         let dir = build_graph(3, &[(0, 1), (1, 2)], BuildOptions::directed());
         assert!(!is_symmetric(&dir));
-    }
-
-    #[test]
-    fn self_loop_detection() {
-        let with = build_graph(3, &[(1, 1), (0, 2)], BuildOptions::raw_directed());
-        assert!(has_self_loops(&with));
-        let without = build_graph(3, &[(0, 1)], BuildOptions::directed());
-        assert!(!has_self_loops(&without));
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_n() {
-        let g = erdos_renyi(1000, 5000, 2, true);
-        let h = degree_histogram(&g, 32);
-        assert_eq!(h.iter().sum::<usize>(), 1000);
     }
 
     #[test]

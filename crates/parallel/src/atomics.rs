@@ -140,27 +140,6 @@ impl AtomicF64 {
             }
         }
     }
-
-    /// Atomic `*self = min(*self, v)`; returns `true` iff `v` won.
-    ///
-    /// NaN never wins and never loses (comparisons are `false`), matching
-    /// the short-circuit behaviour of the C `<` used by Ligra.
-    #[inline]
-    pub fn write_min(&self, v: f64) -> bool {
-        let mut cur = self.0.load(Ordering::Acquire);
-        while v < f64::from_bits(cur) {
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-        false
-    }
 }
 
 impl Default for AtomicF64 {
@@ -213,22 +192,6 @@ mod tests {
             a.fetch_add(0.5);
         });
         assert_eq!(a.load(Ordering::Relaxed), 2048.0);
-    }
-
-    #[test]
-    fn atomic_f64_write_min() {
-        let a = AtomicF64::new(1.0);
-        assert!(a.write_min(0.25));
-        assert!(!a.write_min(0.5));
-        assert!(!a.write_min(0.25));
-        assert_eq!(a.load(Ordering::Relaxed), 0.25);
-    }
-
-    #[test]
-    fn atomic_f64_nan_never_wins() {
-        let a = AtomicF64::new(1.0);
-        assert!(!a.write_min(f64::NAN));
-        assert_eq!(a.load(Ordering::Relaxed), 1.0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! the standard one: per-block counts, exclusive scan of counts, then a
 //! second pass copying survivors to their final offsets.
 
+use crate::scan::scan_exclusive;
 use crate::utils::{block_range, num_blocks, SendPtr, GRANULARITY};
 use rayon::prelude::*;
 
@@ -48,17 +49,11 @@ pub fn pack_index_bits(bits: &crate::bitvec::BitSet) -> Vec<u32> {
     }
     // Block over words; GRANULARITY bits of work per sequential grain.
     let nblocks = num_blocks(nw, GRANULARITY / 64);
-    let mut counts: Vec<usize> = (0..nblocks)
+    let counts: Vec<usize> = (0..nblocks)
         .into_par_iter()
         .map(|b| block_range(nw, nblocks, b).map(|wi| words[wi].count_ones() as usize).sum())
         .collect();
-    let mut acc = 0usize;
-    for c in counts.iter_mut() {
-        let next = acc + *c;
-        *c = acc;
-        acc = next;
-    }
-    let total = acc;
+    let (counts, total) = scan_exclusive(&counts, 0, |a, b| a + b);
 
     let mut out: Vec<u32> = Vec::with_capacity(total);
     {
@@ -107,19 +102,11 @@ where
     }
 
     // Pass 1: count survivors per block.
-    let mut counts: Vec<usize> = (0..nblocks)
+    let counts: Vec<usize> = (0..nblocks)
         .into_par_iter()
         .map(|b| block_range(n, nblocks, b).filter(|&i| keep(i)).count())
         .collect();
-
-    // Exclusive scan of counts (small array — sequential).
-    let mut acc = 0usize;
-    for c in counts.iter_mut() {
-        let next = acc + *c;
-        *c = acc;
-        acc = next;
-    }
-    let total = acc;
+    let (counts, total) = scan_exclusive(&counts, 0, |a, b| a + b);
 
     // Pass 2: copy survivors to their offsets.
     let mut out: Vec<T> = Vec::with_capacity(total);

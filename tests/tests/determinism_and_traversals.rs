@@ -100,14 +100,3 @@ fn grid_has_many_more_rounds_than_rmat() {
     let rmat_rounds = apps::bfs(&rm, 0).rounds;
     assert!(grid_rounds >= 3 * rmat_rounds, "grid {grid_rounds} rounds vs rMat {rmat_rounds}");
 }
-
-#[test]
-fn dedup_changes_frontier_sizes_not_results() {
-    let g = random_local(2000, 8, 21);
-    let wg = random_weights(&g, 25, 4);
-    let mut s1 = TraversalStats::new();
-    let mut s2 = TraversalStats::new();
-    let plain = apps::bellman_ford_traced(&wg, 0, EdgeMapOptions::default(), &mut s1);
-    let dedup = apps::bellman_ford_traced(&wg, 0, EdgeMapOptions::new().deduplicate(true), &mut s2);
-    assert_eq!(plain.dist, dedup.dist);
-}

@@ -404,8 +404,10 @@ fn dense_rounds_reduce_to_exactly_what_the_per_edge_scan_computes() {
 fn neighborhood<G: Neighbors<Weight = ()>>(g: &G, frontier: &[u32], t: Traversal) -> Vec<u32> {
     let f = edge_fn(|_s, _d, _w: ()| true, |_| true);
     let mut fr = VertexSubset::from_sparse(g.num_vertices(), frontier.to_vec());
-    let opts = EdgeMapOptions::new().traversal(t).deduplicate(true);
-    ligra::edge_map_with(g, &mut fr, &f, opts).to_vec_sorted()
+    let opts = EdgeMapOptions::new().traversal(t);
+    let mut out = ligra::edge_map_with(g, &mut fr, &f, opts).to_vec_sorted();
+    out.dedup();
+    out
 }
 
 #[test]

@@ -4,11 +4,12 @@
 //! (in-flight queries stay pinned to the snapshot they started on; the
 //! result cache keys on epoch so mutations invalidate it naturally).
 
+use ligra::jsonl::{field, field_bool, field_u64};
 use ligra::{EdgeMapOptions, NoopRecorder, Traversal};
 use ligra_apps as apps;
 use ligra_engine::{
     Engine, EngineConfig, MutateError, MutationConfig, MutationLog, Query, QueryHandle,
-    QueryOutput, QueryStatus,
+    QueryOutput, QueryStatus, Replica,
 };
 use ligra_graph::builder::{build_graph, BuildOptions};
 use ligra_graph::generators::{random_local, random_weights};
@@ -227,6 +228,29 @@ fn inflight_queries_stay_pinned_while_mutations_publish_new_epochs() {
         reached_before + 3,
         "post-mutation query sees the grown graph"
     );
+}
+
+#[test]
+fn an_add_vertices_past_the_id_space_is_refused_and_the_snapshot_survives() {
+    let engine = Arc::new(Engine::new(EngineConfig::default()));
+    let log = Arc::new(MutationLog::new(Arc::clone(&engine), MutationConfig::default()));
+    let replica = Replica::new(engine, log);
+    let reply = |line: &str| replica.handle_line(line).0;
+
+    let gen = reply(r#"{"op":"gen","family":"grid3d","side":4}"#);
+    assert_eq!(field_bool(&gen, "ok"), Some(true), "{gen}");
+    let epoch = field_u64(&reply(r#"{"op":"graph-stats"}"#), "epoch");
+
+    let refused = reply(r#"{"op":"mutate","add_vertices":18446744073709551615}"#);
+    assert_eq!(field_bool(&refused, "ok"), Some(false), "{refused}");
+    let error = field(&refused, "error").expect("an error message");
+    assert!(error.contains("add_vertices"), "{refused}");
+    assert!(!error.contains("panicked"), "a validation error, not a contained panic: {refused}");
+
+    let stats = reply(r#"{"op":"graph-stats"}"#);
+    assert_eq!(field_u64(&stats, "epoch"), epoch, "nothing was installed: {stats}");
+    assert_eq!(field_u64(&stats, "vertices"), Some(64), "{stats}");
+    assert_eq!(field_u64(&stats, "edges"), Some(384), "{stats}");
 }
 
 /// Pulls one numeric field out of a finished query's result summary.
