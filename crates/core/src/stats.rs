@@ -273,43 +273,9 @@ impl TraversalStats {
         Self::default()
     }
 
-    /// Number of recorded events (all operations).
-    pub fn num_rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
     /// The `edgeMap` events only, in execution order.
     pub fn edge_map_rounds(&self) -> impl Iterator<Item = &RoundStat> {
         self.rounds.iter().filter(|r| r.op == Op::EdgeMap)
-    }
-
-    /// `edgeMap` rounds that ran in each mode:
-    /// `(sparse, dense, dense_forward, partitioned)`.
-    pub fn mode_counts(&self) -> (usize, usize, usize, usize) {
-        let mut s = 0;
-        let mut d = 0;
-        let mut f = 0;
-        let mut p = 0;
-        for r in self.edge_map_rounds() {
-            match r.mode {
-                Mode::Sparse => s += 1,
-                Mode::Dense => d += 1,
-                Mode::DenseForward => f += 1,
-                Mode::Partitioned => p += 1,
-            }
-        }
-        (s, d, f, p)
-    }
-
-    /// Total edges incident to all frontiers (the work the traversal
-    /// touched, modulo early exit).
-    pub fn total_frontier_edges(&self) -> u64 {
-        self.edge_map_rounds().map(|r| r.frontier_out_edges).sum()
-    }
-
-    /// Total wall-clock nanoseconds across all recorded events.
-    pub fn total_time_ns(&self) -> u64 {
-        self.rounds.iter().map(|r| r.time_ns).sum()
     }
 }
 
@@ -350,9 +316,14 @@ mod tests {
         }
         t.rounds.push(round(Mode::Partitioned, 5));
         t.rounds.push(RoundStat::vertex_op(Op::VertexMap, 7, ReprKind::Dense, 7));
-        assert_eq!(t.num_rounds(), 5);
-        assert_eq!(t.mode_counts(), (2, 1, 0, 1), "vertex ops must not count as modes");
-        assert_eq!(t.total_frontier_edges(), 40);
+        let s = crate::trace::summary(&t);
+        assert_eq!(s.events, 5);
+        assert_eq!(
+            (s.sparse_rounds, s.dense_rounds, s.dense_forward_rounds, s.partitioned_rounds),
+            (2, 1, 0, 1),
+            "vertex ops must not count as modes"
+        );
+        assert_eq!(t.edge_map_rounds().map(|r| r.frontier_out_edges).sum::<u64>(), 40);
     }
 
     #[test]
@@ -391,7 +362,6 @@ mod tests {
         let mut t = TraversalStats::new();
         assert!(Recorder::enabled(&t));
         Recorder::record(&mut t, round(Mode::Dense, 3));
-        assert_eq!(t.num_rounds(), 1);
-        assert_eq!(t.total_time_ns(), 42);
+        assert_eq!(t.rounds, vec![round(Mode::Dense, 3)]);
     }
 }

@@ -222,7 +222,7 @@ mod tests {
         vertex_map_recorded(&s, |_| {}, &mut stats);
         let out = vertex_filter_recorded(&s, |v| v > 3, &mut stats);
         assert_eq!(out.to_vec_sorted(), vec![5, 7]);
-        assert_eq!(stats.num_rounds(), 2);
+        assert_eq!(stats.rounds.len(), 2);
         assert_eq!(stats.rounds[0].op, Op::VertexMap);
         assert_eq!(stats.rounds[0].frontier_vertices, 4);
         assert_eq!(stats.rounds[1].op, Op::VertexFilter);
@@ -250,7 +250,7 @@ mod tests {
         let mut stats = TraversalStats::new();
         let sum = vertex_map_reduce_f64_recorded(&s, |v| v as f64, &mut stats);
         assert_eq!(sum, 4950.0);
-        assert_eq!(stats.num_rounds(), 1);
+        assert_eq!(stats.rounds.len(), 1);
         let r = stats.rounds[0];
         assert_eq!((r.op, r.frontier_vertices, r.output_vertices), (Op::VertexMap, 100, 100));
         assert_eq!(r.frontier_bytes, s.repr_bytes());

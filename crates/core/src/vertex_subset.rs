@@ -77,15 +77,6 @@ impl VertexSubset {
         VertexSubset { n, len, sorted, repr: Repr::Sparse(vs) }
     }
 
-    /// Builds a dense subset from a boolean membership array.
-    ///
-    /// # Panics
-    /// Panics if `flags.len() != n`.
-    pub fn from_dense(n: usize, flags: Vec<bool>) -> Self {
-        assert_eq!(flags.len(), n, "dense representation must have length n");
-        VertexSubset::from_bitset(n, BitSet::from_bools(&flags))
-    }
-
     /// Builds a dense subset directly from a packed bit set.
     ///
     /// # Panics
@@ -196,12 +187,6 @@ impl VertexSubset {
         }
     }
 
-    /// True iff currently sparse and the ID list is known to be ascending.
-    #[inline]
-    pub fn is_sorted_sparse(&self) -> bool {
-        self.sorted && self.is_sparse()
-    }
-
     /// The packed membership bits if currently dense.
     pub fn dense(&self) -> Option<&BitSet> {
         match &self.repr {
@@ -279,19 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_counts_members() {
-        let flags = vec![true, false, true, true];
-        let s = VertexSubset::from_dense(4, flags);
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "length n")]
-    fn from_dense_wrong_length_panics() {
-        let _ = VertexSubset::from_dense(3, vec![true]);
-    }
-
-    #[test]
     fn conversions_preserve_len_on_large_random_sets() {
         let n = 100_000;
         let mut s = VertexSubset::from_fn(n, |v| ligra_parallel::hash32(v).is_multiple_of(3));
@@ -314,13 +286,13 @@ mod tests {
     fn contains_on_sorted_and_unsorted_sparse() {
         // Sorted list: binary-search path.
         let s = VertexSubset::from_sparse(100, vec![3, 17, 41, 99]);
-        assert!(s.is_sorted_sparse());
+        assert!(s.sorted && s.is_sparse());
         for v in 0..100u32 {
             assert_eq!(s.contains(v), [3, 17, 41, 99].contains(&v), "v={v}");
         }
         // Unsorted list: linear-scan fallback, same answers.
         let u = VertexSubset::from_sparse(100, vec![99, 3, 41, 17]);
-        assert!(!u.is_sorted_sparse());
+        assert!(!u.sorted);
         for v in 0..100u32 {
             assert_eq!(u.contains(v), s.contains(v), "v={v}");
         }

@@ -9,6 +9,8 @@
 //! shrunk, and the explored input space is smaller than real proptest's.
 //! CI strips the patch and runs these same tests under real proptest.
 
+#![allow(clippy::unwrap_used)]
+
 use ligra::{
     edge_fn, edge_map_with, vertex_filter, vertex_map, EdgeMapOptions, Traversal, VertexSubset,
 };

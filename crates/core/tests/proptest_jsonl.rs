@@ -9,6 +9,8 @@
 //! shrunk, and the explored input space is smaller than real proptest's.
 //! CI strips the patch and runs these same tests under real proptest.
 
+#![allow(clippy::unwrap_used)]
+
 use ligra::jsonl::{field, field_bool, field_u64, set_u64, text, Fields, JsonObj};
 use proptest::prelude::*;
 

@@ -61,7 +61,7 @@ struct Args {
 }
 
 /// Operator-facing fatal error: report and exit instead of panicking
-/// (lint L6 bans panics across the engine crate, binaries included).
+/// (`clippy::panic` is denied across the engine crate, binaries included).
 fn fatal(msg: &str) -> ! {
     eprintln!("ligra-serve: {msg}");
     std::process::exit(2);

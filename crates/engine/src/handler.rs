@@ -45,7 +45,7 @@ use ligra_graph::generators::{
     erdos_renyi, grid3d, random_local, random_weights, rmat, RmatOptions,
 };
 use ligra_graph::io::{load_graph, read_weighted_adjacency_graph};
-use ligra_graph::Graph;
+use ligra_graph::{Graph, VertexId};
 use std::fs::File;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -311,6 +311,12 @@ fn in_range(x: u64, range: RangeInclusive<u64>, field: &str) -> Result<u64, Stri
     }
 }
 
+/// The most edge samples a `gen` can hold: every generator collects its
+/// samples as `(VertexId, VertexId)` pairs, the symmetric build stores two
+/// `VertexId` targets per sample, and no allocation may exceed
+/// `isize::MAX` bytes.
+const MAX_SAMPLES: u64 = isize::MAX as u64 / (2 * std::mem::size_of::<VertexId>() as u64);
+
 fn generate(req: &Request) -> Result<Graph, String> {
     let seed = req.u64_or("seed", 1)?;
     let max_n = u64::from(u32::MAX);
@@ -325,13 +331,13 @@ fn generate(req: &Request) -> Result<Graph, String> {
             Ok(grid3d(side))
         }
         "random-local" | "random_local" => {
-            let n = in_range(req.u64_or("n", 10_000)?, 2..=max_n, "n")? as usize;
-            let deg = req.u64_or("deg", 8)? as usize;
-            Ok(random_local(n, deg, seed))
+            let n = in_range(req.u64_or("n", 10_000)?, 2..=max_n, "n")?;
+            let deg = in_range(req.u64_or("deg", 8)?, 0..=MAX_SAMPLES / n, "deg")?;
+            Ok(random_local(n as usize, deg as usize, seed))
         }
         "erdos-renyi" | "er" => {
             let n = in_range(req.u64_or("n", 10_000)?, 1..=max_n, "n")? as usize;
-            let m = req.u64_or("m", 50_000)? as usize;
+            let m = in_range(req.u64_or("m", 50_000)?, 0..=MAX_SAMPLES, "m")? as usize;
             Ok(erdos_renyi(n, m, seed, true))
         }
         other => Err(format!("unknown family {other:?} (rmat|grid3d|random-local|erdos-renyi)")),

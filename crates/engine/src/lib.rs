@@ -50,6 +50,8 @@
 //! `ligra`) at named points for chaos testing.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::panic, clippy::unreachable))]
+#![cfg_attr(test, allow(clippy::todo, clippy::unimplemented))]
 
 pub mod backoff;
 pub mod cache;

@@ -62,10 +62,13 @@ pub struct TrackedGuard<'a, T> {
     site: &'static str,
 }
 
-/// Acquires `m` under `site`, recovering from poisoning. Under
-/// `lock-check` the acquisition is registered *before* blocking on the
-/// real mutex — a deadlock-closing edge must be reported by the thread
-/// that would complete the cycle, not discovered after it is stuck.
+/// Acquires `m` under `site`, recovering from poisoning: a worker panic
+/// is contained per query and every structure the engine's mutexes guard
+/// is consistent between operations, so the poison flag carries no
+/// information. Under `lock-check` the acquisition is registered *before*
+/// blocking on the real mutex — a deadlock-closing edge must be reported
+/// by the thread that would complete the cycle, not discovered after it
+/// is stuck.
 pub fn tracked_lock<'a, T>(m: &'a Mutex<T>, site: &'static str) -> TrackedGuard<'a, T> {
     oracle_acquire(site);
     TrackedGuard { inner: Some(m.lock().unwrap_or_else(PoisonError::into_inner)), site }

@@ -24,7 +24,8 @@
 //! result instead of installing it.
 
 use crate::error::{classify_panic, QueryError};
-use crate::scheduler::{lock, Engine};
+use crate::lockdep::tracked_lock;
+use crate::scheduler::Engine;
 use crate::snapshot::Snapshot;
 #[cfg(feature = "fault-inject")]
 use ligra::FaultPoint;
@@ -198,7 +199,7 @@ impl MutationLog {
 
     /// Current log status.
     pub fn status(&self) -> MutationStatus {
-        let st = lock(&self.state, "mutation.state");
+        let st = tracked_lock(&self.state, "mutation.state");
         MutationStatus {
             derived_epoch: st.derived_epoch,
             pending_batches: st.pending.len(),
@@ -222,7 +223,7 @@ impl MutationLog {
     /// applies and with compaction installs; queries are never blocked
     /// (they read the store's `RwLock` only for an `Arc` clone).
     pub fn apply(self: &Arc<Self>, batch: &DeltaBatch) -> Result<MutationReport, MutateError> {
-        let mut st = lock(&self.state, "mutation.state");
+        let mut st = tracked_lock(&self.state, "mutation.state");
         let snap = self.writable_snapshot()?;
         if snap.epoch() != st.derived_epoch {
             // The store moved under us (operator load/gen): re-base.
@@ -294,7 +295,7 @@ impl MutationLog {
     pub fn compact(&self) -> Result<CompactionReport, MutateError> {
         // Claim the compactor slot and capture the lineage.
         let (graph, baked, generation) = {
-            let mut st = lock(&self.state, "mutation.state");
+            let mut st = tracked_lock(&self.state, "mutation.state");
             if st.compacting {
                 return Err(MutateError::Busy);
             }
@@ -320,7 +321,7 @@ impl MutationLog {
         }));
 
         let m = self.engine.metrics();
-        let mut st = lock(&self.state, "mutation.state");
+        let mut st = tracked_lock(&self.state, "mutation.state");
         st.compacting = false;
         let clean = match result {
             Err(payload) => {
@@ -370,7 +371,7 @@ impl MutationLog {
     /// when one already appears to be running). The thread's outcome is
     /// visible through the mutation metrics.
     pub fn compact_async(self: &Arc<Self>) -> bool {
-        if lock(&self.state, "mutation.state").compacting {
+        if tracked_lock(&self.state, "mutation.state").compacting {
             return false;
         }
         let log = Arc::clone(self);

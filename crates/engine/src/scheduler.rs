@@ -40,7 +40,7 @@
 
 use crate::cache::ResultCache;
 use crate::error::{classify_panic, QueryError};
-use crate::lockdep::{tracked_lock, TrackedGuard};
+use crate::lockdep::tracked_lock;
 use crate::metrics::registry::N_KINDS;
 use crate::metrics::{HistogramSnapshot, MetricsRegistry};
 use crate::query::{Answer, Query, QueryOutput, Summary};
@@ -61,16 +61,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// re-enqueue one job before it fails for good.
 #[cfg(feature = "fault-inject")]
 const MAX_DISPATCH_RETRIES: u64 = 2;
-
-/// Locks a scheduler mutex under a named lock site, recovering from
-/// poisoning. A worker panic is caught and contained per-query; every
-/// structure these mutexes guard (queue, cache, job table) is
-/// left consistent between individual operations, so the poison flag
-/// carries no information the scheduler needs. The site name feeds the
-/// runtime lock-order oracle in `lock-check` builds (DESIGN.md §15).
-pub(crate) fn lock<'a, T>(m: &'a Mutex<T>, site: &'static str) -> TrackedGuard<'a, T> {
-    tracked_lock(m, site)
-}
 
 /// Engine tunables.
 #[derive(Debug, Clone)]
@@ -230,7 +220,7 @@ struct Job {
 
 impl Job {
     fn set_status(&self, status: QueryStatus) {
-        lock(&self.state, "job.state").status = status;
+        tracked_lock(&self.state, "job.state").status = status;
     }
 
     fn finish(
@@ -240,7 +230,7 @@ impl Job {
         error: Option<QueryError>,
         span: QuerySpan,
     ) {
-        let mut st = lock(&self.state, "job.state");
+        let mut st = tracked_lock(&self.state, "job.state");
         st.status = status;
         st.answer = answer;
         st.error = error;
@@ -362,7 +352,7 @@ impl QueryHandle {
 
     /// Current status.
     pub fn status(&self) -> QueryStatus {
-        lock(&self.job.state, "job.state").status
+        tracked_lock(&self.job.state, "job.state").status
     }
 
     /// Requests cooperative cancellation; the query yields at its next
@@ -373,7 +363,7 @@ impl QueryHandle {
 
     /// Blocks until the query reaches a terminal state.
     pub fn wait(&self) -> QueryStatus {
-        let mut st = lock(&self.job.state, "job.state");
+        let mut st = tracked_lock(&self.job.state, "job.state");
         while !st.status.is_terminal() {
             st = st.wait(&self.job.done);
         }
@@ -383,7 +373,7 @@ impl QueryHandle {
     /// Blocks up to `timeout`; `None` if still not terminal.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<QueryStatus> {
         let deadline = Instant::now() + timeout;
-        let mut st = lock(&self.job.state, "job.state");
+        let mut st = tracked_lock(&self.job.state, "job.state");
         while !st.status.is_terminal() {
             let left = deadline.checked_duration_since(Instant::now())?;
             let (guard, res) = st.wait_timeout(&self.job.done, left);
@@ -398,12 +388,12 @@ impl QueryHandle {
     /// The result, once `Done`. The handle owns it: it stays available
     /// here after the engine has retired (or expired) the query.
     pub fn result(&self) -> Option<Arc<QueryOutput>> {
-        lock(&self.job.state, "job.state").answer.as_ref().map(|a| Arc::clone(&a.output))
+        tracked_lock(&self.job.state, "job.state").answer.as_ref().map(|a| Arc::clone(&a.output))
     }
 
     /// Everything the serving layer reports about this query, as of now.
     pub fn report(&self) -> QueryReport {
-        let st = lock(&self.job.state, "job.state");
+        let st = tracked_lock(&self.job.state, "job.state");
         QueryReport {
             id: self.job.id,
             trace_id: self.job.trace_id.clone(),
@@ -416,17 +406,17 @@ impl QueryHandle {
 
     /// The error message, once `Failed` or `Panicked`.
     pub fn error(&self) -> Option<String> {
-        lock(&self.job.state, "job.state").error.as_ref().map(QueryError::to_string)
+        tracked_lock(&self.job.state, "job.state").error.as_ref().map(QueryError::to_string)
     }
 
     /// The typed error, once `Failed` or `Panicked`.
     pub fn query_error(&self) -> Option<QueryError> {
-        lock(&self.job.state, "job.state").error.clone()
+        tracked_lock(&self.job.state, "job.state").error.clone()
     }
 
     /// The lifecycle span, once terminal.
     pub fn span(&self) -> Option<QuerySpan> {
-        lock(&self.job.state, "job.state").span.clone()
+        tracked_lock(&self.job.state, "job.state").span.clone()
     }
 }
 
@@ -535,7 +525,7 @@ impl Engine {
             _ => format!("{:016x}", mix64(sh.trace_nonce ^ id)),
         };
         let key = (snapshot.epoch(), query.clone());
-        let cached = lock(&sh.cache, "scheduler.cache").get(&key);
+        let cached = tracked_lock(&sh.cache, "scheduler.cache").get(&key);
 
         let job = Arc::new(Job {
             id,
@@ -565,15 +555,15 @@ impl Engine {
             sh.metrics.retire(QueryStatus::Done);
             let handle = QueryHandle { job };
             let report = handle.report();
-            lock(&sh.jobs, "scheduler.jobs").retire(report);
+            tracked_lock(&sh.jobs, "scheduler.jobs").retire(report);
             return Ok(handle);
         }
 
         // Into the table before the queue: a fast worker retiring the
         // job must find it there, or the entry would never leave.
-        lock(&sh.jobs, "scheduler.jobs").live.insert(id, Arc::clone(&job));
+        tracked_lock(&sh.jobs, "scheduler.jobs").live.insert(id, Arc::clone(&job));
         let full = {
-            let mut q = lock(&sh.queue, "scheduler.queue");
+            let mut q = tracked_lock(&sh.queue, "scheduler.queue");
             let full = q.len() >= sh.config.queue_capacity;
             if !full {
                 q.push_back(Arc::clone(&job));
@@ -582,7 +572,7 @@ impl Engine {
             full
         };
         if full {
-            lock(&sh.jobs, "scheduler.jobs").live.remove(&id);
+            tracked_lock(&sh.jobs, "scheduler.jobs").live.remove(&id);
             sh.metrics.rejected.incr();
             return Err(SubmitError::QueueFull);
         }
@@ -594,14 +584,14 @@ impl Engine {
     /// The handle of a submitted query that has not finished yet, to
     /// wait on or cancel by id.
     pub fn handle(&self, id: u64) -> Option<QueryHandle> {
-        let table = lock(&self.shared.jobs, "scheduler.jobs");
+        let table = tracked_lock(&self.shared.jobs, "scheduler.jobs");
         table.live.get(&id).map(|job| QueryHandle { job: Arc::clone(job) })
     }
 
     /// What is known about a submitted query: its live state, or its
     /// report if it is among the last [`RETIRED_CAPACITY`] finished.
     pub fn report(&self, id: u64) -> Result<QueryReport, LookupError> {
-        let table = lock(&self.shared.jobs, "scheduler.jobs");
+        let table = tracked_lock(&self.shared.jobs, "scheduler.jobs");
         if let Some(job) = table.live.get(&id) {
             let live = QueryHandle { job: Arc::clone(job) };
             drop(table);
@@ -623,7 +613,7 @@ impl Engine {
         let sh = &self.shared;
         let m = &sh.metrics;
         let (cache_hits, cache_misses, cache_evictions, cache_len) = {
-            let c = lock(&sh.cache, "scheduler.cache");
+            let c = tracked_lock(&sh.cache, "scheduler.cache");
             (c.hits(), c.misses(), c.evictions(), c.len() as u64)
         };
         let fault_injections = FaultPoint::ALL
@@ -679,7 +669,7 @@ impl Engine {
     /// The spans of the last [`RETIRED_CAPACITY`] finished queries, in
     /// the order they finished.
     pub fn spans(&self) -> Vec<QuerySpan> {
-        let table = lock(&self.shared.jobs, "scheduler.jobs");
+        let table = tracked_lock(&self.shared.jobs, "scheduler.jobs");
         table.retired.iter().filter_map(|r| r.span.clone()).collect()
     }
 
@@ -711,7 +701,7 @@ fn worker_loop(sh: &Shared) {
     loop {
         let idle_start = Instant::now();
         let job = {
-            let mut q = lock(&sh.queue, "scheduler.queue");
+            let mut q = tracked_lock(&sh.queue, "scheduler.queue");
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
@@ -731,7 +721,7 @@ fn worker_loop(sh: &Shared) {
         // bugs, so a worker can never die and a waiter can never hang
         // on a job that silently evaporated.
         if catch_unwind(AssertUnwindSafe(|| run_job(sh, &job))).is_err()
-            && !lock(&job.state, "job.state").status.is_terminal()
+            && !tracked_lock(&job.state, "job.state").status.is_terminal()
         {
             let err = QueryError::Panicked {
                 point: "scheduler",
@@ -841,7 +831,7 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
                     }
                 }
                 if cacheable {
-                    lock(&sh.cache, "scheduler.cache")
+                    tracked_lock(&sh.cache, "scheduler.cache")
                         .insert((job.snapshot.epoch(), job.query.clone()), answer.clone());
                 }
                 Executed::Success(answer)
@@ -866,7 +856,7 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
                 sh.metrics.retries.incr();
                 job.set_status(QueryStatus::Queued);
                 {
-                    let mut q = lock(&sh.queue, "scheduler.queue");
+                    let mut q = tracked_lock(&sh.queue, "scheduler.queue");
                     q.push_back(Arc::clone(job));
                     sh.metrics.queue_depth.add(1);
                 }
@@ -931,7 +921,7 @@ fn finalize(
     span.status = status;
     fill_span_buckets(&mut span);
     sh.metrics.retire(status);
-    lock(&sh.jobs, "scheduler.jobs").retire(QueryReport {
+    tracked_lock(&sh.jobs, "scheduler.jobs").retire(QueryReport {
         id: job.id,
         trace_id: job.trace_id.clone(),
         status,

@@ -204,7 +204,7 @@ mod tests {
         let _ = bfs_traced(&g, 0, EdgeMapOptions::new(), &mut traced);
         assert_eq!((traced.edge_map_rounds, traced.events), (plain.edge_map_rounds, plain.events));
         let rows = traced.trace.expect("trace rows requested");
-        assert_eq!(rows.num_rounds() as u64, traced.events);
+        assert_eq!(rows.rounds.len() as u64, traced.events);
         assert_eq!(rows.edge_map_rounds().count() as u64, traced.edge_map_rounds);
     }
 

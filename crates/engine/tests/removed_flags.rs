@@ -4,6 +4,9 @@
 //! not silently ignored), and the `--help` usage and the module-doc
 //! synopsis both list exactly the flags the parsers accept.
 
+#![allow(clippy::unwrap_used, clippy::panic, clippy::unreachable)]
+#![allow(clippy::todo, clippy::unimplemented)]
+
 use std::collections::BTreeSet;
 use std::process::Command;
 

@@ -269,10 +269,10 @@ impl<W: Copy + Send + Sync> Adjacency<W> {
             (0..n).into_par_iter().for_each(|v| {
                 let p = ptr;
                 let base = offsets[v] as usize;
-                // SAFETY: per-vertex output ranges come from an exclusive
-                // scan of the degrees, so writes are disjoint and within
-                // the reserved capacity; each slot is written exactly once.
                 for (i, &w) in self.weights(checked_u32(v)).iter().enumerate() {
+                    // SAFETY: per-vertex output ranges come from an exclusive
+                    // scan of the degrees, so writes are disjoint and within
+                    // the reserved capacity; each slot is written exactly once.
                     unsafe { (*p.0.add(base + i)).write(w) };
                 }
             });

@@ -17,8 +17,9 @@ use rayon::prelude::*;
 pub fn random_local_edges(n: usize, degree: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
     assert!(n >= 2, "need at least two vertices");
     assert!(n <= u32::MAX as usize);
+    let samples = n.checked_mul(degree).expect("n * degree overflows usize");
     let log_n = usize::BITS - (n - 1).leading_zeros(); // ceil(log2 n)
-    (0..(n * degree) as u64)
+    (0..samples as u64)
         .into_par_iter()
         .map(|i| {
             let u = (i / degree as u64) as usize;

@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod builder;
 pub mod csr;

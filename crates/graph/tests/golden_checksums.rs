@@ -7,6 +7,8 @@
 //! folds `mix64` over the arrays in order; a change to any edge, offset,
 //! target or weight changes it.
 
+#![allow(clippy::unwrap_used)]
+
 use ligra_graph::generators::random_local::random_local_edges;
 use ligra_graph::generators::rmat::rmat_edges;
 use ligra_graph::generators::{grid3d, rmat, RmatOptions};

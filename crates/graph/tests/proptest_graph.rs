@@ -7,6 +7,8 @@
 //! shrunk, and the explored input space is smaller than real proptest's.
 //! CI strips the patch and runs these same tests under real proptest.
 
+#![allow(clippy::unwrap_used)]
+
 use ligra_graph::csr::transpose;
 use ligra_graph::io::{read_adjacency_graph, write_adjacency_graph};
 use ligra_graph::{build_graph, build_weighted_graph, properties, BuildOptions, Graph};

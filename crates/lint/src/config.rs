@@ -1,9 +1,12 @@
 //! The project policy the lints enforce.
 //!
-//! This table — not the rule engine — is the contract reviewers sign off
-//! on. DESIGN.md §10 documents the rationale per crate; a new crate or a
-//! new ordering in an existing crate must be added here deliberately,
-//! which is the point: the diff that relaxes the policy is visible.
+//! These tables — not the rule engine — are the contract reviewers sign
+//! off on. DESIGN.md §10 documents the rationale per crate; a new crate or
+//! a new ordering in an existing crate must be added here deliberately,
+//! which is the point: the diff that relaxes the policy is visible. The
+//! policy a standard lint can check (`SAFETY:` comments, no bare
+//! `.unwrap()`, documented `pub fn`s, no panicking macros in the engine)
+//! lives in each package's `[lints]` table instead.
 
 /// Atomic orderings each crate may use in non-test code (rule L2).
 ///
@@ -44,13 +47,6 @@ pub const ORDERING_WHITELIST: &[(&str, &[&str])] = &[
     ("lint", &[]),
 ];
 
-/// Crates whose non-test library code may not call bare `.unwrap()`
-/// (rule L3): panics in the traversal/serving stack must either carry the
-/// violated invariant (`.expect("…")`) or propagate. `apps` is exempt —
-/// its result types are research outputs, not serving surfaces — as are
-/// benches and examples.
-pub const NO_UNWRAP_CRATES: &[&str] = &["core", "parallel", "graph", "compress", "engine", "lint"];
-
 /// Crates whose non-test code may not use truncating `as u32` /
 /// `as VertexId` casts (rule L4); vertex and edge IDs must go through the
 /// asserting helpers in `parallel::utils` (`checked_u32`, `word_base`).
@@ -59,17 +55,6 @@ pub const NO_TRUNCATING_CAST_CRATES: &[&str] =
 
 /// Files exempt from L4 because they *are* the checked helpers.
 pub const CAST_HELPER_FILES: &[&str] = &["crates/parallel/src/utils.rs"];
-
-/// Crates whose `pub fn`s must carry doc comments (rule L5).
-pub const DOC_REQUIRED_CRATES: &[&str] = &["core"];
-
-/// Crates whose non-test code (binaries included) may not invoke
-/// `panic!` / `unreachable!` / `todo!` / `unimplemented!` (rule L6): the
-/// engine's failure model routes every fault through typed errors and
-/// the worker `catch_unwind` boundary, so an explicit panicking macro is
-/// a latent serving crash. Waive genuinely unreachable states with
-/// `// lint: allow(L6): reason`.
-pub const NO_PANIC_CRATES: &[&str] = &["engine"];
 
 /// Orderings a `compare_exchange`/`compare_exchange_weak`/`fetch_update`
 /// success slot may use (rule L2's CAS-loop check): the winner of a claim
@@ -93,13 +78,13 @@ pub const CAS_FAILURE_ALLOWED: &[&str] = &["Acquire", "Relaxed"];
 pub const CAS_RELAXED_SUCCESS_FILES: &[&str] = &["crates/engine/src/metrics/mod.rs"];
 
 /// Free functions the lock pass (rules L7/L8) treats as lock
-/// acquisitions: the scheduler's poison-recovering `lock(mutex, site)`
-/// helper and the `lockdep` tracked wrappers. The acquired lock's name is
-/// the last field identifier of the first argument (`lock(&self.state,
-/// …)` → `state`), which keeps the static lock names aligned with the
-/// runtime `LockOracle` site suffixes. Method-style `.lock()` / `.read()`
-/// / `.write()` with empty argument lists are recognized independently.
-pub const LOCK_ACQUIRE_FNS: &[&str] = &["lock", "tracked_lock", "tracked_read", "tracked_write"];
+/// acquisitions: the poison-recovering `lockdep` tracked wrappers. The
+/// acquired lock's name is the last field identifier of the first
+/// argument (`tracked_lock(&self.state, …)` → `state`), which keeps the
+/// static lock names aligned with the runtime `LockOracle` site suffixes.
+/// Method-style `.lock()` / `.read()` / `.write()` with empty argument
+/// lists are recognized independently.
+pub const LOCK_ACQUIRE_FNS: &[&str] = &["tracked_lock", "tracked_read", "tracked_write"];
 
 /// Calls the lock pass treats as blocking (rule L8): parking, channel
 /// receives, thread joins, panic-dispatch via `catch_unwind`, and

@@ -7,7 +7,7 @@
 //!    library files (nested fns are lifted out and analyzed separately;
 //!    closures are treated as inline code of their enclosing fn).
 //! 2. **Acquisition sites** — calls to the project lock helpers
-//!    (`lock(&self.state, …)`, `tracked_read(&store.current, …)`; see
+//!    (`tracked_lock(&self.state, …)`, `tracked_read(&store.current, …)`; see
 //!    [`config::LOCK_ACQUIRE_FNS`]) and empty-argument `.lock()` /
 //!    `.read()` / `.write()` method calls. A site's *lock name* is the
 //!    last field identifier of the guarded expression (`&self.state` →
@@ -502,7 +502,7 @@ fn extract_events(ctx: &FileCtx, f: &FnInfo) -> Vec<Ev> {
                 let is_method = i > 0 && toks[i - 1].tok == Tok::Punct('.');
                 let empty_args = toks.get(i + 2).map(|t| &t.tok) == Some(&Tok::Punct(')'));
                 if !is_method && config::LOCK_ACQUIRE_FNS.contains(&name.as_str()) {
-                    // Project lock helper: `lock(&self.state, "site")`.
+                    // Project lock helper: `tracked_lock(&self.state, "site")`.
                     if let Some(lock) = first_arg_last_ident(toks, i + 1) {
                         out.push(Ev::Acquire { lock, line, binding: pending_let.take() });
                     }
@@ -595,7 +595,7 @@ fn let_binding(toks: &[crate::lexer::SpannedTok], let_idx: usize) -> Option<Stri
 }
 
 /// Last identifier inside the first top-level argument of the call whose
-/// `(` sits at `open`: `lock(&self.state, "x")` → `state`.
+/// `(` sits at `open`: `tracked_lock(&self.state, "x")` → `state`.
 fn first_arg_last_ident(toks: &[crate::lexer::SpannedTok], open: usize) -> Option<String> {
     let mut depth = 0i32;
     let mut last: Option<String> = None;

@@ -116,10 +116,9 @@ fn print_help() {
          \n\
          USAGE: ligra-lint [--workspace] [--json] [FILES…]\n\
          \n\
-         Rules: L1 unsafe-needs-SAFETY, L2 ordering whitelist, L3 no bare\n\
-         unwrap, L4 no truncating ID casts, L5 core pub fns documented,\n\
-         L6 no panic macros in serving code, L7 lock-order inversion,\n\
-         L8 blocking call under a held lock, W1 stale waiver (warning).\n\
+         Rules: L2 ordering whitelist, L4 no truncating ID casts,\n\
+         L7 lock-order inversion, L8 blocking call under a held lock,\n\
+         W1 stale or unknown-rule waiver (warning).\n\
          Waive one occurrence with `// lint: allow(L4): reason`.\n\
          Exit codes: 0 no errors, 1 violations, 2 internal error."
     );

@@ -2,23 +2,22 @@
 //!
 //! | ID | check |
 //! |----|-------|
-//! | L1 | every `unsafe` block/fn/impl carries a nearby `// SAFETY:` comment |
 //! | L2 | atomic orderings come from the per-crate whitelist; `SeqCst` is always an error; CAS success/failure orderings follow the claim discipline |
-//! | L3 | no bare `.unwrap()` in non-test library code of the serving-stack crates |
 //! | L4 | no truncating `as u32` / `as VertexId` casts outside `parallel::utils` |
-//! | L5 | every `pub fn` in `core` has a doc comment |
-//! | L6 | no `panic!` / `unreachable!` / `todo!` in the serving crates' non-test code |
 //! | L7 | lock-order inversion across the crate's call graph (see [`crate::lockpass`]) |
 //! | L8 | blocking call reached while a lock guard is live (see [`crate::lockpass`]) |
-//! | W1 | a `// lint: allow(Lx)` waiver that suppresses no finding |
+//! | W1 | a `// lint: allow(Lx)` waiver that suppresses no finding or names no rule |
+//!
+//! The numbers L1, L3, L5 and L6 are retired: their checks are the
+//! standard lints each package's `[lints]` table sets (DESIGN.md §10).
 //!
 //! A rule can be waived on a specific line with
 //! `// lint: allow(L4): why this is sound`, which the scanner records and
 //! applies to the comment's own line and the line below it. Waivers are a
 //! reviewed escape hatch: the reason is part of the comment grammar on
-//! purpose — and a waiver that stops suppressing anything is itself
-//! reported (`warning[W1]`), so the escape hatches cannot silently
-//! outlive the code they excused.
+//! purpose — and a waiver that stops suppressing anything, or that names
+//! a rule this linter does not have, is itself reported (`warning[W1]`),
+//! so the escape hatches cannot silently outlive the code they excused.
 
 use std::cell::Cell;
 
@@ -28,35 +27,24 @@ use crate::lexer::{SpannedTok, Tok};
 /// Lint rule identifiers (stable, used by fixtures and CI logs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// `unsafe` without a `// SAFETY:` justification.
-    L1,
     /// Atomic ordering outside the per-crate whitelist.
     L2,
-    /// Bare `.unwrap()` in non-test library code.
-    L3,
     /// Truncating `as u32`/`as VertexId` cast outside the checked helpers.
     L4,
-    /// Undocumented `pub fn` in `core`.
-    L5,
-    /// `panic!`/`unreachable!`/`todo!` in serving-crate non-test code.
-    L6,
     /// Two call paths acquire the same pair of locks in opposite order.
     L7,
     /// Blocking call reached while a lock guard is held.
     L8,
-    /// Stale waiver: a `lint: allow` comment that suppresses nothing.
+    /// Stale waiver: a `lint: allow` comment that suppresses nothing or
+    /// names no rule.
     W1,
 }
 
 impl std::fmt::Display for RuleId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            RuleId::L1 => "L1",
             RuleId::L2 => "L2",
-            RuleId::L3 => "L3",
             RuleId::L4 => "L4",
-            RuleId::L5 => "L5",
-            RuleId::L6 => "L6",
             RuleId::L7 => "L7",
             RuleId::L8 => "L8",
             RuleId::W1 => "W1",
@@ -104,16 +92,18 @@ impl std::fmt::Display for Diag {
 pub enum FileKind {
     /// Library/binary source: all rules in scope.
     Lib,
-    /// Test source (a `tests/` or `benches/` tree): only L1 applies.
+    /// Test source (a `tests/` or `benches/` tree): only the waiver
+    /// check (W1) applies.
     Test,
 }
 
 /// One recorded `// lint: allow(Lx)` waiver. `used` flips when the waiver
 /// actually suppresses a diagnostic; waivers still cold after every rule
-/// (including the cross-file lock pass) has run are reported as `W1`.
+/// (including the cross-file lock pass) has run are reported as `W1`, and
+/// so is a waiver naming no rule (`rule` holds the name it gave).
 struct Allow {
     line: u32,
-    rule: RuleId,
+    rule: Result<RuleId, String>,
     used: Cell<bool>,
 }
 
@@ -156,7 +146,7 @@ impl FileCtx {
     pub(crate) fn allowed(&self, line: u32, rule: RuleId) -> bool {
         let mut hit = false;
         for a in &self.allows {
-            if a.rule == rule && (a.line == line || a.line + 1 == line) {
+            if a.rule == Ok(rule) && (a.line == line || a.line + 1 == line) {
                 a.used.set(true);
                 hit = true;
             }
@@ -171,37 +161,37 @@ impl FileCtx {
     }
 }
 
-/// Emits `warning[W1]` for every waiver in `ctx` that suppressed nothing.
-/// Must run after every other rule — including the cross-file lock pass —
-/// since those are what mark waivers used.
+/// Emits `warning[W1]` for every waiver in `ctx` that suppressed nothing
+/// or names no rule. Must run after every other rule — including the
+/// cross-file lock pass — since those are what mark waivers used.
 pub fn check_unused_waivers(ctx: &FileCtx, out: &mut Vec<Diag>) {
-    for a in &ctx.allows {
-        if !a.used.get() {
-            out.push(Diag {
-                rule: RuleId::W1,
-                severity: Severity::Warn,
-                file: ctx.path.clone(),
-                line: a.line,
-                msg: format!(
-                    "stale waiver: `lint: allow({})` suppresses no finding on this or the \
-                     next line — remove it (or fix the drifted code it used to excuse)",
-                    a.rule
-                ),
-            });
-        }
+    for a in ctx.allows.iter().filter(|a| !a.used.get()) {
+        let msg = match &a.rule {
+            Ok(rule) => format!(
+                "stale waiver: `lint: allow({rule})` suppresses no finding on this or the \
+                 next line — remove it (or fix the drifted code it used to excuse)"
+            ),
+            Err(name) => format!(
+                "waiver names `{name}`, which is no ligra-lint rule (L2, L4, L7, L8) — \
+                 remove it; clippy and rustc lints take `#[allow(...)]`"
+            ),
+        };
+        out.push(Diag {
+            rule: RuleId::W1,
+            severity: Severity::Warn,
+            file: ctx.path.clone(),
+            line: a.line,
+            msg,
+        });
     }
 }
 
 /// Runs every in-scope rule over the file.
 pub fn check_file(ctx: &FileCtx) -> Vec<Diag> {
     let mut out = Vec::new();
-    rule_l1_safety_comments(ctx, &mut out);
     if ctx.kind == FileKind::Lib {
         rule_l2_orderings(ctx, &mut out);
-        rule_l3_unwrap(ctx, &mut out);
         rule_l4_truncating_casts(ctx, &mut out);
-        rule_l5_doc_comments(ctx, &mut out);
-        rule_l6_no_panics(ctx, &mut out);
     }
     out.sort_by_key(|d| (d.line, d.rule));
     out
@@ -321,66 +311,18 @@ fn find_allows(toks: &[SpannedTok]) -> Vec<Allow> {
         let trimmed = text.trim_start();
         let Some(rest) = trimmed.strip_prefix("lint: allow(") else { continue };
         let Some(end) = rest.find(')') else { continue };
-        for name in rest[..end].split(',') {
-            let rule = match name.trim() {
-                "L1" => RuleId::L1,
-                "L2" => RuleId::L2,
-                "L3" => RuleId::L3,
-                "L4" => RuleId::L4,
-                "L5" => RuleId::L5,
-                "L6" => RuleId::L6,
-                "L7" => RuleId::L7,
-                "L8" => RuleId::L8,
-                _ => continue,
+        for name in rest[..end].split(',').map(str::trim) {
+            let rule = match name {
+                "L2" => Ok(RuleId::L2),
+                "L4" => Ok(RuleId::L4),
+                "L7" => Ok(RuleId::L7),
+                "L8" => Ok(RuleId::L8),
+                _ => Err(name.to_string()),
             };
             out.push(Allow { line: t.line, rule, used: Cell::new(false) });
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// L1: unsafe needs a SAFETY comment
-// ---------------------------------------------------------------------------
-
-fn rule_l1_safety_comments(ctx: &FileCtx, out: &mut Vec<Diag>) {
-    // Lines on which a comment mentions `SAFETY:`.
-    let safety_lines: Vec<u32> = ctx
-        .toks
-        .iter()
-        .filter(|t| match &t.tok {
-            Tok::LineComment { text, .. } | Tok::BlockComment { text, .. } => {
-                text.contains("SAFETY:")
-            }
-            _ => false,
-        })
-        .map(|t| t.line)
-        .collect();
-
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !matches!(&t.tok, Tok::Ident(s) if s == "unsafe") {
-            continue;
-        }
-        let line = t.line;
-        // A justification within the five lines above (a short comment
-        // block) or trailing on the same line satisfies the rule.
-        let justified = safety_lines.iter().any(|&sl| sl <= line && line.saturating_sub(sl) <= 5);
-        if justified {
-            continue;
-        }
-        let what = match ctx.toks.get(i + 1).map(|t| &t.tok) {
-            Some(Tok::Ident(s)) if s == "fn" => "unsafe fn",
-            Some(Tok::Ident(s)) if s == "impl" => "unsafe impl",
-            Some(Tok::Ident(s)) if s == "trait" => "unsafe trait",
-            _ => "unsafe block",
-        };
-        ctx.diag(
-            out,
-            RuleId::L1,
-            line,
-            format!("{what} without a `// SAFETY:` comment stating the upheld invariant"),
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -551,38 +493,6 @@ fn rule_l2_cas_discipline(ctx: &FileCtx, out: &mut Vec<Diag>) {
 }
 
 // ---------------------------------------------------------------------------
-// L3: no bare .unwrap() in library code
-// ---------------------------------------------------------------------------
-
-fn rule_l3_unwrap(ctx: &FileCtx, out: &mut Vec<Diag>) {
-    if !config::NO_UNWRAP_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        let is_unwrap = matches!(&t.tok, Tok::Ident(s) if s == "unwrap");
-        if !is_unwrap
-            || i == 0
-            || ctx.toks[i - 1].tok != Tok::Punct('.')
-            || ctx.toks.get(i + 1).map(|t| &t.tok) != Some(&Tok::Punct('('))
-        {
-            continue;
-        }
-        let line = t.line;
-        if ctx.in_test_region(line) {
-            continue;
-        }
-        ctx.diag(
-            out,
-            RuleId::L3,
-            line,
-            "bare `.unwrap()` in library code: state the violated invariant with \
-             `.expect(\"…\")` or propagate the error"
-                .to_string(),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // L4: truncating casts go through the checked helpers
 // ---------------------------------------------------------------------------
 
@@ -617,155 +527,4 @@ fn rule_l4_truncating_casts(ctx: &FileCtx, out: &mut Vec<Diag>) {
             ),
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// L5: pub fns in core carry doc comments
-// ---------------------------------------------------------------------------
-
-fn rule_l5_doc_comments(ctx: &FileCtx, out: &mut Vec<Diag>) {
-    if !config::DOC_REQUIRED_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !matches!(&t.tok, Tok::Ident(s) if s == "pub") {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are not public API: exempt.
-        if ctx.toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct('(')) {
-            continue;
-        }
-        // Skip qualifiers: `pub const unsafe extern "C" async fn name`.
-        let mut j = i + 1;
-        let mut is_fn = false;
-        while let Some(nt) = ctx.toks.get(j) {
-            match &nt.tok {
-                Tok::Ident(s) if ["const", "unsafe", "async", "extern"].contains(&s.as_str()) => {
-                    j += 1
-                }
-                Tok::Str => j += 1, // extern ABI string
-                Tok::Ident(s) if s == "fn" => {
-                    is_fn = true;
-                    break;
-                }
-                _ => break,
-            }
-        }
-        if !is_fn {
-            continue;
-        }
-        let line = t.line;
-        if ctx.in_test_region(line) {
-            continue;
-        }
-        let name = match ctx.toks.get(j + 1).map(|t| &t.tok) {
-            Some(Tok::Ident(s)) => s.clone(),
-            _ => String::from("?"),
-        };
-        if !has_doc_above(ctx, i) {
-            ctx.diag(out, RuleId::L5, line, format!("public function `{name}` has no doc comment"));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L6: no panicking macros in serving-crate code
-// ---------------------------------------------------------------------------
-
-/// The engine's robustness contract (DESIGN.md §11) promises that one bad
-/// request or query cannot take down a serving worker: failures must be
-/// typed errors, and the only unwinds crossing a worker are the ones the
-/// `catch_unwind` boundary is designed to contain. A `panic!` /
-/// `unreachable!` / `todo!` in that code is therefore a latent crash;
-/// genuinely impossible states can be waived with
-/// `// lint: allow(L6): why`.
-fn rule_l6_no_panics(ctx: &FileCtx, out: &mut Vec<Diag>) {
-    if !config::NO_PANIC_CRATES.contains(&ctx.crate_name.as_str()) {
-        return;
-    }
-    const BANNED: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-    for (i, t) in ctx.toks.iter().enumerate() {
-        let Tok::Ident(name) = &t.tok else { continue };
-        if !BANNED.contains(&name.as_str()) {
-            continue;
-        }
-        // Macro invocation: ident immediately followed by `!` and an
-        // open delimiter (`panic_any` and `panic::catch_unwind` paths
-        // don't match).
-        if ctx.toks.get(i + 1).map(|t| &t.tok) != Some(&Tok::Punct('!')) {
-            continue;
-        }
-        if !matches!(
-            ctx.toks.get(i + 2).map(|t| &t.tok),
-            Some(Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{'))
-        ) {
-            continue;
-        }
-        let line = t.line;
-        if ctx.in_test_region(line) {
-            continue;
-        }
-        ctx.diag(
-            out,
-            RuleId::L6,
-            line,
-            format!(
-                "`{name}!` in serving-crate code: return a typed error instead — a panic \
-                 here rides the worker's unwind boundary as a crash, not a contract \
-                 (DESIGN.md §11)"
-            ),
-        );
-    }
-}
-
-/// Walks backward from the `pub` token over attributes and plain comments
-/// looking for a doc comment (or a `#[doc…]` attribute).
-fn has_doc_above(ctx: &FileCtx, pub_idx: usize) -> bool {
-    let mut k = pub_idx;
-    while k > 0 {
-        k -= 1;
-        match &ctx.toks[k].tok {
-            Tok::LineComment { doc: true, .. } | Tok::BlockComment { doc: true, .. } => {
-                return true
-            }
-            Tok::LineComment { doc: false, .. } | Tok::BlockComment { doc: false, .. } => {}
-            Tok::Punct(']') => {
-                // Skip backward over one attribute; `#[doc = "…"]` counts
-                // as documentation.
-                let mut depth = 0i32;
-                let mut saw_doc = false;
-                loop {
-                    match &ctx.toks[k].tok {
-                        Tok::Punct(']') => depth += 1,
-                        Tok::Punct('[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        Tok::Ident(s) if s == "doc" => saw_doc = true,
-                        _ => {}
-                    }
-                    if k == 0 {
-                        break;
-                    }
-                    k -= 1;
-                }
-                if saw_doc {
-                    return true;
-                }
-                // Step over the leading `#` (and optional `!`).
-                if k > 0 && ctx.toks[k - 1].tok == Tok::Punct('#') {
-                    k -= 1;
-                } else if k > 1
-                    && ctx.toks[k - 1].tok == Tok::Punct('!')
-                    && ctx.toks[k - 2].tok == Tok::Punct('#')
-                {
-                    k -= 2;
-                }
-            }
-            _ => return false,
-        }
-    }
-    false
 }

@@ -3,6 +3,8 @@
 //! (checked to produce no diagnostics). The fixtures live under
 //! `tests/fixtures/`, which the workspace walker skips by name.
 
+#![allow(clippy::unwrap_used)]
+
 use ligra_lint::{lint_source, FileKind, RuleId};
 
 fn check(name: &str, crate_name: &str, src: &str, expect: &[(RuleId, u32)]) {
@@ -14,30 +16,6 @@ fn check(name: &str, crate_name: &str, src: &str, expect: &[(RuleId, u32)]) {
         "{name} diagnostics:\n{}",
         diags.iter().map(|d| format!("  {d}")).collect::<Vec<_>>().join("\n")
     );
-}
-
-#[test]
-fn l1_unsafe_without_safety_comment() {
-    check(
-        "fixtures/l1_bad.rs",
-        "graph",
-        include_str!("fixtures/l1_bad.rs"),
-        &[(RuleId::L1, 3), (RuleId::L1, 8)],
-    );
-    check("fixtures/l1_good.rs", "graph", include_str!("fixtures/l1_good.rs"), &[]);
-}
-
-#[test]
-fn l1_applies_even_to_test_files() {
-    // L1 is the one rule that stays in scope for test/bench sources.
-    let diags = lint_source(
-        "fixtures/l1_bad.rs",
-        "graph",
-        FileKind::Test,
-        include_str!("fixtures/l1_bad.rs"),
-    );
-    assert_eq!(diags.len(), 2);
-    assert!(diags.iter().all(|d| d.rule == RuleId::L1));
 }
 
 #[test]
@@ -56,16 +34,6 @@ fn l2_ordering_whitelist_and_cas_discipline() {
 }
 
 #[test]
-fn l3_bare_unwrap_in_library_code() {
-    // `engine` is an unwrap-free crate; the unwrap inside `#[cfg(test)]`
-    // must not be flagged.
-    check("fixtures/l3_bad.rs", "engine", include_str!("fixtures/l3_bad.rs"), &[(RuleId::L3, 2)]);
-    check("fixtures/l3_good.rs", "engine", include_str!("fixtures/l3_good.rs"), &[]);
-    // Crates outside the no-unwrap set (e.g. `apps`) are exempt.
-    check("fixtures/l3_bad.rs", "apps", include_str!("fixtures/l3_bad.rs"), &[]);
-}
-
-#[test]
 fn l4_truncating_casts() {
     check(
         "fixtures/l4_bad.rs",
@@ -77,31 +45,6 @@ fn l4_truncating_casts() {
     check("fixtures/l4_good.rs", "graph", include_str!("fixtures/l4_good.rs"), &[]);
     // The checked-helper file itself is exempt by path.
     check("crates/parallel/src/utils.rs", "parallel", include_str!("fixtures/l4_bad.rs"), &[]);
-}
-
-#[test]
-fn l5_pub_fn_docs_in_core() {
-    check("fixtures/l5_bad.rs", "core", include_str!("fixtures/l5_bad.rs"), &[(RuleId::L5, 4)]);
-    check("fixtures/l5_good.rs", "core", include_str!("fixtures/l5_good.rs"), &[]);
-    // Doc coverage is only demanded of `core`'s public surface.
-    check("fixtures/l5_bad.rs", "graph", include_str!("fixtures/l5_bad.rs"), &[]);
-}
-
-#[test]
-fn l6_no_panicking_macros_in_serving_code() {
-    // Lines 5/6 are `todo!`/`panic!`, line 12 `unreachable!`; the panic
-    // inside `#[cfg(test)]` is out of scope.
-    check(
-        "fixtures/l6_bad.rs",
-        "engine",
-        include_str!("fixtures/l6_bad.rs"),
-        &[(RuleId::L6, 5), (RuleId::L6, 6), (RuleId::L6, 12)],
-    );
-    // Typed errors, `catch_unwind`/`panic_any` machinery, and a waived
-    // unreachable all pass.
-    check("fixtures/l6_good.rs", "engine", include_str!("fixtures/l6_good.rs"), &[]);
-    // Only the serving crates are in scope.
-    check("fixtures/l6_bad.rs", "apps", include_str!("fixtures/l6_bad.rs"), &[]);
 }
 
 #[test]
@@ -150,7 +93,13 @@ fn l8_blocking_under_guard() {
 
 #[test]
 fn w1_stale_waiver() {
-    check("fixtures/w1_bad.rs", "engine", include_str!("fixtures/w1_bad.rs"), &[(RuleId::W1, 4)]);
+    // Line 5 waives nothing; line 15 names a rule that does not exist.
+    check(
+        "fixtures/w1_bad.rs",
+        "engine",
+        include_str!("fixtures/w1_bad.rs"),
+        &[(RuleId::W1, 5), (RuleId::W1, 15)],
+    );
 }
 
 #[test]
@@ -161,12 +110,17 @@ fn w1_renders_as_warning() {
         FileKind::Lib,
         include_str!("fixtures/w1_bad.rs"),
     );
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].severity, ligra_lint::Severity::Warn);
+    assert_eq!(diags.len(), 2);
+    assert!(diags.iter().all(|d| d.severity == ligra_lint::Severity::Warn));
     assert!(
-        diags[0].to_string().starts_with("fixtures/w1_bad.rs:4: warning[W1]: "),
+        diags[0].to_string().starts_with("fixtures/w1_bad.rs:5: warning[W1]: stale waiver"),
         "unexpected diagnostic format: {}",
         diags[0]
+    );
+    assert!(
+        diags[1].to_string().starts_with("fixtures/w1_bad.rs:15: warning[W1]: waiver names `L9`"),
+        "unknown-rule waiver not reported: {}",
+        diags[1]
     );
 }
 

@@ -2,6 +2,8 @@
 //! lint clean. This is the same check CI runs via
 //! `cargo run -p ligra-lint -- --workspace`.
 
+#![allow(clippy::unwrap_used)]
+
 use ligra_lint::lint_workspace;
 use std::path::Path;
 

@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod atomics;
 pub mod bins;

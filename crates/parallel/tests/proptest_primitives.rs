@@ -8,6 +8,8 @@
 //! shrunk, and the explored input space is smaller than real proptest's.
 //! CI strips the patch and runs these same tests under real proptest.
 
+#![allow(clippy::unwrap_used)]
+
 use ligra_parallel::atomics::{as_atomic_u32, write_min_u32};
 use ligra_parallel::bitvec::AtomicBitVec;
 use ligra_parallel::pack::{filter, pack, pack_index};

@@ -10,7 +10,7 @@
 //! cargo run -p ligra-examples --release --bin road_network
 //! ```
 
-use ligra::{EdgeMapOptions, TraversalStats};
+use ligra::{summary, EdgeMapOptions, TraversalStats};
 use ligra_apps as apps;
 use ligra_graph::generators::{grid3d, random_weights};
 
@@ -37,10 +37,10 @@ fn main() {
     // but the round count equals the mesh's hop diameter either way.
     let mut stats = TraversalStats::new();
     let bfs = apps::bfs_traced(&g, depot, EdgeMapOptions::default(), &mut stats);
-    let (sparse, dense, _, _) = stats.mode_counts();
+    let modes = summary(&stats);
     println!(
-        "hop diameter from depot: {} rounds ({sparse} sparse / {dense} dense), reached {}/{}",
-        bfs.rounds, bfs.reached, n
+        "hop diameter from depot: {} rounds ({} sparse / {} dense), reached {}/{}",
+        bfs.rounds, modes.sparse_rounds, modes.dense_rounds, bfs.reached, n
     );
 
     // Sanity: a torus is one connected component.

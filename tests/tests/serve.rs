@@ -508,14 +508,28 @@ fn out_of_range_gen_parameters_get_error_replies() {
             r#"{"op":"gen","family":"random-local","n":1}"#,
             r#"{"op":"gen","family":"erdos-renyi","n":0}"#,
             r#"{"op":"gen","family":"rmat","log_n":4,"weighted":true,"max_w":0}"#,
+            // Sample counts whose product wraps or whose lists overflow a Vec.
+            r#"{"op":"gen","family":"random-local","n":4,"deg":4611686018427387905}"#,
+            r#"{"op":"gen","family":"random-local","n":2,"deg":9223372036854775808}"#,
+            r#"{"op":"gen","family":"erdos-renyi","n":10,"m":2305843009213693952}"#,
             r#"{"op":"gen","family":"rmat","log_n":4,"weighted":true,"max_w":5}"#,
         ],
     );
-    for (i, value) in ["log_n 0", "side 1", "n 1", "n 0", "max_w 0"].into_iter().enumerate() {
+    let values = [
+        "log_n 0",
+        "side 1",
+        "n 1",
+        "n 0",
+        "max_w 0",
+        "deg 4611686018427387905",
+        "deg 9223372036854775808",
+        "m 2305843009213693952",
+    ];
+    for (i, value) in values.into_iter().enumerate() {
         let error = format!(r#"{{"ok":false,"error":"{value} out of range"#);
         expect(&replies, i + 1, &error, "typed error");
     }
-    expect(&replies, 6, r#"{"ok":true,"epoch":1,"vertices":16"#, "valid gen after the errors");
+    expect(&replies, 9, r#"{"ok":true,"epoch":1,"vertices":16"#, "valid gen after the errors");
 }
 
 /// `chaos_smoke.sh` phase 1: an armed `wire.read` fault, a malformed

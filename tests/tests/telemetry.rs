@@ -26,7 +26,7 @@ fn bfs_trace_has_one_event_per_round_and_nonzero_monotone_time() {
         assert!(r.time_ns > 0, "every recorded span must have measured time");
         running += r.time_ns;
     }
-    assert_eq!(stats.total_time_ns(), running);
+    assert_eq!(ligra::summary(&stats).total_time_ns, running);
 }
 
 #[test]
@@ -42,8 +42,11 @@ fn auto_trace_explains_every_direction_decision() {
         let _ = apps::cc_traced(g, opts, &mut stats);
         let _ = apps::pagerank_traced(g, 0.85, 0.0, 3, opts, &mut stats);
         let _ = apps::bc_traced(g, 0, opts, &mut stats);
-        let (sparse, dense, ..) = stats.mode_counts();
-        assert!(sparse > 0 && dense > 0, "{what}: BFS peaks dense and tails sparse");
+        let s = ligra::summary(&stats);
+        assert!(
+            s.sparse_rounds > 0 && s.dense_rounds > 0,
+            "{what}: BFS peaks dense and tails sparse"
+        );
         for r in stats.edge_map_rounds() {
             assert_eq!(r.work, r.frontier_vertices + r.frontier_out_edges, "{what}: {r:?}");
             assert_eq!(r.threshold, m / 20, "{what}: {r:?}");
