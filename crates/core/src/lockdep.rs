@@ -152,7 +152,9 @@ impl LockOracle {
     /// inserts an order edge from every currently-held site, then pushes
     /// `site` on this thread's hold stack. Called *before* blocking on
     /// the real lock — a cycle must be reported by the thread that would
-    /// complete the deadlock, not after it is already stuck.
+    /// complete the deadlock, not after it is already stuck. In
+    /// certification mode a cycle panics before the push: the real lock
+    /// is never taken, so no guard would ever release the site.
     pub fn acquire(&self, site: &'static str) {
         let tid = thread::current().id();
         let violation = {
@@ -198,7 +200,9 @@ impl LockOracle {
             if let Some(v) = found.clone() {
                 st.violations.push(v);
             }
-            st.held.entry(tid).or_default().push(site);
+            if found.is_none() || !self.panic_on_violation {
+                st.held.entry(tid).or_default().push(site);
+            }
             found
         };
         if let Some(v) = violation {
@@ -350,6 +354,25 @@ mod tests {
         o.release("a");
         o.acquire("b");
         o.acquire("a");
+    }
+
+    #[test]
+    fn a_refused_acquisition_leaves_no_held_site() {
+        let o = LockOracle::new();
+        o.acquire("a");
+        o.acquire("b");
+        o.release("b");
+        o.release("a");
+        o.acquire("b");
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.acquire("a")));
+        assert!(refused.is_err(), "closing the cycle must panic");
+        o.release("b");
+        // Nothing is held now: acquiring `c` orders it after no site,
+        // least of all the refused `a`.
+        o.acquire("c");
+        let edges = o.report().edges;
+        assert!(!edges.contains(&("a", "c")), "{edges:?}");
+        assert!(!edges.iter().any(|&(_, to)| to == "c"), "{edges:?}");
     }
 
     #[test]

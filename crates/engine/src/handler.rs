@@ -186,7 +186,7 @@ impl Replica {
             "span" => req.u64_or("id", 0).map(|id| span_response(engine, id)),
             "mutate" => replicated_write(&req, engine, last_rseq, || mutate_response(log, &req)),
             "compact" => replicated_write(&req, engine, last_rseq, || compact_response(log, &req)),
-            "graph-stats" | "graph_stats" => Ok(graph_stats_response(engine, log)),
+            "graph-stats" => Ok(graph_stats_response(engine, log)),
             "stats" => {
                 let conns = *tracked_lock(&self.counts, "serve.connections");
                 Ok(stats_response(engine, conns))
@@ -215,8 +215,7 @@ impl Frontend for Replica {
 
     /// Nothing queued, nothing running.
     fn is_quiescent(&self) -> bool {
-        let s = self.engine.stats();
-        s.queued == 0 && s.running == 0
+        self.metrics.queue_depth.get() == 0 && self.metrics.running.get() == 0
     }
 
     fn observe(&self, event: WireEvent) {
@@ -330,12 +329,12 @@ fn generate(req: &Request) -> Result<Graph, String> {
             let side = in_range(req.u64_or("side", 16)?, 2..=1625, "side")? as usize;
             Ok(grid3d(side))
         }
-        "random-local" | "random_local" => {
+        "random-local" => {
             let n = in_range(req.u64_or("n", 10_000)?, 2..=max_n, "n")?;
             let deg = in_range(req.u64_or("deg", 8)?, 0..=MAX_SAMPLES / n, "deg")?;
             Ok(random_local(n as usize, deg as usize, seed))
         }
-        "erdos-renyi" | "er" => {
+        "erdos-renyi" => {
             let n = in_range(req.u64_or("n", 10_000)?, 1..=max_n, "n")? as usize;
             let m = in_range(req.u64_or("m", 50_000)?, 0..=MAX_SAMPLES, "m")? as usize;
             Ok(erdos_renyi(n, m, seed, true))

@@ -19,8 +19,8 @@
 //!   rounds executed before completion or cancellation), carrying a
 //!   `trace_id` that joins engine spans to on-disk kernel traces;
 //! * [`metrics`] — the lock-free serving-tier metrics registry
-//!   (striped counters, gauges, log-bucketed latency histograms) and
-//!   its hand-rolled Prometheus text exposition;
+//!   (single-atomic counters and gauges, log-bucketed latency
+//!   histograms) and its hand-rolled Prometheus text exposition;
 //! * [`lockdep`] — named-site tracked lock guards; with the
 //!   `lock-check` feature every engine-tier acquisition feeds the
 //!   runtime lock-order oracle (`LockOracle`), which aborts on the

@@ -1,4 +1,4 @@
-//! Log-bucketed latency histograms with striped atomic recording.
+//! Log-bucketed latency histograms with lock-free atomic recording.
 //!
 //! A [`Histogram`] counts `u64` observations (nanoseconds, by
 //! convention) into power-of-two buckets: bucket 0 holds exact zeros,
@@ -9,17 +9,13 @@
 //! latencies, where the interesting structure is "which power of two"
 //! rather than exact nanoseconds.
 //!
-//! Recording is lock-free and contention-free: buckets are striped
-//! across [`STRIPES`] cache-line-aligned slabs, each worker thread
-//! hashing to its own slab (see [`stripe_id`]), so a record is two
-//! relaxed `fetch_add`s plus one relaxed `fetch_max` on lines no other
-//! core is writing. Readers fold the stripes into a
-//! [`HistogramSnapshot`] — a plain value that merges with other
-//! snapshots and answers p50/p95/p99/max queries exactly from the
+//! Recording is lock-free: a record is two relaxed `fetch_add`s (its
+//! bucket and the sum) plus one relaxed `fetch_max`. Readers copy the
+//! cells into a [`HistogramSnapshot`] — a plain value that merges with
+//! other snapshots and answers p50/p95/p99/max queries exactly from the
 //! bucket counts (quantiles are bucket upper bounds clamped to the
 //! recorded maximum, so they are deterministic given the counts).
 
-use super::{stripe_id, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Total bucket count: the zero bucket, 38 finite power-of-two buckets
@@ -52,55 +48,42 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// One stripe: a full bucket array plus a sum cell, cache-line aligned
-/// so concurrent writers on different stripes never share a line.
-#[repr(align(64))]
-struct Stripe {
+/// A lock-free, log-bucketed histogram of `u64` observations.
+pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
-}
-
-impl Stripe {
-    fn new() -> Self {
-        Stripe { buckets: std::array::from_fn(|_| AtomicU64::new(0)), sum: AtomicU64::new(0) }
-    }
-}
-
-/// A striped, lock-free, log-bucketed histogram of `u64` observations.
-pub struct Histogram {
-    stripes: Box<[Stripe]>,
     max: AtomicU64,
 }
 
 impl Histogram {
-    /// An empty histogram with [`STRIPES`] recording slabs.
+    /// An empty histogram.
     pub fn new() -> Self {
-        Histogram { stripes: (0..STRIPES).map(|_| Stripe::new()).collect(), max: AtomicU64::new(0) }
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
     }
 
-    /// Records one observation on the calling thread's stripe.
+    /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        let s = &self.stripes[stripe_id() % STRIPES];
-        s.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Folds the stripes into a mergeable point-in-time snapshot. Exact
-    /// once concurrent writers have quiesced; otherwise each bucket is
-    /// individually consistent (monotone under concurrent recording).
+    /// A mergeable point-in-time snapshot. Exact once concurrent
+    /// writers have quiesced; otherwise each bucket is individually
+    /// consistent (monotone under concurrent recording).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        let mut sum = 0u64;
-        for s in self.stripes.iter() {
-            for (b, cell) in buckets.iter_mut().zip(s.buckets.iter()) {
-                *b += cell.load(Ordering::Relaxed);
-            }
-            sum += s.sum.load(Ordering::Relaxed);
+        let buckets = self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed));
+        HistogramSnapshot {
+            buckets,
+            count: buckets.iter().sum(),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
         }
-        let count = buckets.iter().sum();
-        HistogramSnapshot { buckets, count, sum, max: self.max.load(Ordering::Relaxed) }
     }
 }
 

@@ -3,13 +3,14 @@
 //! A [`Family`] row is everything the serving tier says about one
 //! metric: its Prometheus family name, type, label key and help text,
 //! the key it answers to in the `stats` / `route-stats` reply, and how
-//! to read its value off a point-in-time sample. [`FAMILIES`] (engine,
-//! read off [`EngineStats`]) and [`ROUTE_FAMILIES`] (router, read off
-//! the live [`RouterMetrics`]) are the only places a family name or a
-//! reply key is written; [`render`] turns a table into Prometheus text
-//! exposition and [`stats_fields`] turns the same table into the
-//! reply's fields, so the surfaces cannot drift. Adding a metric is one
-//! instrument, one sample field and one row.
+//! to read its value. [`FAMILIES`] (engine, read off the live
+//! [`MetricsRegistry`](super::MetricsRegistry) that [`EngineStats`]
+//! reaches, beside the few values the registry does not hold) and
+//! [`ROUTE_FAMILIES`] (router, read off the live [`RouterMetrics`]) are
+//! the only places a family name or a reply key is written; [`render`]
+//! turns a table into Prometheus text exposition and [`stats_fields`]
+//! turns the same table into the reply's fields, so the surfaces cannot
+//! drift. Adding a metric is one instrument and one row.
 //!
 //! The exposition is hand-rolled (format 0.0.4), no client library:
 //! every family is rendered unconditionally (zero valued families still
@@ -23,7 +24,7 @@
 //! [`super::histogram::bucket_upper_bound`].
 
 use super::histogram::{bucket_upper_bound, HistogramSnapshot, MAX_FINITE_BUCKET};
-use super::registry::RETIRED;
+use super::registry::{N_KINDS, RETIRED};
 use crate::query::Query;
 use crate::route::{BackendMetrics, RouterMetrics};
 use crate::scheduler::EngineStats;
@@ -85,13 +86,12 @@ const fn row<S>(
     Family { name, kind, label, help, stats, read }
 }
 
-fn per_kind(hs: &[HistogramSnapshot]) -> Reading {
-    Histograms(Query::KIND_NAMES.iter().zip(hs).map(|(k, h)| (k.to_string(), h.clone())).collect())
+fn per_kind(hs: [HistogramSnapshot; N_KINDS]) -> Reading {
+    Histograms(Query::KIND_NAMES.iter().map(|k| k.to_string()).zip(hs).collect())
 }
 
 fn retired(s: &EngineStats) -> Reading {
-    let counts = [s.completed, s.cancelled, s.failed, s.panics, s.queue_deadline_sheds];
-    Labeled(RETIRED.iter().zip(counts).map(|(st, n)| (st.name().to_string(), n)).collect())
+    Labeled(RETIRED.map(|st| (st.name().to_string(), s.metrics.retired(st))).into())
 }
 
 fn fault_injections(s: &EngineStats) -> Reading {
@@ -110,23 +110,23 @@ pub const FAMILIES: &[Family<EngineStats>] = &[
     row("ligra_queue_capacity", "gauge", "", "Configured admission queue capacity",
         Key("queue_capacity"), |s| Scalar(s.queue_capacity)),
     row("ligra_queue_depth", "gauge", "", "Jobs waiting in the admission queue",
-        Key("queued"), |s| Scalar(s.queued)),
+        Key("queued"), |s| Scalar(s.metrics.queue_depth.get())),
     row("ligra_running_queries", "gauge", "", "Jobs executing on workers",
-        Key("running"), |s| Scalar(s.running)),
+        Key("running"), |s| Scalar(s.metrics.running.get())),
     row("ligra_cache_entries", "gauge", "", "Resident result-cache entries",
         Key("cache_len"), |s| Scalar(s.cache_len)),
     row("ligra_queries_submitted_total", "counter", "", "Queries accepted by the engine",
-        Key("submitted"), |s| Scalar(s.submitted)),
+        Key("submitted"), |s| Scalar(s.metrics.submitted.get())),
     row("ligra_queries_rejected_total", "counter", "", "Queries refused because the queue was full",
-        Key("rejected"), |s| Scalar(s.rejected)),
+        Key("rejected"), |s| Scalar(s.metrics.rejected.get())),
     row("ligra_queries_retired_total", "counter", "status", "Terminal query outcomes by status",
         PerLabel(&["completed", "cancelled", "failed", "panics", "queue_deadline_sheds"]), retired),
     row("ligra_dispatch_retries_total", "counter", "", "Fault-injected dispatches re-enqueued",
-        Key("retries"), |s| Scalar(s.retries)),
+        Key("retries"), |s| Scalar(s.metrics.retries.get())),
     row("ligra_worker_busy_ns_total", "counter", "", "Nanoseconds workers spent executing jobs",
-        Key("worker_busy_ns"), |s| Scalar(s.worker_busy_ns)),
+        Key("worker_busy_ns"), |s| Scalar(s.metrics.worker_busy_ns.get())),
     row("ligra_worker_idle_ns_total", "counter", "", "Nanoseconds workers spent waiting for work",
-        Key("worker_idle_ns"), |s| Scalar(s.worker_idle_ns)),
+        Key("worker_idle_ns"), |s| Scalar(s.metrics.worker_idle_ns.get())),
     row("ligra_cache_hits_total", "counter", "", "Result-cache hits",
         Key("cache_hits"), |s| Scalar(s.cache_hits)),
     row("ligra_cache_misses_total", "counter", "", "Result-cache misses",
@@ -134,33 +134,34 @@ pub const FAMILIES: &[Family<EngineStats>] = &[
     row("ligra_cache_evictions_total", "counter", "", "Result-cache LRU evictions",
         Key("cache_evictions"), |s| Scalar(s.cache_evictions)),
     row("ligra_mutation_overlay_edges", "gauge", "", "Arcs in the serving snapshot's delta overlay",
-        Key("overlay_edges"), |s| Scalar(s.overlay_edges)),
+        Key("overlay_edges"), |s| Scalar(s.metrics.mutation_overlay_edges.get())),
     row("ligra_mutation_overlay_vertices", "gauge", "", "Vertices touched by the delta overlay",
-        Key("overlay_vertices"), |s| Scalar(s.overlay_vertices)),
+        Key("overlay_vertices"), |s| Scalar(s.metrics.mutation_overlay_vertices.get())),
     row("ligra_mutation_batches_applied_total", "counter", "", "Mutation batches applied",
-        Key("mutation_batches"), |s| Scalar(s.mutation_batches)),
+        Key("mutation_batches"), |s| Scalar(s.metrics.mutation_batches.get())),
     row("ligra_mutation_edges_added_total", "counter", "", "Arcs inserted by mutation batches",
-        Key("mutation_edges_added"), |s| Scalar(s.mutation_edges_added)),
+        Key("mutation_edges_added"), |s| Scalar(s.metrics.mutation_edges_added.get())),
     row("ligra_mutation_edges_deleted_total", "counter", "", "Arcs removed by mutation tombstones",
-        Key("mutation_edges_deleted"), |s| Scalar(s.mutation_edges_deleted)),
+        Key("mutation_edges_deleted"), |s| Scalar(s.metrics.mutation_edges_deleted.get())),
     row("ligra_mutation_compactions_total", "counter", "", "Background CSR compactions installed",
-        Key("compactions"), |s| Scalar(s.compactions)),
+        Key("compactions"), |s| Scalar(s.metrics.mutation_compactions.get())),
     row("ligra_mutation_compaction_failures_total", "counter", "", "Compactions failed or panicked",
-        Key("compaction_failures"), |s| Scalar(s.compaction_failures)),
+        Key("compaction_failures"), |s| Scalar(s.metrics.mutation_compaction_failures.get())),
     row("ligra_mutation_compaction_ns", "histogram", "", "Compaction wall clock, nanoseconds",
-        Key("mutation_compact"), |s| Histograms(vec![(String::new(), s.compaction_time.clone())])),
+        Key("mutation_compact"),
+        |s| Histograms(vec![(String::new(), s.metrics.compaction_snapshot())])),
     row("ligra_fault_injections_total", "counter", "point", "Faults fired by injection point",
         Prefix("fault_"), fault_injections),
     row("ligra_wire_requests_total", "counter", "", "Request lines received by the wire reader",
-        Key("wire_requests"), |s| Scalar(s.wire_requests)),
+        Key("wire_requests"), |s| Scalar(s.metrics.wire_requests.get())),
     row("ligra_wire_bytes_total", "counter", "", "Bytes read by the wire reader",
-        Key("wire_bytes"), |s| Scalar(s.wire_bytes)),
+        Key("wire_bytes"), |s| Scalar(s.metrics.wire_bytes.get())),
     row("ligra_wire_malformed_total", "counter", "", "Request lines rejected as malformed",
-        Key("wire_malformed"), |s| Scalar(s.wire_malformed)),
+        Key("wire_malformed"), |s| Scalar(s.metrics.wire_malformed.get())),
     row("ligra_queue_wait_ns", "histogram", "query", "Queue wait per query kind, nanoseconds",
-        Key("queue_wait"), |s| per_kind(&s.queue_wait)),
+        Key("queue_wait"), |s| per_kind(s.metrics.queue_wait_snapshots())),
     row("ligra_run_time_ns", "histogram", "query", "Run time per query kind, nanoseconds",
-        Key("run"), |s| per_kind(&s.run_time)),
+        Key("run"), |s| per_kind(s.metrics.run_time_snapshots())),
 ];
 
 /// One labeled row per configured replica; the `backend` label is the
@@ -310,18 +311,17 @@ mod tests {
     use crate::{Engine, EngineConfig};
 
     /// The stats of an idle engine, with one histogram and a few
-    /// counters filled in by hand.
+    /// counters recorded by hand.
     fn sample() -> EngineStats {
-        let mut h = HistogramSnapshot::empty();
-        h.buckets[bucket_index(1000)] = 3;
-        h.buckets[bucket_index(1 << 20)] = 1;
-        h.count = 4;
-        h.sum = 3 * 1000 + (1 << 20);
-        h.max = 1 << 20;
         let mut s = Engine::new(EngineConfig::default()).stats();
-        s.completed = 5;
-        s.compaction_time = h.clone();
-        s.run_time[Query::Bfs { source: 0 }.kind_index()] = h;
+        let m = &s.metrics;
+        for _ in 0..5 {
+            m.retire(QueryStatus::Done);
+        }
+        for ns in [1000, 1000, 1000, 1 << 20] {
+            m.observe_compaction(ns);
+            m.observe_run_time(Query::Bfs { source: 0 }.kind_index(), ns);
+        }
         s.fault_injections[1].1 = 7;
         s
     }

@@ -8,11 +8,11 @@
 //! on the hot path, and a typo is a compile error instead of a silently
 //! new time series.
 //!
-//! The read side is `Engine::stats`: one point-in-time fold of every
-//! instrument plus the lock-guarded values (cache counters, fault
-//! injections) and static configuration (worker count, queue capacity), which
-//! the `stats` reply and the Prometheus exposition both render through
-//! [`super::prometheus::FAMILIES`], so the two surfaces can never
+//! The read side is [`super::prometheus::FAMILIES`]: each row reads its
+//! instrument here directly, and `Engine::stats` adds only what the
+//! registry does not hold (cache counters, fault injections, static
+//! configuration). The `stats` reply and the Prometheus exposition are
+//! both rendered through those rows, so the two surfaces can never
 //! disagree.
 
 use super::{Counter, Gauge, Histogram, HistogramSnapshot};

@@ -428,8 +428,8 @@ impl Router {
                     false,
                 );
             }
-            "route-stats" | "route_stats" => self.route_stats_response(),
-            "graph-stats" | "graph_stats" => self.graph_stats_response(),
+            "route-stats" => self.route_stats_response(),
+            "graph-stats" => self.graph_stats_response(),
             "load" | "gen" | "mutate" | "compact" => self.submit_write(line),
             "submit" => self.route_submit(line),
             "poll" | "wait" | "cancel" | "span" => self.route_by_id(op, &req),

@@ -41,8 +41,7 @@
 use crate::cache::ResultCache;
 use crate::error::{classify_panic, QueryError};
 use crate::lockdep::tracked_lock;
-use crate::metrics::registry::N_KINDS;
-use crate::metrics::{HistogramSnapshot, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::query::{Answer, Query, QueryOutput, Summary};
 use crate::snapshot::{GraphStore, Snapshot};
 use crate::span::{fill_span_buckets, QuerySpan, QueryStatus, RoundCounter};
@@ -116,9 +115,9 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One point-in-time sample of everything the engine measures: the
-/// registry's instruments folded, the cache counters, the fault plan's
-/// injection counts and the static configuration. The `stats` reply and
+/// What the engine's metric families read besides the live registry:
+/// the static configuration, the cache counters (kept under the cache
+/// lock), and the fault plan's injection counts. The `stats` reply and
 /// the Prometheus exposition are both rendered from it through
 /// [`crate::metrics::FAMILIES`].
 #[derive(Debug, Clone)]
@@ -129,32 +128,6 @@ pub struct EngineStats {
     pub workers: u64,
     /// Configured admission-queue capacity.
     pub queue_capacity: u64,
-    /// Queries waiting for a worker right now.
-    pub queued: u64,
-    /// Queries executing right now.
-    pub running: u64,
-    /// Queries accepted (including cache hits).
-    pub submitted: u64,
-    /// Queries rejected by admission control (queue at capacity).
-    pub rejected: u64,
-    /// Queries finished with a result.
-    pub completed: u64,
-    /// Queries cancelled before or during execution.
-    pub cancelled: u64,
-    /// Queries that failed validation or hit an injected transient
-    /// error.
-    pub failed: u64,
-    /// Queries that panicked and were contained by a worker.
-    pub panics: u64,
-    /// Jobs re-enqueued after a transient dispatch fault.
-    pub retries: u64,
-    /// Queries retired at dequeue because their queue wait had already
-    /// consumed the deadline.
-    pub queue_deadline_sheds: u64,
-    /// Nanoseconds workers spent executing jobs.
-    pub worker_busy_ns: u64,
-    /// Nanoseconds workers spent parked waiting for work.
-    pub worker_idle_ns: u64,
     /// Result-cache hits.
     pub cache_hits: u64,
     /// Result-cache misses.
@@ -163,37 +136,11 @@ pub struct EngineStats {
     pub cache_evictions: u64,
     /// Result-cache entries held.
     pub cache_len: u64,
-    /// Queue wait per query kind, in [`Query::KIND_NAMES`] order.
-    /// Quantiles are bucket math over these (bucket upper bound clamped
-    /// to the observed max — what the exposition's consumers compute).
-    pub queue_wait: [HistogramSnapshot; N_KINDS],
-    /// Run time per query kind, same order.
-    pub run_time: [HistogramSnapshot; N_KINDS],
-    /// Mutation batches applied to the live graph.
-    pub mutation_batches: u64,
-    /// Arcs inserted by mutation batches.
-    pub mutation_edges_added: u64,
-    /// Arc copies removed by mutation batches.
-    pub mutation_edges_deleted: u64,
-    /// Arcs currently held in the serving snapshot's delta overlay.
-    pub overlay_edges: u64,
-    /// Vertices currently touched by the serving snapshot's overlay.
-    pub overlay_vertices: u64,
-    /// Background compactions that installed a clean CSR.
-    pub compactions: u64,
-    /// Compactions that failed or panicked (store left untouched).
-    pub compaction_failures: u64,
-    /// Wall clock of each successful compaction, nanoseconds.
-    pub compaction_time: HistogramSnapshot,
     /// Faults fired, one `(point name, count)` per fault point (all
     /// zero when no plan is armed).
     pub fault_injections: Vec<(&'static str, u64)>,
-    /// Request lines the wire reader received.
-    pub wire_requests: u64,
-    /// Bytes the wire reader read.
-    pub wire_bytes: u64,
-    /// Request lines rejected as malformed.
-    pub wire_malformed: u64,
+    /// The live registry every other family reads.
+    pub metrics: Arc<MetricsRegistry>,
 }
 
 struct JobState {
@@ -608,10 +555,10 @@ impl Engine {
         }
     }
 
-    /// One consistent-enough sample of every metric the engine exports.
+    /// The values the engine's metric families read, beside the live
+    /// registry they read the rest from.
     pub fn stats(&self) -> EngineStats {
         let sh = &self.shared;
-        let m = &sh.metrics;
         let (cache_hits, cache_misses, cache_evictions, cache_len) = {
             let c = tracked_lock(&sh.cache, "scheduler.cache");
             (c.hits(), c.misses(), c.evictions(), c.len() as u64)
@@ -627,36 +574,12 @@ impl Engine {
             epoch: self.current_epoch(),
             workers: self.workers.len() as u64,
             queue_capacity: sh.config.queue_capacity as u64,
-            queued: m.queue_depth.get(),
-            running: m.running.get(),
-            submitted: m.submitted.get(),
-            rejected: m.rejected.get(),
-            completed: m.retired(QueryStatus::Done),
-            cancelled: m.retired(QueryStatus::Cancelled),
-            failed: m.retired(QueryStatus::Failed),
-            panics: m.retired(QueryStatus::Panicked),
-            retries: m.retries.get(),
-            queue_deadline_sheds: m.retired(QueryStatus::Shed),
-            worker_busy_ns: m.worker_busy_ns.get(),
-            worker_idle_ns: m.worker_idle_ns.get(),
             cache_hits,
             cache_misses,
             cache_evictions,
             cache_len,
-            queue_wait: m.queue_wait_snapshots(),
-            run_time: m.run_time_snapshots(),
-            mutation_batches: m.mutation_batches.get(),
-            mutation_edges_added: m.mutation_edges_added.get(),
-            mutation_edges_deleted: m.mutation_edges_deleted.get(),
-            overlay_edges: m.mutation_overlay_edges.get(),
-            overlay_vertices: m.mutation_overlay_vertices.get(),
-            compactions: m.mutation_compactions.get(),
-            compaction_failures: m.mutation_compaction_failures.get(),
-            compaction_time: m.compaction_snapshot(),
             fault_injections,
-            wire_requests: m.wire_requests.get(),
-            wire_bytes: m.wire_bytes.get(),
-            wire_malformed: m.wire_malformed.get(),
+            metrics: self.metrics(),
         }
     }
 
@@ -936,6 +859,7 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::HistogramSnapshot;
     use ligra_graph::generators::rmat::RmatOptions;
     use ligra_graph::generators::{grid3d, rmat};
 
@@ -1002,9 +926,9 @@ mod tests {
         // Shed before running: no round ever executed, no partial result.
         assert_eq!(span.rounds, 0, "shed query must not run");
         assert!(h.result().is_none(), "shed query must not expose a partial result");
-        let stats = e.stats();
-        assert_eq!(stats.queue_deadline_sheds, 1);
-        assert_eq!(stats.cancelled, 0);
+        let m = e.metrics();
+        assert_eq!(m.retired(QueryStatus::Shed), 1);
+        assert_eq!(m.retired(QueryStatus::Cancelled), 0);
     }
 
     #[test]
@@ -1034,12 +958,13 @@ mod tests {
                 Err(e) => panic!("unexpected {e:?}"),
             }
             // The two caps are the whole admission bound.
-            let s = e.stats();
-            assert!(s.running <= s.workers, "{} running on {} workers", s.running, s.workers);
-            assert!(s.queued <= s.queue_capacity, "{} queued past {}", s.queued, s.queue_capacity);
+            let (s, m) = (e.stats(), e.metrics());
+            let (running, queued) = (m.running.get(), m.queue_depth.get());
+            assert!(running <= s.workers, "{running} running on {} workers", s.workers);
+            assert!(queued <= s.queue_capacity, "{queued} queued past {}", s.queue_capacity);
         }
         assert!(rejected > 0, "bounded queue never rejected");
-        assert!(e.stats().rejected > 0);
+        assert!(e.metrics().rejected.get() > 0);
     }
 
     #[test]
@@ -1054,7 +979,7 @@ mod tests {
         blocker.cancel();
         assert_eq!(blocker.wait(), QueryStatus::Cancelled);
         assert_eq!(starved.wait(), QueryStatus::Shed);
-        assert!(e.stats().queue_deadline_sheds >= 1);
+        assert!(e.metrics().retired(QueryStatus::Shed) >= 1);
         assert!(e.workers_alive());
     }
 
@@ -1066,7 +991,7 @@ mod tests {
         assert_eq!(h.wait(), QueryStatus::Failed);
         assert!(h.error().unwrap().contains("out of range"));
         assert!(matches!(h.query_error(), Some(QueryError::App(_))));
-        assert_eq!(e.stats().failed, 1);
+        assert_eq!(e.metrics().retired(QueryStatus::Failed), 1);
     }
 
     #[test]
@@ -1078,10 +1003,10 @@ mod tests {
         for h in &handles {
             assert_eq!(h.wait(), QueryStatus::Done);
         }
-        let stats = e.stats();
-        assert_eq!(stats.completed, 16);
-        assert_eq!(stats.panics, 0);
-        assert_eq!((stats.queued, stats.running), (0, 0));
+        let m = e.metrics();
+        assert_eq!(m.retired(QueryStatus::Done), 16);
+        assert_eq!(m.retired(QueryStatus::Panicked), 0);
+        assert_eq!((m.queue_depth.get(), m.running.get()), (0, 0));
         assert_eq!(e.spans().len(), 16);
         assert!(e.workers_alive());
     }
@@ -1151,21 +1076,22 @@ mod tests {
         // One repeat = a cache hit (still submitted + retired done).
         let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
         assert_eq!(h.wait(), QueryStatus::Done);
-        let m = e.stats();
-        assert_eq!(m.submitted, 5);
-        assert_eq!(m.completed, 5, "all five retired done");
-        assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.queued, 0);
-        assert_eq!(m.running, 0);
+        let m = e.metrics();
+        assert_eq!(m.submitted.get(), 5);
+        assert_eq!(m.retired(QueryStatus::Done), 5, "all five retired done");
+        assert_eq!(e.stats().cache_hits, 1);
+        assert_eq!(m.queue_depth.get(), 0);
+        assert_eq!(m.running.get(), 0);
         // Four executed runs (the cache hit never ran), all of them BFS.
-        let rt = HistogramSnapshot::merged(&m.run_time);
+        let run_time = m.run_time_snapshots();
+        let rt = HistogramSnapshot::merged(&run_time);
         assert_eq!(rt.count, 4);
         assert!(rt.max > 0);
-        assert_eq!(m.run_time[Query::Bfs { source: 0 }.kind_index()], rt);
-        let qw = HistogramSnapshot::merged(&m.queue_wait);
+        assert_eq!(run_time[Query::Bfs { source: 0 }.kind_index()], rt);
+        let qw = HistogramSnapshot::merged(&m.queue_wait_snapshots());
         assert_eq!(qw.count, 4, "cache hits skip the queue-wait histogram");
-        assert!(m.worker_idle_ns > 0, "workers parked at some point");
-        assert!(m.worker_busy_ns > 0);
+        assert!(m.worker_idle_ns.get() > 0, "workers parked at some point");
+        assert!(m.worker_busy_ns.get() > 0);
     }
 
     // ----- fault-injection behaviour (compiled only with the feature) -----
@@ -1200,9 +1126,9 @@ mod tests {
             // The same worker serves the next query: self-healed.
             let h2 = e.submit(Query::Bfs { source: 1 }, None).unwrap();
             assert_eq!(h2.wait(), QueryStatus::Done);
-            let stats = e.stats();
-            assert_eq!(stats.panics, 1);
-            assert_eq!(stats.completed, 1);
+            let m = e.metrics();
+            assert_eq!(m.retired(QueryStatus::Panicked), 1);
+            assert_eq!(m.retired(QueryStatus::Done), 1);
             assert!(e.workers_alive());
         }
 
@@ -1215,7 +1141,7 @@ mod tests {
             assert_eq!(h.wait(), QueryStatus::Failed);
             let err = h.query_error().unwrap();
             assert!(err.is_transient(), "injected error must look retryable: {err:?}");
-            assert_eq!(e.stats().panics, 0);
+            assert_eq!(e.metrics().retired(QueryStatus::Panicked), 0);
             assert!(e.workers_alive());
         }
 
@@ -1228,7 +1154,7 @@ mod tests {
             let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
             assert_eq!(h.wait(), QueryStatus::Done, "one transient fault must be retried away");
             assert_eq!(h.span().unwrap().retries, 1);
-            assert_eq!(e.stats().retries, 1);
+            assert_eq!(e.metrics().retries.get(), 1);
         }
 
         #[test]
@@ -1246,7 +1172,7 @@ mod tests {
                     hit: MAX_DISPATCH_RETRIES + 1,
                 })
             );
-            assert_eq!(e.stats().retries, MAX_DISPATCH_RETRIES);
+            assert_eq!(e.metrics().retries.get(), MAX_DISPATCH_RETRIES);
         }
 
         #[test]

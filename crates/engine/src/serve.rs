@@ -6,15 +6,18 @@
 //! them out). Both listeners bind whatever address they are given and
 //! return the bound one, so a test can serve on `127.0.0.1:0`.
 //!
-//! Malformed, oversized, or non-UTF-8 request lines get an `error`
-//! response and the connection keeps serving; they never tear it down.
+//! Malformed, oversized, or non-UTF-8 request lines, and a request whose
+//! handler panics, get an `error` response and the connection keeps
+//! serving; they never tear it down.
 //! Nothing here exits the process: the binaries decide what a finished
 //! drain means.
 
+use crate::error::classify_panic;
 use crate::wire::{error_response, read_request_line, MAX_REQUEST_LINE_BYTES};
 use crate::FaultPlan;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,7 +96,12 @@ impl<F: Frontend> Server<F> {
             if line.trim().is_empty() {
                 continue;
             }
-            let (resp, keep_going) = front.handle_line(&line);
+            // A panicking handler answers this line with an error; the
+            // connection, and its `ConnClosed`, survive it.
+            let (resp, keep_going) = catch_unwind(AssertUnwindSafe(|| front.handle_line(&line)))
+                .unwrap_or_else(|payload| {
+                    (error_response(&classify_panic(payload.as_ref()).to_string()), true)
+                });
             if write_response(&mut writer, &resp).is_err() {
                 break true;
             }
@@ -318,6 +326,51 @@ pub fn drain_until(quiesced: impl Fn() -> bool, deadline: Duration) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Answers `ok` to every line but `boom`, on which it panics; keeps
+    /// the connection events it observes.
+    #[derive(Default)]
+    struct PanicsOnBoom(Mutex<Vec<&'static str>>);
+
+    impl Frontend for PanicsOnBoom {
+        fn handle_line(&self, line: &str) -> (String, bool) {
+            assert_ne!(line, "boom", "handler bug");
+            (format!("ok {line}"), true)
+        }
+
+        fn exposition(&self) -> String {
+            String::new()
+        }
+
+        fn is_quiescent(&self) -> bool {
+            true
+        }
+
+        fn observe(&self, event: WireEvent) {
+            let name = match event {
+                WireEvent::ConnOpened => "opened",
+                WireEvent::ConnClosed => "closed",
+                _ => return,
+            };
+            self.0.lock().expect("events").push(name);
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_gets_an_error_reply_and_the_connection_keeps_serving() {
+        let front = Arc::new(PanicsOnBoom::default());
+        let server = Server::new(Arc::clone(&front));
+        let mut out = Vec::new();
+        assert!(server.serve_stream(&b"boom\nping\n"[..], &mut out));
+        let out = String::from_utf8(out).expect("utf-8 replies");
+        let replies: Vec<&str> = out.lines().collect();
+        assert_eq!(replies.len(), 2, "{out}");
+        assert!(replies[0].starts_with(r#"{"ok":false,"error":"#), "{out}");
+        assert!(replies[0].contains("handler bug"), "{out}");
+        assert_eq!(replies[1], "ok ping");
+        assert_eq!(*front.0.lock().expect("events"), ["opened", "closed"]);
+    }
 
     #[test]
     fn drain_until_times_out_and_succeeds() {

@@ -28,7 +28,7 @@
 ///   function claims through its own atomic rather than `parallel`'s.
 /// * `engine` — relaxed stat counters, the release-store/acquire-load
 ///   pair on the scheduler shutdown flag, and the metrics module's
-///   striped counters/histograms: per-event increments are relaxed by
+///   counters/histograms: per-event increments are relaxed by
 ///   design (each snapshot read tolerates mid-flight adds; nothing is
 ///   published through them), with the gauge clamp CAS covered by
 ///   [`CAS_RELAXED_SUCCESS_FILES`].

@@ -75,6 +75,15 @@ mod tests {
     }
 
     #[test]
+    fn mix64_spreads_nearby_inputs() {
+        let a = mix64(1);
+        let b = mix64(2);
+        assert_ne!(a, b);
+        assert_ne!(a >> 32, b >> 32, "high bits differ for adjacent inputs");
+        assert_ne!(mix64(0), 0);
+    }
+
+    #[test]
     fn hash32_is_roughly_uniform_in_buckets() {
         let buckets = 16usize;
         let mut counts = vec![0usize; buckets];

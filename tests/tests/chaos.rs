@@ -20,7 +20,7 @@
 
 use ligra::jsonl::field_bool;
 use ligra_apps as apps;
-use ligra_engine::metrics::{render, stats_fields, FAMILIES};
+use ligra_engine::metrics::{render, stats_fields, FAMILIES, RETIRED};
 use ligra_engine::{
     Engine, EngineConfig, FaultAction, FaultPlan, FaultPoint, HistogramSnapshot, JsonObj,
     MutateError, MutationConfig, MutationLog, Query, QueryError, QueryOutput, QueryStatus, Replica,
@@ -120,9 +120,9 @@ fn sweep_seeds_and_points_every_query_terminal_no_worker_dies() {
                     .unwrap_or_else(|e| panic!("{label}: post-fault submit: {e}"));
                 assert_eq!(h.wait(), QueryStatus::Done, "{label}: post-fault query failed");
 
-                let stats = engine.stats();
+                let m = engine.metrics();
                 assert_eq!(
-                    (stats.queued, stats.running),
+                    (m.queue_depth.get(), m.running.get()),
                     (0, 0),
                     "{label}: scheduler accounting did not return to idle"
                 );
@@ -130,7 +130,8 @@ fn sweep_seeds_and_points_every_query_terminal_no_worker_dies() {
                 // reaches a worker; an engine-side one retires a query.
                 let front_end = matches!(point, FaultPoint::WireRead | FaultPoint::GraphLoad);
                 if matches!(action, FaultAction::Panic) && !front_end {
-                    assert!(stats.panics >= 1, "{label}: contained panic not counted");
+                    let panics = m.retired(QueryStatus::Panicked);
+                    assert!(panics >= 1, "{label}: contained panic not counted");
                 }
             }
         }
@@ -174,9 +175,9 @@ fn injected_panic_is_typed_and_the_same_worker_keeps_serving() {
         let h2 = engine.submit(Query::Cc, None).expect("submit after panic");
         assert_eq!(h2.wait(), QueryStatus::Done, "seed {seed}: worker did not self-heal");
         assert!(h2.result().is_some());
-        let stats = engine.stats();
-        assert_eq!(stats.panics, 1, "seed {seed}");
-        assert_eq!(stats.completed, 1, "seed {seed}");
+        let m = engine.metrics();
+        assert_eq!(m.retired(QueryStatus::Panicked), 1, "seed {seed}");
+        assert_eq!(m.retired(QueryStatus::Done), 1, "seed {seed}");
     }
 }
 
@@ -236,7 +237,7 @@ fn transient_dispatch_faults_retry_and_count_in_spans() {
         assert_eq!(h.wait(), QueryStatus::Done, "seed {seed}");
         let span = h.span().expect("span");
         assert_eq!(span.retries, 1, "seed {seed}: retry not recorded in span");
-        assert_eq!(engine.stats().retries, 1, "seed {seed}");
+        assert_eq!(engine.metrics().retries.get(), 1, "seed {seed}");
         assert!(engine.workers_alive());
     }
 }
@@ -256,20 +257,17 @@ fn periodic_faults_under_load_leave_the_engine_consistent() {
             assert!(h.wait().is_terminal(), "seed {seed}: query {} hung", h.id());
             terminal += 1;
         }
-        let stats = engine.stats();
+        let m = engine.metrics();
         // Cache-hit submits count under `completed` too, so the terminal
         // statuses partition the handle count exactly.
         assert_eq!(
-            stats.completed
-                + stats.cancelled
-                + stats.failed
-                + stats.panics
-                + stats.queue_deadline_sheds,
+            RETIRED.map(|st| m.retired(st)).iter().sum::<u64>(),
             terminal,
-            "seed {seed}: terminal accounting does not balance: {stats:?}"
+            "seed {seed}: terminal accounting does not balance: {m:?}"
         );
         assert!(engine.workers_alive(), "seed {seed}");
-        assert_eq!((stats.queued, stats.running), (0, 0), "seed {seed}: not idle after quiesce");
+        let idle = (m.queue_depth.get(), m.running.get());
+        assert_eq!(idle, (0, 0), "seed {seed}: not idle after quiesce");
     }
 }
 
@@ -289,20 +287,18 @@ fn metrics_stay_truthful_under_armed_faults() {
     }
 
     let stats = engine.stats();
+    let m = &stats.metrics;
     let injected: u64 = stats.fault_injections.iter().map(|&(_, n)| n).sum();
     assert!(injected >= 1, "armed fault never surfaced in the injection counters");
-    assert!(stats.panics >= 1, "contained panics not visible in retired{{status=panicked}}");
-    let retired = stats.completed
-        + stats.cancelled
-        + stats.failed
-        + stats.panics
-        + stats.queue_deadline_sheds;
+    let panics = m.retired(QueryStatus::Panicked);
+    assert!(panics >= 1, "contained panics not visible in retired{{status=panicked}}");
+    let retired: u64 = RETIRED.map(|st| m.retired(st)).iter().sum();
     assert_eq!(retired, handles.len() as u64);
 
     // The reply's quantiles are bucket math over the sample's own
     // histograms: a bucket upper bound clamped by the observed max, so
     // never above the true maximum.
-    let run = HistogramSnapshot::merged(&stats.run_time);
+    let run = HistogramSnapshot::merged(&m.run_time_snapshots());
     let reply = stats_fields(FAMILIES, &stats, JsonObj::new()).finish();
     assert!(reply.contains(&format!("\"run_p50_ns\":{},", run.p50())), "{reply}");
     assert!(reply.contains(&format!("\"run_p99_ns\":{},", run.p99())), "{reply}");
@@ -315,10 +311,9 @@ fn metrics_stay_truthful_under_armed_faults() {
         .lines()
         .any(|l| l.starts_with("ligra_fault_injections_total{point=\"edgemap.round\"}")
             && !l.ends_with(" 0")));
-    assert!(text.contains(&format!(
-        "ligra_queries_retired_total{{status=\"panicked\"}} {}\n",
-        stats.panics
-    )));
+    assert!(
+        text.contains(&format!("ligra_queries_retired_total{{status=\"panicked\"}} {panics}\n"))
+    );
     assert!(engine.workers_alive());
 }
 

@@ -121,8 +121,8 @@ fn zero_deadline_result_is_never_cached() {
     let hit = engine.submit(q, None).unwrap();
     assert_eq!(hit.wait(), QueryStatus::Done);
     assert!(hit.span().unwrap().cache_hit);
-    assert_eq!(engine.stats().queue_deadline_sheds, 1);
-    assert_eq!(engine.stats().cancelled, 0);
+    assert_eq!(engine.metrics().retired(QueryStatus::Shed), 1);
+    assert_eq!(engine.metrics().retired(QueryStatus::Cancelled), 0);
 }
 
 /// Closed-loop submitters outnumbering the workers two to one, every
@@ -155,15 +155,16 @@ fn concurrent_client_mix_completes_with_consistent_stats() {
         }
     });
 
-    let stats = engine.stats();
-    assert_eq!(stats.submitted, 48);
-    assert_eq!(stats.completed, 48);
-    assert_eq!(stats.cancelled + stats.failed + stats.rejected, 0);
-    assert_eq!(stats.queued, 0);
-    assert_eq!(stats.running, 0);
+    let m = engine.metrics();
+    assert_eq!(m.submitted.get(), 48);
+    assert_eq!(m.retired(QueryStatus::Done), 48);
+    let refused = m.retired(QueryStatus::Cancelled) + m.retired(QueryStatus::Failed);
+    assert_eq!(refused + m.rejected.get(), 0);
+    assert_eq!(m.queue_depth.get(), 0);
+    assert_eq!(m.running.get(), 0);
     // Repeated Cc/PageRank/Radii submissions on one epoch must have been
     // cache-absorbed, and every accepted query left a span behind.
-    assert!(stats.cache_hits > 0);
+    assert!(engine.stats().cache_hits > 0);
     assert_eq!(engine.spans().len(), 48);
 }
 

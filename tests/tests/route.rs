@@ -389,7 +389,7 @@ fn router_over_real_replicas_replicates_dedups_and_routes_by_id() {
     }
     // Rotation placed one submit on each replica.
     for replica in &replicas {
-        assert_eq!(replica.engine().stats().submitted, 1);
+        assert_eq!(replica.engine().metrics().submitted.get(), 1);
     }
     router.begin_shutdown();
 }

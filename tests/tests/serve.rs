@@ -324,9 +324,20 @@ fn every_family_agrees_between_the_reply_and_the_scrape() {
     assert_eq!(num(&route_stats, "requests"), 5, "{route_stats}");
     assert_eq!(num(&route_stats, "journal_entries"), 1, "{route_stats}");
 
-    // `stats` carries what the `metrics` op used to; the op is gone.
-    for reply in [conn.ask(r#"{"op":"metrics"}"#), router.handle_line(r#"{"op":"metrics"}"#).0] {
-        assert!(reply.contains("unknown op"), "{reply}");
+    // `stats` carries what the `metrics` op used to; the op is gone, and
+    // each op and generator family has its one hyphenated spelling.
+    for (line, want) in [
+        (r#"{"op":"metrics"}"#, "unknown op"),
+        (r#"{"op":"graph_stats"}"#, "unknown op"),
+        (r#"{"op":"gen","family":"random_local"}"#, "unknown family"),
+        (r#"{"op":"gen","family":"er"}"#, "unknown family"),
+    ] {
+        let reply = conn.ask(line);
+        assert!(reply.contains(want), "{line} -> {reply}");
+    }
+    for line in [r#"{"op":"metrics"}"#, r#"{"op":"route_stats"}"#, r#"{"op":"graph_stats"}"#] {
+        let reply = router.handle_line(line).0;
+        assert!(reply.contains("unknown op"), "{line} -> {reply}");
     }
     router.begin_shutdown();
 }
