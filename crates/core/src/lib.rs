@@ -53,7 +53,6 @@
 pub mod cancel;
 pub mod edge_map;
 pub mod fault;
-pub mod jsonl;
 pub mod lockdep;
 pub mod options;
 pub mod race;
@@ -70,7 +69,7 @@ pub use crate::lockdep::{EdgeWitness, LockOracle, LockReport, LockViolation};
 pub use crate::options::{EdgeMapOptions, Traversal};
 pub use crate::race::{OracleReport, RaceOracle, Violation, ViolationKind, WinContract};
 pub use crate::stats::{Mode, NoopRecorder, Op, Recorder, ReprKind, RoundStat, TraversalStats};
-pub use crate::trace::{from_json_lines, save_jsonl, summary, to_json_lines, TraceSummary};
+pub use crate::trace::{save_jsonl, summary, to_json_lines, TraceSummary};
 pub use crate::traits::{cond_true, edge_fn, ClosureEdgeMap, EdgeMapFn};
 pub use crate::vertex_map::{
     vertex_filter, vertex_filter_recorded, vertex_map, vertex_map_recorded, vertex_map_reduce_f64,

@@ -141,8 +141,8 @@ impl LockOracle {
         LockOracle { panic_on_violation: false, state: Mutex::new(OracleState::default()) }
     }
 
-    /// The process-wide oracle the `lock-check` feature routes every
-    /// engine-tier acquisition through. Certification mode.
+    /// The process-wide oracle the engine's `lock-check` feature routes
+    /// every engine-tier acquisition through. Certification mode.
     pub fn global() -> &'static LockOracle {
         static GLOBAL: OnceLock<LockOracle> = OnceLock::new();
         GLOBAL.get_or_init(LockOracle::new)

@@ -43,19 +43,6 @@ impl std::fmt::Display for Mode {
     }
 }
 
-impl std::str::FromStr for Mode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "sparse" => Ok(Mode::Sparse),
-            "dense" => Ok(Mode::Dense),
-            "dense-fwd" => Ok(Mode::DenseForward),
-            "partitioned" => Ok(Mode::Partitioned),
-            other => Err(format!("unknown mode {other:?}")),
-        }
-    }
-}
-
 /// Which framework operation produced an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
@@ -77,18 +64,6 @@ impl std::fmt::Display for Op {
     }
 }
 
-impl std::str::FromStr for Op {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "edge_map" => Ok(Op::EdgeMap),
-            "vertex_map" => Ok(Op::VertexMap),
-            "vertex_filter" => Ok(Op::VertexFilter),
-            other => Err(format!("unknown op {other:?}")),
-        }
-    }
-}
-
 /// A `vertexSubset` representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReprKind {
@@ -103,17 +78,6 @@ impl std::fmt::Display for ReprKind {
         match self {
             ReprKind::Sparse => write!(f, "sparse"),
             ReprKind::Dense => write!(f, "dense"),
-        }
-    }
-}
-
-impl std::str::FromStr for ReprKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "sparse" => Ok(ReprKind::Sparse),
-            "dense" => Ok(ReprKind::Dense),
-            other => Err(format!("unknown representation {other:?}")),
         }
     }
 }
@@ -337,17 +301,14 @@ mod tests {
     }
 
     #[test]
-    fn enum_round_trips_through_strings() {
-        for m in [Mode::Sparse, Mode::Dense, Mode::DenseForward, Mode::Partitioned] {
-            assert_eq!(m.to_string().parse::<Mode>().unwrap(), m);
-        }
-        for o in [Op::EdgeMap, Op::VertexMap, Op::VertexFilter] {
-            assert_eq!(o.to_string().parse::<Op>().unwrap(), o);
-        }
-        for r in [ReprKind::Sparse, ReprKind::Dense] {
-            assert_eq!(r.to_string().parse::<ReprKind>().unwrap(), r);
-        }
-        assert!("pull".parse::<Mode>().is_err());
+    fn enums_render_as_their_trace_strings() {
+        let modes = [Mode::Sparse, Mode::Dense, Mode::DenseForward, Mode::Partitioned];
+        let modes = modes.map(|m| m.to_string());
+        assert_eq!(modes, ["sparse", "dense", "dense-fwd", "partitioned"]);
+        let ops = [Op::EdgeMap, Op::VertexMap, Op::VertexFilter].map(|o| o.to_string());
+        assert_eq!(ops, ["edge_map", "vertex_map", "vertex_filter"]);
+        let reprs = [ReprKind::Sparse, ReprKind::Dense].map(|r| r.to_string());
+        assert_eq!(reprs, ["sparse", "dense"]);
     }
 
     #[test]

@@ -2,22 +2,16 @@
 //!
 //! One flat format, hand-rolled so the framework stays dependency-free:
 //! **JSON lines** — one self-describing JSON object per recorded event
-//! ([`to_json_lines`] / [`from_json_lines`]). The schema is flat (only
-//! numbers, booleans, and closed-vocabulary strings), so a line is read
-//! by the repo's one flat-JSON scanner, [`crate::jsonl`], not a general
-//! JSON implementation.
-//!
-//! The round trip is lossless (`from_json_lines(to_json_lines(t)) == t`).
-//! Nothing in the product reads a trace back — the figure binaries render
-//! from the stats they hold — so the importer exists for tests and
-//! offline tooling, and is the `RoundStat`-from-fields mapping and a line
-//! loop over [`Fields`]. [`summary`] folds a trace into per-mode
-//! aggregates for quick human inspection.
+//! ([`to_json_lines`], written to disk by [`save_jsonl`]). The schema is
+//! flat (only numbers, booleans, and closed-vocabulary strings), so any
+//! JSON parser reads a line, and so does the engine's flat-JSON scanner
+//! (`ligra_engine::wire::Fields`). Nothing in the product reads a trace
+//! back — the figure binaries render from the stats they hold — so there
+//! is no importer. [`summary`] folds a trace into per-mode aggregates for
+//! quick human inspection.
 
-use crate::jsonl::{text, Fields};
-use crate::stats::{Mode, Op, RoundStat, TraversalStats};
-use std::fmt::{Display, Write as _};
-use std::str::FromStr;
+use crate::stats::{Mode, Op, TraversalStats};
+use std::fmt::Write as _;
 
 /// Serializes a trace as JSON lines: one flat object per event, `round`
 /// being the event's position in the trace.
@@ -60,60 +54,6 @@ pub fn to_json_lines(stats: &TraversalStats) -> String {
         );
     }
     out
-}
-
-/// One exported line back as a [`RoundStat`] — the only part of the
-/// import that is about traces; the line itself is read by [`Fields`].
-/// A repeated key reads as its first occurrence, and a closed-vocabulary
-/// string reads the same bare as quoted.
-fn round_stat(line: &str) -> Result<RoundStat, String> {
-    fn get<T: FromStr<Err: Display>>(fields: &[(&str, &str)], key: &str) -> Result<T, String> {
-        let (_, raw) = fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .ok_or_else(|| format!("missing field {key:?}"))?;
-        text(raw).parse().map_err(|e| format!("field {key:?}: {e}: {raw}"))
-    }
-    let f = &Fields::new(line).collect::<Result<Vec<_>, _>>()?;
-    Ok(RoundStat {
-        op: get(f, "op")?,
-        frontier_vertices: get(f, "frontier_vertices")?,
-        frontier_out_edges: get(f, "frontier_out_edges")?,
-        work: get(f, "work")?,
-        threshold: get(f, "threshold")?,
-        forced: get(f, "forced")?,
-        mode: get(f, "mode")?,
-        input_repr: get(f, "input_repr")?,
-        output_repr: get(f, "output_repr")?,
-        converted: get(f, "converted")?,
-        output_vertices: get(f, "output_vertices")?,
-        frontier_bytes: get(f, "frontier_bytes")?,
-        time_ns: get(f, "time_ns")?,
-        cas_attempts: get(f, "cas_attempts")?,
-        cas_wins: get(f, "cas_wins")?,
-        edges_scanned: get(f, "edges_scanned")?,
-        edges_skipped: get(f, "edges_skipped")?,
-        partitions: get(f, "partitions")?,
-        bins_flushed: get(f, "bins_flushed")?,
-        scatter_bytes: get(f, "scatter_bytes")?,
-    })
-}
-
-/// Parses the output of [`to_json_lines`] back into a trace.
-///
-/// Accepts exactly the flat schema this module emits, with the fields
-/// in any order and unknown fields ignored — it is a format reader, not
-/// a general JSON parser. Blank lines are skipped.
-pub fn from_json_lines(text: &str) -> Result<TraversalStats, String> {
-    let mut stats = TraversalStats::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        stats.rounds.push(round_stat(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(stats)
 }
 
 /// Writes a trace as `<dir>/<stem>.jsonl` (the [`to_json_lines`] format)
@@ -241,7 +181,7 @@ pub fn summary(stats: &TraversalStats) -> TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::ReprKind;
+    use crate::stats::{ReprKind, RoundStat};
 
     fn sample_trace() -> TraversalStats {
         let mut t = TraversalStats::new();
@@ -316,49 +256,54 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_round_trip() {
-        let t = sample_trace();
-        let text = to_json_lines(&t);
-        assert_eq!(text.lines().count(), 4);
-        assert!(text.lines().next().unwrap().starts_with("{\"round\":0,\"op\":\"edge_map\""));
-        let back = from_json_lines(&text).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn empty_trace_round_trips() {
-        let t = TraversalStats::new();
-        assert_eq!(from_json_lines(&to_json_lines(&t)).unwrap(), t);
-    }
-
-    #[test]
-    fn parsers_reject_malformed_input() {
-        assert!(from_json_lines("not json\n").is_err());
-        assert!(from_json_lines("{\"round\":0}\n").is_err(), "missing fields");
-    }
-
-    #[test]
-    fn json_parser_rejects_quotes_and_escapes_in_values() {
-        let good = to_json_lines(&sample_trace());
-        // Interior quote, backslash escape, and unbalanced quote must all be
-        // hard errors, never silently trimmed into a different value.
-        for (from, to) in [
-            ("\"sparse\"", "\"spa\"rse\""),
-            ("\"sparse\"", "\"spa\\u0022rse\""),
-            ("\"sparse\"", "\"sparse"),
-        ] {
-            let bad = good.replacen(from, to, 1);
-            assert_ne!(bad, good, "mutation {to:?} did not apply");
-            assert!(from_json_lines(&bad).is_err(), "accepted {to:?}");
-        }
+    fn json_lines_spell_every_key_in_order() {
+        let want = concat!(
+            r#"{"round":0,"op":"edge_map","mode":"sparse","#,
+            r#""frontier_vertices":1,"frontier_out_edges":9,"#,
+            r#""work":10,"threshold":500,"forced":false,"#,
+            r#""input_repr":"sparse","output_repr":"sparse","converted":false,"#,
+            r#""output_vertices":9,"frontier_bytes":40,"time_ns":1234,"#,
+            r#""cas_attempts":9,"cas_wins":9,"#,
+            r#""edges_scanned":9,"edges_skipped":0,"#,
+            r#""partitions":0,"bins_flushed":0,"scatter_bytes":0}"#,
+            "\n",
+            r#"{"round":1,"op":"edge_map","mode":"dense","#,
+            r#""frontier_vertices":900,"frontier_out_edges":8000,"#,
+            r#""work":8900,"threshold":500,"forced":false,"#,
+            r#""input_repr":"sparse","output_repr":"dense","converted":true,"#,
+            r#""output_vertices":80,"frontier_bytes":256,"time_ns":5678,"#,
+            r#""cas_attempts":0,"cas_wins":0,"#,
+            r#""edges_scanned":1000,"edges_skipped":9000,"#,
+            r#""partitions":0,"bins_flushed":0,"scatter_bytes":0}"#,
+            "\n",
+            r#"{"round":2,"op":"edge_map","mode":"partitioned","#,
+            r#""frontier_vertices":600,"frontier_out_edges":7000,"#,
+            r#""work":7600,"threshold":500,"forced":true,"#,
+            r#""input_repr":"dense","output_repr":"dense","converted":false,"#,
+            r#""output_vertices":40,"frontier_bytes":256,"time_ns":4321,"#,
+            r#""cas_attempts":0,"cas_wins":0,"#,
+            r#""edges_scanned":7000,"edges_skipped":0,"#,
+            r#""partitions":8,"bins_flushed":24,"scatter_bytes":56000}"#,
+            "\n",
+            r#"{"round":3,"op":"vertex_map","mode":"dense","#,
+            r#""frontier_vertices":80,"frontier_out_edges":0,"#,
+            r#""work":80,"threshold":0,"forced":false,"#,
+            r#""input_repr":"dense","output_repr":"dense","converted":false,"#,
+            r#""output_vertices":80,"frontier_bytes":0,"time_ns":0,"#,
+            r#""cas_attempts":0,"cas_wins":0,"#,
+            r#""edges_scanned":0,"edges_skipped":0,"#,
+            r#""partitions":0,"bins_flushed":0,"scatter_bytes":0}"#,
+            "\n",
+        );
+        assert_eq!(to_json_lines(&sample_trace()), want);
+        assert_eq!(to_json_lines(&TraversalStats::new()), "");
     }
 
     #[test]
     fn string_fields_stay_closed_vocabulary() {
-        // The exporter writes these strings between quotes without escaping
-        // and the importer reads them back as spelled, so every string the
-        // serializers can emit must avoid '"' and '\\' (and, for readers that
-        // split lines on them, ',' and ':'). This pins the schema: adding an
+        // The exporter writes these strings between quotes without escaping,
+        // so every string the serializers can emit must avoid '"' and '\\'
+        // (and, for readers that split lines on them, ',' and ':'). This pins the schema: adding an
         // enum variant (or a new string column) whose rendering breaks the
         // invariant must fail here, not mis-parse downstream.
         let ops = [Op::EdgeMap, Op::VertexMap, Op::VertexFilter];

@@ -62,7 +62,7 @@ impl Backoff {
 /// Pulls `"retry_after_ms":N` out of a flat-JSON response line, if
 /// present — the wire-format side of the hint override.
 pub fn retry_after_ms(resp: &str) -> Option<u64> {
-    ligra::jsonl::field_u64(resp, "retry_after_ms")
+    crate::wire::field_u64(resp, "retry_after_ms")
 }
 
 #[cfg(test)]

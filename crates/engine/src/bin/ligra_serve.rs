@@ -37,9 +37,9 @@
 //! Every query runs the paper's `Auto` traversal. Overlays past
 //! `--compact-threshold` arcs compact automatically (0 disables).
 
-use ligra::jsonl::field_bool;
 use ligra_engine::backoff::{retry_after_ms, Backoff};
 use ligra_engine::serve::{fault_plan, install_sigterm_latch, DRAIN_DEADLINE};
+use ligra_engine::wire::field_bool;
 use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Server};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;

@@ -34,12 +34,11 @@ use crate::metrics::{render, stats_fields, FAMILIES};
 use crate::scheduler::{LookupError, QueryReport};
 use crate::serve::{Frontend, WireEvent};
 use crate::span::span_fields;
-use crate::wire::transient_error;
+use crate::wire::{field_bool, transient_error};
 use crate::{
     error_response, Engine, JsonObj, MetricsRegistry, MutateError, MutationLog, Query, Request,
     SubmitError,
 };
-use ligra::jsonl::field_bool;
 use ligra_graph::delta::DeltaBatch;
 use ligra_graph::generators::{
     erdos_renyi, grid3d, random_local, random_weights, rmat, RmatOptions,

@@ -27,8 +27,8 @@
 //!   first cycle-closing acquisition with both threads' witness chains;
 //! * [`error`] — typed terminal errors ([`QueryError`]) distinguishing
 //!   validation failures, injected transient faults, and caught panics;
-//! * [`wire`] — the flat-JSONL request/response format spoken by the
-//!   `ligra-serve` binary;
+//! * [`wire`] — the one-flat-JSON-object-per-line codec and the
+//!   request/reply format spoken by `ligra-serve` and `ligra-route`;
 //! * [`handler`] — [`Replica`]: one request line in, one response line
 //!   out, the whole of what `ligra-serve` answers, callable in-process;
 //! * [`serve`] — the front-end both binaries share: connection loop,

@@ -41,9 +41,10 @@ use crate::backoff::{retry_after_ms, Backoff};
 use crate::lockdep::tracked_lock;
 use crate::metrics::{render, stats_fields, Counter, Gauge, Histogram, ROUTE_FAMILIES};
 use crate::serve::{Frontend, WireEvent};
-use crate::wire::{error_response, transient_error, JsonObj, Request};
+use crate::wire::{
+    error_response, field_bool, field_u64, set_u64, transient_error, JsonObj, Request,
+};
 use crate::FaultPlan;
-use ligra::jsonl::{field_bool, field_u64, set_u64};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};

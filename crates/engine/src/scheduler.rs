@@ -351,16 +351,6 @@ impl QueryHandle {
         }
     }
 
-    /// The error message, once `Failed` or `Panicked`.
-    pub fn error(&self) -> Option<String> {
-        tracked_lock(&self.job.state, "job.state").error.as_ref().map(QueryError::to_string)
-    }
-
-    /// The typed error, once `Failed` or `Panicked`.
-    pub fn query_error(&self) -> Option<QueryError> {
-        tracked_lock(&self.job.state, "job.state").error.clone()
-    }
-
     /// The lifecycle span, once terminal.
     pub fn span(&self) -> Option<QuerySpan> {
         tracked_lock(&self.job.state, "job.state").span.clone()
@@ -587,19 +577,6 @@ impl Engine {
     /// front-end counts its requests/bytes/malformed lines here).
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.shared.metrics)
-    }
-
-    /// The spans of the last [`RETIRED_CAPACITY`] finished queries, in
-    /// the order they finished.
-    pub fn spans(&self) -> Vec<QuerySpan> {
-        let table = tracked_lock(&self.shared.jobs, "scheduler.jobs");
-        table.retired.iter().filter_map(|r| r.span.clone()).collect()
-    }
-
-    /// The span of one query, if it has reached a terminal state and
-    /// has not yet left the ring.
-    pub fn span(&self, id: u64) -> Option<QuerySpan> {
-        self.report(id).ok().and_then(|r| r.span)
     }
 
     /// `true` while every spawned worker thread is still alive. The
@@ -941,7 +918,7 @@ mod tests {
         h.cancel();
         let status = h.wait();
         assert_eq!(status, QueryStatus::Cancelled);
-        assert!(e.span(h.id()).is_some());
+        assert!(e.report(h.id()).unwrap().span.is_some());
     }
 
     #[test]
@@ -989,8 +966,9 @@ mod tests {
         e.install_graph(Arc::new(grid3d(3)));
         let h = e.submit(Query::Bfs { source: 1_000_000 }, None).unwrap();
         assert_eq!(h.wait(), QueryStatus::Failed);
-        assert!(h.error().unwrap().contains("out of range"));
-        assert!(matches!(h.query_error(), Some(QueryError::App(_))));
+        let err = h.report().error.unwrap();
+        assert!(err.to_string().contains("out of range"));
+        assert!(matches!(err, QueryError::App(_)));
         assert_eq!(e.metrics().retired(QueryStatus::Failed), 1);
     }
 
@@ -1007,7 +985,7 @@ mod tests {
         assert_eq!(m.retired(QueryStatus::Done), 16);
         assert_eq!(m.retired(QueryStatus::Panicked), 0);
         assert_eq!((m.queue_depth.get(), m.running.get()), (0, 0));
-        assert_eq!(e.spans().len(), 16);
+        assert!(handles.iter().all(|h| e.report(h.id()).unwrap().span.is_some()));
         assert!(e.workers_alive());
     }
 
@@ -1057,10 +1035,9 @@ mod tests {
         // The span's trace_id names the on-disk kernel trace...
         let path = dir.join(format!("query-{}.jsonl", span.trace_id));
         let text = std::fs::read_to_string(&path).expect("kernel trace written");
-        let stats = ligra::from_json_lines(&text).expect("trace re-imports");
         // ...and its edgeMap rows agree with the span's round count.
         let edge_rounds =
-            stats.rounds.iter().filter(|r| r.op == ligra::stats::Op::EdgeMap).count() as u64;
+            text.lines().filter(|l| crate::wire::field(l, "op") == Some("edge_map")).count() as u64;
         assert_eq!(edge_rounds, span.rounds, "span rounds must match kernel trace rows");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1118,7 +1095,7 @@ mod tests {
             e.install_graph(Arc::new(grid3d(5)));
             let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
             assert_eq!(h.wait(), QueryStatus::Panicked);
-            match h.query_error() {
+            match h.report().error {
                 Some(QueryError::Panicked { point: "edgemap.round", .. }) => {}
                 other => panic!("expected Panicked at edgemap.round, got {other:?}"),
             }
@@ -1139,7 +1116,7 @@ mod tests {
             e.install_graph(Arc::new(grid3d(5)));
             let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
             assert_eq!(h.wait(), QueryStatus::Failed);
-            let err = h.query_error().unwrap();
+            let err = h.report().error.unwrap();
             assert!(err.is_transient(), "injected error must look retryable: {err:?}");
             assert_eq!(e.metrics().retired(QueryStatus::Panicked), 0);
             assert!(e.workers_alive());
@@ -1166,7 +1143,7 @@ mod tests {
             let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
             assert_eq!(h.wait(), QueryStatus::Failed);
             assert_eq!(
-                h.query_error(),
+                h.report().error,
                 Some(QueryError::Injected {
                     point: "engine.dispatch",
                     hit: MAX_DISPATCH_RETRIES + 1,

@@ -175,7 +175,7 @@ impl Recorder for RoundCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ligra::jsonl::{field, field_u64, Fields};
+    use crate::wire::{field, field_u64, Fields};
     use ligra::EdgeMapOptions;
     use ligra_apps::bfs_traced;
     use ligra_graph::generators::path;

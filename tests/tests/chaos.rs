@@ -18,9 +18,9 @@
 //!   completes normally.
 #![cfg(feature = "fault-inject")]
 
-use ligra::jsonl::field_bool;
 use ligra_apps as apps;
 use ligra_engine::metrics::{render, stats_fields, FAMILIES, RETIRED};
+use ligra_engine::wire::field_bool;
 use ligra_engine::{
     Engine, EngineConfig, FaultAction, FaultPlan, FaultPoint, HistogramSnapshot, JsonObj,
     MutateError, MutationConfig, MutationLog, Query, QueryError, QueryOutput, QueryStatus, Replica,
@@ -166,7 +166,7 @@ fn injected_panic_is_typed_and_the_same_worker_keeps_serving() {
 
         let h = engine.submit(Query::Cc, None).expect("submit");
         assert_eq!(h.wait(), QueryStatus::Panicked, "seed {seed}");
-        match h.query_error() {
+        match h.report().error {
             Some(QueryError::Panicked { point, .. }) => assert_eq!(point, "edgemap.round"),
             other => panic!("seed {seed}: expected Panicked, got {other:?}"),
         }

@@ -4,9 +4,9 @@
 //! (in-flight queries stay pinned to the snapshot they started on; the
 //! result cache keys on epoch so mutations invalidate it naturally).
 
-use ligra::jsonl::{field, field_bool, field_u64};
 use ligra::{EdgeMapOptions, NoopRecorder, Traversal};
 use ligra_apps as apps;
+use ligra_engine::wire::{field, field_bool, field_u64};
 use ligra_engine::{
     Engine, EngineConfig, MutateError, MutationConfig, MutationLog, Query, QueryHandle,
     QueryOutput, QueryStatus, Replica,
@@ -212,7 +212,7 @@ fn inflight_queries_stay_pinned_while_mutations_publish_new_epochs() {
 
     assert_eq!(pinned.wait(), QueryStatus::Done);
     assert_eq!(slow.wait(), QueryStatus::Done);
-    let span = engine.span(pinned.id()).expect("span");
+    let span = pinned.span().expect("span");
     assert_eq!(span.epoch, e0, "in-flight query pinned to its submit-time epoch");
     assert_eq!(
         summary_count(&pinned, "reached"),
@@ -222,7 +222,7 @@ fn inflight_queries_stay_pinned_while_mutations_publish_new_epochs() {
 
     let fresh = engine.submit(Query::Bfs { source: 0 }, None).expect("submit fresh");
     assert_eq!(fresh.wait(), QueryStatus::Done);
-    assert_eq!(engine.span(fresh.id()).expect("span").epoch, report.epoch);
+    assert_eq!(fresh.span().expect("span").epoch, report.epoch);
     assert_eq!(
         summary_count(&fresh, "reached"),
         reached_before + 3,
@@ -276,7 +276,7 @@ fn mutation_invalidates_the_result_cache_by_epoch() {
     log.apply(&DeltaBatch::new().del_vertex(0)).expect("mutate");
     let after = engine.submit(Query::Cc, None).expect("submit");
     assert_eq!(after.wait(), QueryStatus::Done);
-    let span = engine.span(after.id()).expect("span");
+    let span = after.span().expect("span");
     assert!(!span.cache_hit, "a new epoch is a new cache key");
 }
 

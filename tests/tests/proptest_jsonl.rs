@@ -1,4 +1,4 @@
-//! Property tests for the flat-JSON line codec (`ligra::jsonl`): what
+//! Property tests for the flat-JSON line codec (`ligra_engine::wire`): what
 //! `JsonObj` writes `Fields` reads back, `set_u64` touches one value and
 //! nothing else, and a lookup never mistakes text inside a string value
 //! for a field — the soundness argument substring scrapers cannot make.
@@ -11,7 +11,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use ligra::jsonl::{field, field_bool, field_u64, set_u64, text, Fields, JsonObj};
+use ligra_engine::wire::{field, field_bool, field_u64, set_u64, text, Fields, JsonObj};
 use proptest::prelude::*;
 
 /// Characters that stress the writer's escaping and the scanner's string

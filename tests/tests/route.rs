@@ -18,8 +18,8 @@
 //! it at replay. The real guard — `Replica`'s own — is driven by
 //! `router_over_real_replicas_*`, over two in-process loopback replicas.
 
-use ligra::jsonl::{field, field_bool, field_u64};
 use ligra_engine::route::{Router, RouterConfig, JOURNAL_CAPACITY};
+use ligra_engine::wire::{field, field_bool, field_u64};
 use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -595,7 +595,6 @@ fn injected_forward_faults_reroute_across_seeds() {
             probe_deadline: Duration::from_millis(150),
             request_deadline: Duration::from_millis(300),
             fault: Some(Arc::new(plan)),
-            ..RouterConfig::default()
         })
         .expect("router start");
         for i in 0..8 {

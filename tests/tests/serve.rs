@@ -24,13 +24,13 @@
 //! stays in `scripts/route_smoke.sh`; the `--client` retry pump is
 //! tested against the real binary in `crates/engine/tests/client_retry.rs`.
 
-use ligra::jsonl::field_u64;
 use ligra_engine::metrics::{Family, StatsKey, FAMILIES, RETIRED, ROUTE_FAMILIES};
 use ligra_engine::scheduler::RETIRED_CAPACITY;
 use ligra_engine::serve::SCRAPE_HEAD_TIMEOUT;
+use ligra_engine::wire::field_u64;
 use ligra_engine::{
-    Engine, EngineConfig, FaultPoint, Frontend, MutationConfig, MutationLog, Query, Replica,
-    Router, RouterConfig, Server,
+    Engine, EngineConfig, FaultPoint, Frontend, LookupError, MutationConfig, MutationLog, Query,
+    Replica, Router, RouterConfig, Server,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -488,7 +488,13 @@ fn finished_ids_answer_until_they_leave_the_ring() {
     }
     let engine = replica.engine();
     assert!((1..=total).all(|id| engine.handle(id).is_none()), "a finished job stayed live");
-    assert_eq!(engine.spans().len(), RETIRED_CAPACITY);
+    // The ring holds exactly the last `RETIRED_CAPACITY` reports: each
+    // of those ids has a span, and every older one is expired.
+    let oldest_kept = total - RETIRED_CAPACITY as u64 + 1;
+    let expired = |id| matches!(engine.report(id), Err(LookupError::Expired(_)));
+    assert!((1..oldest_kept).all(expired), "a report outlived the ring");
+    let has_span = |id| engine.report(id).is_ok_and(|r| r.span.is_some());
+    assert!((oldest_kept..=total).all(has_span), "a ring entry has no span");
 
     let replies = session(
         &replica,
@@ -574,7 +580,7 @@ fn injected_wire_fault_and_hostile_lines_get_replies_and_the_connection_survives
     expect(&replies, 6, "\"pong\"", "the same connection keeps serving");
 
     let gen = conn.ask(r#"{"op":"gen","family":"rmat","log_n":10}"#);
-    assert_eq!(ligra::jsonl::field_bool(&gen, "ok"), Some(true), "{gen}");
+    assert_eq!(ligra_engine::wire::field_bool(&gen, "ok"), Some(true), "{gen}");
     assert!(conn.ask(r#"{"op":"submit","query":"bfs","source":0}"#).contains("\"id\":1"));
     let done = conn.ask(r#"{"op":"wait","id":1}"#);
     assert!(done.contains("\"status\":\"done\"") && done.contains("\"reached\":"), "{done}");

@@ -1,17 +1,18 @@
 //! End-to-end telemetry: real application runs produce traces whose
-//! events are internally consistent, whose exports round-trip losslessly
-//! through the JSONL serialization, and whose counters respect the
+//! events are internally consistent, whose JSONL exports carry every
+//! event field for field, and whose counters respect the
 //! structural bounds of the graph being traversed.
 
 use ligra::{
-    from_json_lines, summary, to_json_lines, EdgeMapOptions, Mode, NoopRecorder, Op, Traversal,
-    TraversalStats,
+    summary, to_json_lines, EdgeMapOptions, Mode, NoopRecorder, Op, Traversal, TraversalStats,
 };
 use ligra_apps as apps;
 use ligra_compress::CompressedGraph;
+use ligra_engine::wire::{field, field_u64, Fields};
 use ligra_graph::generators::rmat::RmatOptions;
 use ligra_graph::generators::{grid3d, rmat};
 use ligra_graph::Neighbors;
+use ligra_integration_tests::assert_trace_lines_match;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 #[test]
@@ -383,12 +384,17 @@ fn real_traces_round_trip_through_both_formats() {
     let _ = apps::cc_traced(&g, EdgeMapOptions::default(), &mut stats);
     assert!(stats.rounds.iter().any(|r| r.op != Op::EdgeMap), "vertex ops must be in the trace");
 
-    let via_json = from_json_lines(&to_json_lines(&stats)).expect("json round-trip");
-    assert_eq!(via_json, stats);
+    let text = to_json_lines(&stats);
+    assert_trace_lines_match(&text, &stats);
 
-    // The summary is computed off the events alone, so it is identical
-    // for the original and the re-imported trace.
-    assert_eq!(format!("{}", summary(&stats)), format!("{}", summary(&via_json)));
+    // The summary is computed off the events alone, so its totals are
+    // what the exported lines add up to.
+    let s = summary(&stats);
+    let sum = |key| text.lines().filter_map(|l| field_u64(l, key)).sum::<u64>();
+    assert_eq!(s.events, text.lines().count());
+    assert_eq!(s.total_time_ns, sum("time_ns"));
+    assert_eq!((s.edges_scanned, s.edges_skipped), (sum("edges_scanned"), sum("edges_skipped")));
+    assert_eq!((s.cas_attempts, s.cas_wins), (sum("cas_attempts"), sum("cas_wins")));
 }
 
 #[test]
@@ -398,7 +404,7 @@ fn design_event_schema_table_matches_the_exporter() {
     let mut stats = TraversalStats::new();
     stats.rounds.push(ligra::RoundStat::vertex_op(Op::VertexMap, 1, ligra::ReprKind::Dense, 1));
     let line = to_json_lines(&stats);
-    let exported: Vec<&str> = ligra::jsonl::Fields::new(line.trim_end())
+    let exported: Vec<&str> = Fields::new(line.trim_end())
         .map(|pair| pair.unwrap_or_else(|e| panic!("export malformed: {e}: {line}")).0)
         .collect();
 
@@ -443,12 +449,12 @@ fn engine_span_jsonl_keys_are_a_closed_vocabulary() {
     let replica = Replica::new(engine, log);
     let ask = |line: &str| replica.handle_line(line).0;
     let submit = ask(r#"{"op":"submit","query":"bfs","source":0,"trace_id":"pin-1"}"#);
-    let id = ligra::jsonl::field_u64(&submit, "id").expect("submit accepted");
+    let id = field_u64(&submit, "id").expect("submit accepted");
     let done = ask(&format!("{{\"op\":\"wait\",\"id\":{id}}}"));
-    assert_eq!(ligra::jsonl::field(&done, "status"), Some("done"), "{done}");
+    assert_eq!(field(&done, "status"), Some("done"), "{done}");
 
     let line = ask(&format!("{{\"op\":\"span\",\"id\":{id}}}"));
-    let keys: Vec<&str> = ligra::jsonl::Fields::new(&line)
+    let keys: Vec<&str> = Fields::new(&line)
         .map(|pair| pair.unwrap_or_else(|e| panic!("span reply malformed: {e}: {line}")).0)
         .collect();
     assert_eq!(
@@ -473,7 +479,7 @@ fn engine_span_jsonl_keys_are_a_closed_vocabulary() {
     );
     // The same id that names the span names its kernel trace on disk
     // (`query-<trace_id>.jsonl`; joined in tests/tests/engine.rs).
-    assert_eq!(ligra::jsonl::field(&line, "trace_id"), Some("pin-1"), "{line}");
+    assert_eq!(field(&line, "trace_id"), Some("pin-1"), "{line}");
 }
 
 #[test]

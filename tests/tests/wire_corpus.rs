@@ -1,15 +1,15 @@
-//! One accept/reject corpus for the two readers of "one flat JSON object
-//! per line": `ligra_engine::Request::parse` (requests) and
-//! `ligra::from_json_lines` (kernel-trace import), plus the well-formed
-//! requests whose typed fields the replica handler must refuse.
+//! One accept/reject corpus for "one flat JSON object per line" as a
+//! request: `ligra_engine::Request::parse`, which reads every line
+//! through the wire module's one scanner (`ligra_engine::wire::Fields`),
+//! plus the well-formed requests whose typed fields the replica handler
+//! must refuse.
 //!
 //! The table pins the *set* of accepted lines and, on accept, every field
 //! and value — not error wording. It was written against the parsers the
-//! shared `ligra::jsonl` scanner replaced and passes unchanged on both,
-//! which is the evidence that the replacement kept the grammar.
+//! shared scanner replaced and passed unchanged on them, which is the
+//! evidence that the replacement kept the grammar.
 
-use ligra::jsonl::{field, field_bool};
-use ligra::{from_json_lines, to_json_lines, Mode, Op, ReprKind, RoundStat, TraversalStats};
+use ligra_engine::wire::{field, field_bool};
 use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica, Request};
 use std::sync::Arc;
 
@@ -41,6 +41,9 @@ fn request_lines_the_grammar_accepts() {
         r#"{"op":"submit","query":"bfs","source":42,"deadline_ms":0,"cached":true}"#,
         &[("op", "submit"), ("query", "bfs"), ("source", "42"), ("deadline_ms", "0")],
     );
+    // Key order is free: the same fields read the same either way round.
+    accepts(r#"{"id":7,"op":"stats"}"#, &[("op", "stats"), ("id", "7")]);
+    accepts(r#"{"op":"stats","id":7}"#, &[("op", "stats"), ("id", "7")]);
     // A quoted number reads like a bare one: values are raw text.
     accepts(r#"{"id":"7","n":7}"#, &[("id", "7"), ("n", "7")]);
     // Every structural character is plain text inside a string.
@@ -68,6 +71,7 @@ fn request_lines_the_grammar_rejects() {
     for bad in [
         "",
         " ",
+        "not json",
         "{",
         "}",
         "{ ",
@@ -75,6 +79,8 @@ fn request_lines_the_grammar_rejects() {
         "null",
         r#""op""#,
         r#"{"op"}"#,
+        r#""op":"a"}"#,
+        r#"[{"op":"a"}]"#,
         r#"{"op":}"#,
         r#"{"op": }"#,
         r#"{"op":,}"#,
@@ -210,125 +216,4 @@ fn typed_fields_the_handler_refuses() {
         assert!(error.contains("cannot parse"), "{line} -> {reply}");
     }
     assert_eq!(replica.engine().current_epoch(), epoch, "a refused write was applied");
-}
-
-// ---- kernel-trace import -------------------------------------------------
-
-fn sample_trace() -> TraversalStats {
-    let mut t = TraversalStats::new();
-    t.rounds.push(RoundStat {
-        op: Op::EdgeMap,
-        frontier_vertices: 900,
-        frontier_out_edges: 8000,
-        work: 8900,
-        threshold: 500,
-        forced: false,
-        mode: Mode::Dense,
-        input_repr: ReprKind::Sparse,
-        output_repr: ReprKind::Dense,
-        converted: true,
-        output_vertices: 80,
-        frontier_bytes: 256,
-        time_ns: 5678,
-        cas_attempts: 3,
-        cas_wins: 2,
-        edges_scanned: 1000,
-        edges_skipped: 9000,
-        partitions: 8,
-        bins_flushed: 24,
-        scatter_bytes: u64::MAX,
-    });
-    t.rounds.push(RoundStat::vertex_op(Op::VertexMap, 80, ReprKind::Dense, 80));
-    t
-}
-
-/// The first exported line of [`sample_trace`].
-fn sample_line() -> String {
-    to_json_lines(&sample_trace()).lines().next().expect("one line").to_string()
-}
-
-#[test]
-fn trace_lines_the_importer_accepts() {
-    let t = sample_trace();
-    let text = to_json_lines(&t);
-    assert_eq!(from_json_lines(&text).unwrap(), t);
-    assert_eq!(from_json_lines("").unwrap(), TraversalStats::new());
-    assert_eq!(from_json_lines("\n  \n\t\n").unwrap(), TraversalStats::new());
-
-    // Blank lines, CRLF endings and indentation do not matter.
-    let spaced = text.replace('\n', "\r\n\r\n  ");
-    assert_eq!(from_json_lines(&format!("\n \t{spaced}")).unwrap(), t);
-    // Nor does whitespace around any token.
-    let airy = text.replace(',', " ,\t").replace("\":", "\" : ").replace('{', "{ ");
-    let airy = airy.replace('}', " }");
-    assert_eq!(from_json_lines(&airy).unwrap(), t);
-
-    // Field order is free, unknown fields are ignored, and closed-vocabulary
-    // strings read the same bare as quoted.
-    let line = sample_line();
-    let one = TraversalStats { rounds: vec![t.rounds[0]] };
-    let body = line.trim_start_matches('{').trim_end_matches('}');
-    let mut pairs: Vec<&str> = body.split(',').collect();
-    pairs.reverse();
-    let shuffled = format!("{{\"extra\":1,{},\"note\":\"x\"}}", pairs.join(","));
-    assert_eq!(from_json_lines(&shuffled).unwrap(), one);
-    let bare = line.replace("\"dense\"", "dense").replace("\"edge_map\"", "edge_map");
-    assert_ne!(bare, line);
-    assert_eq!(from_json_lines(&bare).unwrap(), one);
-    // A repeated key reads as its first occurrence.
-    let twice = line.replace("\"work\":8900", "\"work\":8900,\"work\":1");
-    assert_ne!(twice, line);
-    assert_eq!(from_json_lines(&twice).unwrap(), one);
-}
-
-#[test]
-fn trace_lines_the_importer_rejects() {
-    let line = sample_line();
-    assert!(from_json_lines(&line).is_ok());
-    for (from, to) in [
-        // Not a u64 / not a bool / outside the closed vocabularies.
-        ("\"work\":8900", "\"work\":-1"),
-        ("\"work\":8900", "\"work\":1.5"),
-        ("\"work\":8900", "\"work\":\"many\""),
-        ("\"work\":8900", "\"work\":18446744073709551616"),
-        ("\"work\":8900", "\"work\":"),
-        ("\"work\":8900", "\"work\":8900\0"),
-        ("\"work\":8900", "\"work\":{\"x\":1}"),
-        ("\"work\":8900", "\"work\":[8900]"),
-        ("\"forced\":false", "\"forced\":0"),
-        ("\"forced\":false", "\"forced\":\"no\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"sideways\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"den\u{1}se\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"den\u{85}se\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"плотный\""),
-        ("\"op\":\"edge_map\"", "\"op\":\"edge,map\""),
-        // Quotes and escapes the schema never emits.
-        ("\"mode\":\"dense\"", "\"mode\":\"den\"se\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"den\\u0022se\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"dense\\\\\""),
-        ("\"mode\":\"dense\"", "\"mode\":\"dense"),
-        // A missing field, a missing separator, trailing input.
-        ("\"work\":8900,", ""),
-        ("\"work\":8900,", "\"work\":8900"),
-        ("\"work\":8900,", "\"work\" 8900,"),
-        ("\"scatter_bytes\":18446744073709551615}", "\"scatter_bytes\":1} x"),
-        ("\"scatter_bytes\":18446744073709551615}", "\"scatter_bytes\":1}}"),
-        ("{\"round\":0", "\"round\":0"),
-        ("{\"round\":0", "[{\"round\":0"),
-    ] {
-        let bad = line.replacen(from, to, 1);
-        assert_ne!(bad, line, "mutation {to:?} did not apply");
-        assert!(from_json_lines(&bad).is_err(), "accepted {to:?}");
-        // One bad line poisons the whole import, wherever it sits.
-        assert!(from_json_lines(&format!("{line}\n{bad}\n")).is_err(), "accepted late {to:?}");
-    }
-    for bad in ["not json", "{\"round\":0}", "{}", "{", "}", "\0"] {
-        assert!(from_json_lines(bad).is_err(), "accepted {bad:?}");
-    }
-    assert!(from_json_lines(&"{".repeat(64 * 1024)).is_err());
-    // Every proper prefix that is not blank.
-    for (cut, _) in line.char_indices().skip(1) {
-        assert!(from_json_lines(&line[..cut]).is_err(), "accepted prefix {:?}", &line[..cut]);
-    }
 }
