@@ -1,13 +1,15 @@
 //! Deterministic, seeded fault injection for robustness testing.
 //!
 //! A [`FaultPlan`] arms named *fault points* — fixed places in the
-//! framework and the serving engine where a fault may be injected: at
-//! graph load, at every `edgeMap` round boundary, when a worker picks up
-//! a query, around the result cache, and in the wire read loop. Each
-//! armed point fires on the Nth time execution passes through it, where
-//! N comes either from an explicit schedule or deterministically from a
-//! seed, so a failing chaos run is replayable from `(seed, point)`
-//! alone.
+//! framework and the serving tier where a fault may be injected: at
+//! every `edgeMap` round boundary, while a mutation batch is applied,
+//! during a background compaction, and as the router forwards a
+//! request. Each point sits inside a recovery path that a real panic
+//! or a real I/O error also takes, so an injection there proves the
+//! path contains real failures. Each armed point fires on the Nth time
+//! execution passes through it, where N comes either from an explicit
+//! schedule or deterministically from a seed, so a failing chaos run is
+//! replayable from `(seed, point)` alone.
 //!
 //! Three fault shapes cover the failure modes a serving engine must
 //! survive (DESIGN.md §11):
@@ -33,16 +35,8 @@ use std::time::Duration;
 /// closed vocabulary: telemetry and chaos tests pin these names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// Graph file loading (the serving `load` path).
-    GraphLoad,
     /// The start of each `edgeMap` round inside a running query.
     EdgemapRound,
-    /// A scheduler worker dispatching a dequeued query.
-    EngineDispatch,
-    /// The result-cache probe/insert path.
-    EngineCache,
-    /// The JSONL wire read loop in `ligra-serve`.
-    WireRead,
     /// Applying a mutation batch to the live graph (`MutationLog`).
     MutateApply,
     /// The background CSR compaction of an overlaid snapshot.
@@ -52,16 +46,12 @@ pub enum FaultPoint {
 }
 
 /// Number of named fault points (array sizes below).
-const NUM_POINTS: usize = 8;
+const NUM_POINTS: usize = 4;
 
 impl FaultPoint {
     /// All fault points, in schedule order.
     pub const ALL: [FaultPoint; NUM_POINTS] = [
-        FaultPoint::GraphLoad,
         FaultPoint::EdgemapRound,
-        FaultPoint::EngineDispatch,
-        FaultPoint::EngineCache,
-        FaultPoint::WireRead,
         FaultPoint::MutateApply,
         FaultPoint::MutateCompact,
         FaultPoint::RouteForward,
@@ -70,32 +60,24 @@ impl FaultPoint {
     /// The stable wire/CLI name of this point.
     pub fn name(self) -> &'static str {
         match self {
-            FaultPoint::GraphLoad => "graph.load",
             FaultPoint::EdgemapRound => "edgemap.round",
-            FaultPoint::EngineDispatch => "engine.dispatch",
-            FaultPoint::EngineCache => "engine.cache",
-            FaultPoint::WireRead => "wire.read",
             FaultPoint::MutateApply => "mutate.apply",
             FaultPoint::MutateCompact => "mutate.compact",
             FaultPoint::RouteForward => "route.forward",
         }
     }
 
-    /// Parses a stable name back into a point (`"graph.load"`, ...).
+    /// Parses a stable name back into a point (`"edgemap.round"`, ...).
     pub fn parse(s: &str) -> Option<FaultPoint> {
         FaultPoint::ALL.into_iter().find(|p| p.name() == s)
     }
 
     fn index(self) -> usize {
         match self {
-            FaultPoint::GraphLoad => 0,
-            FaultPoint::EdgemapRound => 1,
-            FaultPoint::EngineDispatch => 2,
-            FaultPoint::EngineCache => 3,
-            FaultPoint::WireRead => 4,
-            FaultPoint::MutateApply => 5,
-            FaultPoint::MutateCompact => 6,
-            FaultPoint::RouteForward => 7,
+            FaultPoint::EdgemapRound => 0,
+            FaultPoint::MutateApply => 1,
+            FaultPoint::MutateCompact => 2,
+            FaultPoint::RouteForward => 3,
         }
     }
 }
@@ -198,11 +180,6 @@ impl FaultPlan {
         }
     }
 
-    /// The seed this plan derives its schedules from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Arms `point` with `action`, firing once on a hit index derived
     /// deterministically from `(seed, point)` — between the 1st and 8th
     /// hit, so short runs still reach the fault.
@@ -279,7 +256,7 @@ impl FaultPlan {
 
     /// Parses a CLI/script spec of the form
     /// `point:action[:nth]` where `action` is `panic`, `error`, or
-    /// `latency-<millis>ms` — e.g. `wire.read:error:2` or
+    /// `latency-<millis>ms` — e.g. `mutate.apply:error:2` or
     /// `edgemap.round:latency-5ms`. Omitting `nth` uses the seeded
     /// schedule.
     pub fn arm_spec(self, spec: &str) -> Result<Self, String> {
@@ -322,27 +299,28 @@ mod tests {
             }
         }
         assert_eq!(plan.total_injected(), 0);
-        assert_eq!(plan.hits(FaultPoint::WireRead), 100);
+        assert_eq!(plan.hits(FaultPoint::RouteForward), 100);
     }
 
     #[test]
     fn error_fires_exactly_once_on_the_nth_hit() {
-        let plan = FaultPlan::seeded(0).arm_at(FaultPoint::EngineCache, FaultAction::Error, 3);
-        assert!(plan.check(FaultPoint::EngineCache).is_ok());
-        assert!(plan.check(FaultPoint::EngineCache).is_ok());
-        let err = plan.check(FaultPoint::EngineCache).expect_err("3rd hit fires");
-        assert_eq!(err.point, FaultPoint::EngineCache);
+        let plan = FaultPlan::seeded(0).arm_at(FaultPoint::MutateCompact, FaultAction::Error, 3);
+        assert!(plan.check(FaultPoint::MutateCompact).is_ok());
+        assert!(plan.check(FaultPoint::MutateCompact).is_ok());
+        let err = plan.check(FaultPoint::MutateCompact).expect_err("3rd hit fires");
+        assert_eq!(err.point, FaultPoint::MutateCompact);
         assert_eq!(err.hit, 3);
-        assert!(plan.check(FaultPoint::EngineCache).is_ok());
-        assert_eq!(plan.injected(FaultPoint::EngineCache), 1);
+        assert!(plan.check(FaultPoint::MutateCompact).is_ok());
+        assert_eq!(plan.injected(FaultPoint::MutateCompact), 1);
     }
 
     #[test]
     fn every_schedule_fires_periodically() {
-        let plan = FaultPlan::seeded(0).arm_every(FaultPoint::WireRead, FaultAction::Error, 2);
-        let fired: Vec<bool> = (0..6).map(|_| plan.check(FaultPoint::WireRead).is_err()).collect();
+        let plan = FaultPlan::seeded(0).arm_every(FaultPoint::MutateApply, FaultAction::Error, 2);
+        let fired: Vec<bool> =
+            (0..6).map(|_| plan.check(FaultPoint::MutateApply).is_err()).collect();
         assert_eq!(fired, [false, true, false, true, false, true]);
-        assert_eq!(plan.injected(FaultPoint::WireRead), 3);
+        assert_eq!(plan.injected(FaultPoint::MutateApply), 3);
     }
 
     #[test]
@@ -358,36 +336,36 @@ mod tests {
 
     #[test]
     fn panic_action_unwinds_with_typed_payload() {
-        let plan = FaultPlan::seeded(0).arm_at(FaultPoint::EngineDispatch, FaultAction::Panic, 1);
+        let plan = FaultPlan::seeded(0).arm_at(FaultPoint::EdgemapRound, FaultAction::Panic, 1);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = plan.check(FaultPoint::EngineDispatch);
+            let _ = plan.check(FaultPoint::EdgemapRound);
         }))
         .expect_err("panic action must unwind");
         let err = payload.downcast_ref::<FaultError>().expect("typed payload");
-        assert_eq!(err.point, FaultPoint::EngineDispatch);
-        assert!(err.to_string().contains("engine.dispatch"));
+        assert_eq!(err.point, FaultPoint::EdgemapRound);
+        assert!(err.to_string().contains("edgemap.round"));
     }
 
     #[test]
     fn latency_action_delays_then_succeeds() {
         let plan = FaultPlan::seeded(0).arm_at(
-            FaultPoint::GraphLoad,
+            FaultPoint::RouteForward,
             FaultAction::Latency(Duration::from_millis(5)),
             1,
         );
         let start = std::time::Instant::now();
-        plan.check(FaultPoint::GraphLoad).expect("latency is not an error");
+        plan.check(FaultPoint::RouteForward).expect("latency is not an error");
         assert!(start.elapsed() >= Duration::from_millis(5));
-        assert_eq!(plan.injected(FaultPoint::GraphLoad), 1);
+        assert_eq!(plan.injected(FaultPoint::RouteForward), 1);
     }
 
     #[test]
     fn specs_parse_points_actions_and_hits() {
         let plan = FaultPlan::seeded(0)
-            .arm_spec("wire.read:error:2")
+            .arm_spec("mutate.compact:error:2")
             .and_then(|p| p.arm_spec("edgemap.round:latency-5ms"))
             .expect("specs parse");
-        assert_eq!(plan.scheduled_hit(FaultPoint::WireRead), Some(2));
+        assert_eq!(plan.scheduled_hit(FaultPoint::MutateCompact), Some(2));
         assert!(plan.scheduled_hit(FaultPoint::EdgemapRound).is_some());
         let mutate = FaultPlan::seeded(0).arm_spec("mutate.apply:panic:1").expect("mutate spec");
         assert_eq!(mutate.scheduled_hit(FaultPoint::MutateApply), Some(1));
@@ -395,8 +373,8 @@ mod tests {
         let route = FaultPlan::seeded(0).arm_spec("route.forward:error:2").expect("route spec");
         assert_eq!(route.scheduled_hit(FaultPoint::RouteForward), Some(2));
         assert!(FaultPlan::seeded(0).arm_spec("nope:error").is_err());
-        assert!(FaultPlan::seeded(0).arm_spec("wire.read:explode").is_err());
-        assert!(FaultPlan::seeded(0).arm_spec("wire.read:error:x").is_err());
+        assert!(FaultPlan::seeded(0).arm_spec("edgemap.round:explode").is_err());
+        assert!(FaultPlan::seeded(0).arm_spec("edgemap.round:error:x").is_err());
     }
 
     #[test]

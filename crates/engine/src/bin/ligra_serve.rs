@@ -33,7 +33,9 @@
 //! span to its edgeMap rounds.
 //!
 //! `--fault point:action[:nth]` arms a deterministic fault (DESIGN.md
-//! §11); it is accepted only in builds with the `fault-inject` feature.
+//! §11) at one of the points a replica passes through: `edgemap.round`,
+//! `mutate.apply` or `mutate.compact`. It is accepted only in builds
+//! with the `fault-inject` feature.
 //! Every query runs the paper's `Auto` traversal. Overlays past
 //! `--compact-threshold` arcs compact automatically (0 disables).
 

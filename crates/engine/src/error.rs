@@ -18,7 +18,7 @@ pub enum QueryError {
     /// the named point. Retryable: a re-submitted query takes a fresh
     /// pass through the schedule.
     Injected {
-        /// Fault-point name (`engine.dispatch`, `edgemap.round`, ...).
+        /// Fault-point name (`edgemap.round` for a running query).
         point: &'static str,
         /// 1-based hit count at which the schedule fired.
         hit: u64,
@@ -119,8 +119,8 @@ mod tests {
     fn display_is_stable_and_greppable() {
         let e = QueryError::Panicked { point: "query.run", msg: "boom".into() };
         assert_eq!(e.to_string(), "query panicked at query.run: boom");
-        let e = QueryError::Injected { point: "engine.cache", hit: 1 };
-        assert!(e.to_string().contains("engine.cache"));
+        let e = QueryError::Injected { point: "edgemap.round", hit: 1 };
+        assert!(e.to_string().contains("edgemap.round"));
         assert_eq!(QueryError::App("bad".into()).to_string(), "bad");
     }
 }

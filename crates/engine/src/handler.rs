@@ -43,7 +43,7 @@ use ligra_graph::delta::DeltaBatch;
 use ligra_graph::generators::{
     erdos_renyi, grid3d, random_local, random_weights, rmat, RmatOptions,
 };
-use ligra_graph::io::{load_graph, read_weighted_adjacency_graph};
+use ligra_graph::io::{read_adjacency_graph, read_weighted_adjacency_graph};
 use ligra_graph::{Graph, VertexId};
 use std::fs::File;
 use std::ops::RangeInclusive;
@@ -105,10 +105,6 @@ impl Replica {
     pub fn handle_line(&self, line: &str) -> (String, bool) {
         let Replica { engine, log, metrics, last_rseq, .. } = self;
         metrics.wire_requests.incr();
-        #[cfg(feature = "fault-inject")]
-        if let Some(resp) = wire_fault(engine) {
-            return (resp, true);
-        }
         let req = match Request::parse(line) {
             Ok(r) => r,
             Err(e) => {
@@ -272,24 +268,12 @@ where
 }
 
 fn load_into(engine: &Engine, path: &str, symmetric: bool, weighted: bool) -> Result<u64, String> {
-    // The `graph.load` fault point guards the serve-side load path: an
-    // injected error (or contained panic) becomes a load failure the
-    // client sees, never a dead connection.
-    #[cfg(feature = "fault-inject")]
-    if let Some(plan) = engine.fault_plan() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        match catch_unwind(AssertUnwindSafe(|| plan.check(ligra::FaultPoint::GraphLoad))) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => return Err(e.to_string()),
-            Err(payload) => return Err(crate::error::classify_panic(payload.as_ref()).to_string()),
-        }
-    }
+    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
     if weighted {
-        let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
         let g = read_weighted_adjacency_graph(file, symmetric).map_err(|e| e.to_string())?;
         Ok(engine.install_weighted(Arc::new(g)))
     } else {
-        let g = load_graph(path, symmetric).map_err(|e| e.to_string())?;
+        let g = read_adjacency_graph(file, symmetric).map_err(|e| e.to_string())?;
         Ok(engine.install_graph(Arc::new(g)))
     }
 }
@@ -538,20 +522,4 @@ fn stats_response(engine: &Engine, conns: ConnCounts) -> String {
         .u64("connections_active", conns.active)
         .u64("connections_total", conns.total)
         .finish()
-}
-
-/// Checks the `wire.read` fault point; a contained injection becomes an
-/// error-response line, never a torn-down connection. The response is
-/// flagged `"transient":true` — the fault plan is hit-scheduled, so a
-/// retried request lands on a fresh hit and normally succeeds.
-#[cfg(feature = "fault-inject")]
-fn wire_fault(engine: &Engine) -> Option<String> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let plan = engine.fault_plan()?;
-    let msg = match catch_unwind(AssertUnwindSafe(|| plan.check(ligra::FaultPoint::WireRead))) {
-        Ok(Ok(())) => return None,
-        Ok(Err(e)) => e.to_string(),
-        Err(payload) => crate::error::classify_panic(payload.as_ref()).to_string(),
-    };
-    Some(transient_error(&msg, None))
 }

@@ -121,8 +121,6 @@ pub const FAMILIES: &[Family<EngineStats>] = &[
         Key("rejected"), |s| Scalar(s.metrics.rejected.get())),
     row("ligra_queries_retired_total", "counter", "status", "Terminal query outcomes by status",
         PerLabel(&["completed", "cancelled", "failed", "panics", "queue_deadline_sheds"]), retired),
-    row("ligra_dispatch_retries_total", "counter", "", "Fault-injected dispatches re-enqueued",
-        Key("retries"), |s| Scalar(s.metrics.retries.get())),
     row("ligra_worker_busy_ns_total", "counter", "", "Nanoseconds workers spent executing jobs",
         Key("worker_busy_ns"), |s| Scalar(s.metrics.worker_busy_ns.get())),
     row("ligra_worker_idle_ns_total", "counter", "", "Nanoseconds workers spent waiting for work",
@@ -322,7 +320,7 @@ mod tests {
             m.observe_compaction(ns);
             m.observe_run_time(Query::Bfs { source: 0 }.kind_index(), ns);
         }
-        s.fault_injections[1].1 = 7;
+        s.fault_injections[0].1 = 7;
         s
     }
 
@@ -342,7 +340,7 @@ mod tests {
             );
         }
         assert!(text.contains("ligra_queries_retired_total{status=\"done\"} 5"));
-        assert!(text.contains("ligra_fault_injections_total{point=\"graph.load\"} 0"));
+        assert!(text.contains("ligra_fault_injections_total{point=\"mutate.apply\"} 0"));
         assert!(text.contains("ligra_fault_injections_total{point=\"edgemap.round\"} 7"));
     }
 

@@ -40,8 +40,6 @@ pub struct MetricsRegistry {
     pub running: Gauge,
     /// Terminal outcomes by status, indexed like [`RETIRED`].
     retired: [Counter; RETIRED.len()],
-    /// Fault-injected dispatches re-enqueued for another attempt.
-    pub retries: Counter,
     /// Nanoseconds workers spent executing jobs.
     pub worker_busy_ns: Counter,
     /// Nanoseconds workers spent parked waiting for work.

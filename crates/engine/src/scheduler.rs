@@ -29,8 +29,8 @@
 //!   poisoned scheduler mutex only means some other worker panicked
 //!   mid-update of plain data the scheduler re-derives).
 //! * **Spans.** Every query leaves one [`QuerySpan`] with queue wait,
-//!   run time, edgeMap rounds, and dispatch retries — the observability
-//!   contract the serving layer's `trace` op exposes.
+//!   run time, and edgeMap rounds — the observability contract the
+//!   serving layer's `trace` op exposes.
 //! * **One bounded job table.** Unfinished jobs live in a map; a
 //!   terminal job leaves it for a ring of the last [`RETIRED_CAPACITY`]
 //!   light [`QueryReport`]s (status, span, reply summary, error — no
@@ -56,11 +56,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// How many times a transient fault at the `engine.dispatch` point may
-/// re-enqueue one job before it fails for good.
-#[cfg(feature = "fault-inject")]
-const MAX_DISPATCH_RETRIES: u64 = 2;
-
 /// Engine tunables.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -71,8 +66,8 @@ pub struct EngineConfig {
     /// Result-cache entries.
     pub cache_capacity: usize,
     /// Deterministic fault-injection schedule. Checked at the
-    /// `engine.dispatch`, `engine.cache`, and `edgemap.round` points
-    /// only in builds with the `fault-inject` feature; inert otherwise.
+    /// `edgemap.round`, `mutate.apply` and `mutate.compact` points only
+    /// in builds with the `fault-inject` feature; inert otherwise.
     pub fault: Option<Arc<FaultPlan>>,
     /// Directory for per-query kernel traces. When set, every executed
     /// query writes its full per-round trace as
@@ -159,8 +154,6 @@ struct Job {
     snapshot: Arc<Snapshot>,
     token: CancelToken,
     submitted: Instant,
-    /// Dispatch-fault re-enqueues so far.
-    retries: AtomicU64,
     state: Mutex<JobState>,
     done: Condvar,
 }
@@ -471,7 +464,6 @@ impl Engine {
             snapshot,
             token,
             submitted: Instant::now(),
-            retries: AtomicU64::new(0),
             state: Mutex::new(JobState {
                 status: QueryStatus::Queued,
                 answer: None,
@@ -648,31 +640,23 @@ fn base_span(job: &Job, queue_wait_ns: u64) -> QuerySpan {
         run_bucket: 0,
         rounds: 0,
         events: 0,
-        retries: job.retries.load(Ordering::Relaxed),
     }
 }
 
 /// What one protected execution attempt produced.
 enum Executed {
-    /// Clean result (already cached unless the cache point faulted).
+    /// Clean result (already cached).
     Success(Answer),
     /// The app drained at a round boundary after cancellation.
     CancelledRun,
     /// Validation (or app-level) error.
     AppError(String),
-    /// A transient injected error at the `engine.dispatch` point.
-    #[cfg(feature = "fault-inject")]
-    DispatchFault(ligra::FaultError),
 }
 
-fn run_job(sh: &Shared, job: &Arc<Job>) {
+fn run_job(sh: &Shared, job: &Job) {
     let queue_wait_ns = job.submitted.elapsed().as_nanos() as u64;
     let mut span = base_span(job, queue_wait_ns);
-    // Observe queue wait once per query: a fault-retried job comes back
-    // through here with `retries > 0` and would otherwise double-count.
-    if span.retries == 0 {
-        sh.metrics.observe_queue_wait(job.query.kind_index(), queue_wait_ns);
-    }
+    sh.metrics.observe_queue_wait(job.query.kind_index(), queue_wait_ns);
 
     // Pre-run checks: don't burn a worker on a query that can no longer
     // produce a useful answer. An explicit cancel is reported as
@@ -698,16 +682,11 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
 
     let mut counter = RoundCounter::new(sh.config.trace_dir.is_some());
     let start = Instant::now();
-    // The unwind boundary: everything a query can make panic — the
-    // dispatch fault point, the app itself (including injected faults at
-    // round boundaries), and the cache fault point — is contained here.
+    // The unwind boundary: everything a query can make panic — the app
+    // itself, including injected faults at round boundaries — is
+    // contained here. Only a clean run reaches the cache insert, so a
+    // faulted run never populates the cache.
     let exec = catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &sh.config.fault {
-            if let Err(e) = plan.check(ligra::FaultPoint::EngineDispatch) {
-                return Executed::DispatchFault(e);
-            }
-        }
         match job.query.run(&job.snapshot, opts, &mut counter) {
             Err(msg) => Executed::AppError(msg),
             Ok(_) if job.token.is_cancelled() => {
@@ -717,23 +696,8 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
             }
             Ok(out) => {
                 let answer = Answer::new(out);
-                // The `engine.cache` fault point: a spurious error here
-                // degrades to a cache miss (the result is still
-                // returned, just not cached); a panic is contained by
-                // the surrounding boundary before the insert happens,
-                // so a faulted run can never populate the cache.
-                #[allow(unused_mut)]
-                let mut cacheable = true;
-                #[cfg(feature = "fault-inject")]
-                if let Some(plan) = &sh.config.fault {
-                    if plan.check(ligra::FaultPoint::EngineCache).is_err() {
-                        cacheable = false;
-                    }
-                }
-                if cacheable {
-                    tracked_lock(&sh.cache, "scheduler.cache")
-                        .insert((job.snapshot.epoch(), job.query.clone()), answer.clone());
-                }
+                tracked_lock(&sh.cache, "scheduler.cache")
+                    .insert((job.snapshot.epoch(), job.query.clone()), answer.clone());
                 Executed::Success(answer)
             }
         }
@@ -746,30 +710,6 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
         Ok(Executed::Success(answer)) => (QueryStatus::Done, Some(answer), None),
         Ok(Executed::CancelledRun) => (QueryStatus::Cancelled, None, None),
         Ok(Executed::AppError(msg)) => (QueryStatus::Failed, None, Some(QueryError::App(msg))),
-        #[cfg(feature = "fault-inject")]
-        Ok(Executed::DispatchFault(e)) => {
-            let attempts = job.retries.fetch_add(1, Ordering::Relaxed) + 1;
-            if attempts <= MAX_DISPATCH_RETRIES {
-                // Bounded retry: hand the job back to the queue. The
-                // deadline keeps counting from the original submit, so
-                // a retried job can still be shed at its next dequeue.
-                sh.metrics.retries.incr();
-                job.set_status(QueryStatus::Queued);
-                {
-                    let mut q = tracked_lock(&sh.queue, "scheduler.queue");
-                    q.push_back(Arc::clone(job));
-                    sh.metrics.queue_depth.add(1);
-                }
-                sh.queue_cv.notify_one();
-                sh.metrics.running.sub(1);
-                return;
-            }
-            (
-                QueryStatus::Failed,
-                None,
-                Some(QueryError::Injected { point: e.point.name(), hit: e.hit }),
-            )
-        }
         Err(payload) => {
             let err = classify_panic(payload.as_ref());
             match err {
@@ -784,9 +724,8 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
         }
     };
     // The run executed (possibly to a panic or cancellation) — record
-    // its duration. Retried attempts returned above and pre-run
-    // retirees never reach here, so the histogram sees one observation
-    // per executed attempt that retired.
+    // its duration. Pre-run retirees never reach here, so the histogram
+    // sees one observation per executed query.
     sh.metrics.observe_run_time(job.query.kind_index(), span.run_ns);
     // The kernel-trace join: whatever rounds this run produced —
     // including a partial trace from a cancelled or panicked run — land
@@ -800,7 +739,6 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
             }
         }
     }
-    span.retries = job.retries.load(Ordering::Relaxed);
     finalize(sh, job, span, status, answer, error);
 }
 
@@ -865,7 +803,6 @@ mod tests {
         assert_eq!(span.epoch, epoch);
         assert!(!span.cache_hit);
         assert!(span.rounds > 0);
-        assert_eq!(span.retries, 0);
         match h.result().unwrap().as_ref() {
             QueryOutput::Bfs(r) => assert_eq!(r.reached, 216),
             other => panic!("unexpected output {other:?}"),
@@ -1120,53 +1057,6 @@ mod tests {
             assert!(err.is_transient(), "injected error must look retryable: {err:?}");
             assert_eq!(e.metrics().retired(QueryStatus::Panicked), 0);
             assert!(e.workers_alive());
-        }
-
-        #[test]
-        fn transient_dispatch_fault_retries_then_succeeds() {
-            let plan =
-                FaultPlan::seeded(3).arm_at(FaultPoint::EngineDispatch, FaultAction::Error, 1);
-            let e = faulted_engine(plan);
-            e.install_graph(Arc::new(grid3d(5)));
-            let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
-            assert_eq!(h.wait(), QueryStatus::Done, "one transient fault must be retried away");
-            assert_eq!(h.span().unwrap().retries, 1);
-            assert_eq!(e.metrics().retries.get(), 1);
-        }
-
-        #[test]
-        fn persistent_dispatch_fault_exhausts_retries() {
-            let plan =
-                FaultPlan::seeded(4).arm_every(FaultPoint::EngineDispatch, FaultAction::Error, 1);
-            let e = faulted_engine(plan);
-            e.install_graph(Arc::new(grid3d(5)));
-            let h = e.submit(Query::Bfs { source: 0 }, None).unwrap();
-            assert_eq!(h.wait(), QueryStatus::Failed);
-            assert_eq!(
-                h.report().error,
-                Some(QueryError::Injected {
-                    point: "engine.dispatch",
-                    hit: MAX_DISPATCH_RETRIES + 1,
-                })
-            );
-            assert_eq!(e.metrics().retries.get(), MAX_DISPATCH_RETRIES);
-        }
-
-        #[test]
-        fn cache_fault_degrades_to_a_miss_and_never_caches_faulted_runs() {
-            let plan = FaultPlan::seeded(5).arm_at(FaultPoint::EngineCache, FaultAction::Error, 1);
-            let e = faulted_engine(plan);
-            e.install_graph(Arc::new(grid3d(5)));
-            let h1 = e.submit(Query::Bfs { source: 2 }, None).unwrap();
-            assert_eq!(h1.wait(), QueryStatus::Done);
-            // The insert was suppressed, so the repeat is a miss...
-            let h2 = e.submit(Query::Bfs { source: 2 }, None).unwrap();
-            assert_eq!(h2.wait(), QueryStatus::Done);
-            assert!(!h2.span().unwrap().cache_hit);
-            // ...and the second (clean) run does populate the cache.
-            let h3 = e.submit(Query::Bfs { source: 2 }, None).unwrap();
-            assert_eq!(h3.wait(), QueryStatus::Done);
-            assert!(h3.span().unwrap().cache_hit);
         }
     }
 }

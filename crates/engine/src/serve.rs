@@ -383,7 +383,7 @@ mod tests {
     #[test]
     fn fault_specs_need_the_feature_and_a_valid_point() {
         assert!(matches!(fault_plan(&[], 1), Ok(None)));
-        let armed = fault_plan(&["wire.read:error:2".to_string()], 1);
+        let armed = fault_plan(&["edgemap.round:error:2".to_string()], 1);
         assert_eq!(armed.is_ok(), cfg!(feature = "fault-inject"));
         assert!(fault_plan(&["no.such.point:error".to_string()], 1).is_err());
     }

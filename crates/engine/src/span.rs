@@ -101,12 +101,9 @@ pub struct QuerySpan {
     pub rounds: u64,
     /// All recorded telemetry events (edgeMap + vertexMap/filter).
     pub events: u64,
-    /// Times the scheduler re-enqueued this query after a transient
-    /// dispatch fault (0 outside fault-injection runs).
-    pub retries: u64,
 }
 
-/// Appends the span's thirteen fields to `obj` in their fixed order —
+/// Appends the span's twelve fields to `obj` in their fixed order —
 /// the `span` op's reply, and the one place a span is serialized.
 pub(crate) fn span_fields(s: &QuerySpan, obj: JsonObj) -> JsonObj {
     obj.u64("id", s.id)
@@ -121,7 +118,6 @@ pub(crate) fn span_fields(s: &QuerySpan, obj: JsonObj) -> JsonObj {
         .u64("run_bucket", s.run_bucket)
         .u64("rounds", s.rounds)
         .u64("events", s.events)
-        .u64("retries", s.retries)
 }
 
 /// Stamps the bucket fields from the span's own `_ns` fields, keeping
@@ -223,16 +219,14 @@ mod tests {
             run_bucket: 0,
             rounds: 3,
             events: 9,
-            retries: 1,
         };
         fill_span_buckets(&mut s);
         let line = span_fields(&s, JsonObj::new()).finish();
         assert!(!line.contains('\n'));
-        assert_eq!(Fields::new(&line).filter(|f| f.is_ok()).count(), 13, "{line}");
+        assert_eq!(Fields::new(&line).filter(|f| f.is_ok()).count(), 12, "{line}");
         assert_eq!(field(&line, "trace_id"), Some("abc-123"));
         assert_eq!(field(&line, "status"), Some("cancelled"));
         assert_eq!(field_u64(&line, "rounds"), Some(3));
-        assert_eq!(field_u64(&line, "retries"), Some(1));
         // Buckets are derived from the _ns fields by the shared bucket math.
         assert_eq!(field_u64(&line, "queue_wait_bucket"), Some(bucket_index(10) as u64));
         assert_eq!(field_u64(&line, "run_bucket"), Some(bucket_index(20) as u64));

@@ -1,8 +1,7 @@
 //! `ligra-serve --client`, the real binary, against a scripted socket:
 //! a reply flagged `"transient":true` is retried with backoff and never
-//! printed; the reply to the retry is. (Formerly phase 2 of
-//! `scripts/chaos_smoke.sh`, which needed a `fault-inject` server to
-//! produce the transient reply.)
+//! printed; the reply to the retry is. The scripted server produces the
+//! transient reply itself, so the test needs no `fault-inject` build.
 
 #![allow(clippy::unwrap_used, clippy::panic, clippy::unreachable)]
 #![allow(clippy::todo, clippy::unimplemented)]

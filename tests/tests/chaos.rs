@@ -3,10 +3,9 @@
 //! (which forwards `ligra/fault-inject` and `ligra-engine/fault-inject`
 //! and arms the hooks).
 //!
-//! The sweep drives every serving-side fault point × action across eight
-//! seeds — the front-end's `wire.read` and `graph.load` through
-//! `Replica::handle_line`, alongside the engine's own — and asserts the
-//! robustness invariants the serving tier promises:
+//! The sweep drives the `edgemap.round` point — the one a running query
+//! passes through — with every action across eight seeds, and asserts
+//! the robustness invariants the serving tier promises:
 //!
 //! * no worker thread ever dies — a panicking query is contained by the
 //!   worker's `catch_unwind` boundary and the pool self-heals;
@@ -20,10 +19,9 @@
 
 use ligra_apps as apps;
 use ligra_engine::metrics::{render, stats_fields, FAMILIES, RETIRED};
-use ligra_engine::wire::field_bool;
 use ligra_engine::{
     Engine, EngineConfig, FaultAction, FaultPlan, FaultPoint, HistogramSnapshot, JsonObj,
-    MutateError, MutationConfig, MutationLog, Query, QueryError, QueryOutput, QueryStatus, Replica,
+    MutateError, MutationConfig, MutationLog, Query, QueryError, QueryOutput, QueryStatus,
 };
 use ligra_graph::generators::grid3d;
 use ligra_graph::DeltaBatch;
@@ -33,16 +31,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
-
-/// The fault points a replica passes through while serving: the
-/// front-end's two, then the engine's three.
-const SERVING_POINTS: [FaultPoint; 5] = [
-    FaultPoint::WireRead,
-    FaultPoint::GraphLoad,
-    FaultPoint::EdgemapRound,
-    FaultPoint::EngineDispatch,
-    FaultPoint::EngineCache,
-];
 
 const ACTIONS: [FaultAction; 3] =
     [FaultAction::Panic, FaultAction::Error, FaultAction::Latency(Duration::from_millis(2))];
@@ -59,9 +47,9 @@ fn engine_with(plan: FaultPlan, workers: usize) -> Arc<Engine> {
     engine
 }
 
-/// Twelve pairwise-distinct queries, so every clean run is a cache miss
-/// and the `engine.cache` point accumulates enough hits to reach any
-/// seeded schedule in 1..=8.
+/// Twelve pairwise-distinct queries, so every run is a cache miss and
+/// executes its edgeMap rounds — enough hits to reach any seeded
+/// schedule in 1..=8.
 fn distinct_query(i: u32) -> Query {
     match i % 4 {
         0 => Query::Bfs { source: i },
@@ -72,71 +60,47 @@ fn distinct_query(i: u32) -> Query {
 }
 
 #[test]
-fn sweep_seeds_and_points_every_query_terminal_no_worker_dies() {
-    // The graph `engine_with` installs, on disk for the `load` op.
-    let path = std::env::temp_dir().join(format!("ligra-chaos-{}.adj", std::process::id()));
-    ligra_graph::io::save_graph(&grid3d(8), &path).expect("write graph file");
-    let load = format!("{{\"op\":\"load\",\"path\":\"{}\"}}", path.display());
+fn sweep_seeds_and_actions_every_query_terminal_no_worker_dies() {
     for &seed in &SEEDS {
-        for point in SERVING_POINTS {
-            for action in ACTIONS {
-                let plan = FaultPlan::seeded(seed).arm(point, action);
-                let engine = engine_with(plan, 2);
-                let log =
-                    Arc::new(MutationLog::new(Arc::clone(&engine), MutationConfig::default()));
-                let replica = Replica::new(Arc::clone(&engine), log);
-                let label = format!("seed {seed}, {point}, {}", action.name());
+        for action in ACTIONS {
+            let plan = FaultPlan::seeded(seed).arm(FaultPoint::EdgemapRound, action);
+            let engine = engine_with(plan, 2);
+            let label = format!("seed {seed}, {}", action.name());
 
-                // Beside each query, one `load` of the same graph and one
-                // `ping` go through the handler, so `graph.load` and
-                // `wire.read` see as many hits as the engine's points.
-                let handles: Vec<_> = (0..12)
-                    .map(|i| {
-                        for line in [load.as_str(), "{\"op\":\"ping\"}"] {
-                            let reply = replica.handle_line(line).0;
-                            assert!(
-                                field_bool(&reply, "ok") == Some(true)
-                                    || reply.contains(point.name()),
-                                "{label}: {line} failed for another reason: {reply}"
-                            );
-                        }
-                        engine
-                            .submit(distinct_query(i), None)
-                            .unwrap_or_else(|e| panic!("{label}: submit rejected: {e}"))
-                    })
-                    .collect();
-                for h in &handles {
-                    let status = h.wait();
-                    assert!(status.is_terminal(), "{label}: query {} not terminal", h.id());
-                }
+            let handles: Vec<_> = (0..12)
+                .map(|i| {
+                    engine
+                        .submit(distinct_query(i), None)
+                        .unwrap_or_else(|e| panic!("{label}: submit rejected: {e}"))
+                })
+                .collect();
+            for h in &handles {
+                let status = h.wait();
+                assert!(status.is_terminal(), "{label}: query {} not terminal", h.id());
+            }
 
-                let plan = engine.fault_plan().expect("plan installed");
-                assert!(plan.total_injected() >= 1, "{label}: the armed fault never fired");
-                assert!(engine.workers_alive(), "{label}: a worker thread died");
+            let plan = engine.fault_plan().expect("plan installed");
+            assert!(plan.total_injected() >= 1, "{label}: the armed fault never fired");
+            assert!(engine.workers_alive(), "{label}: a worker thread died");
 
-                // Self-heal: after the fault fired, the pool keeps serving.
-                let h = engine
-                    .submit(Query::Cc, None)
-                    .unwrap_or_else(|e| panic!("{label}: post-fault submit: {e}"));
-                assert_eq!(h.wait(), QueryStatus::Done, "{label}: post-fault query failed");
+            // Self-heal: after the fault fired, the pool keeps serving.
+            let h = engine
+                .submit(Query::Cc, None)
+                .unwrap_or_else(|e| panic!("{label}: post-fault submit: {e}"));
+            assert_eq!(h.wait(), QueryStatus::Done, "{label}: post-fault query failed");
 
-                let m = engine.metrics();
-                assert_eq!(
-                    (m.queue_depth.get(), m.running.get()),
-                    (0, 0),
-                    "{label}: scheduler accounting did not return to idle"
-                );
-                // A front-end panic is contained in the handler and never
-                // reaches a worker; an engine-side one retires a query.
-                let front_end = matches!(point, FaultPoint::WireRead | FaultPoint::GraphLoad);
-                if matches!(action, FaultAction::Panic) && !front_end {
-                    let panics = m.retired(QueryStatus::Panicked);
-                    assert!(panics >= 1, "{label}: contained panic not counted");
-                }
+            let m = engine.metrics();
+            assert_eq!(
+                (m.queue_depth.get(), m.running.get()),
+                (0, 0),
+                "{label}: scheduler accounting did not return to idle"
+            );
+            if matches!(action, FaultAction::Panic) {
+                let panics = m.retired(QueryStatus::Panicked);
+                assert!(panics >= 1, "{label}: contained panic not counted");
             }
         }
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The round-boundary fault point belongs to the one generic dispatcher,
@@ -185,20 +149,20 @@ fn injected_panic_is_typed_and_the_same_worker_keeps_serving() {
 fn cache_never_serves_a_value_from_a_faulted_run() {
     for &seed in &SEEDS {
         for action in [FaultAction::Error, FaultAction::Panic] {
-            // Fire on the very first `engine.cache` hit: the first run is
-            // the faulted one, and whatever it produced must not be
-            // served to anyone else.
-            let plan = FaultPlan::seeded(seed).arm_at(FaultPoint::EngineCache, action, 1);
+            // Fire on the very first edgeMap round: the first run is the
+            // faulted one, and whatever it produced must not be served
+            // to anyone else.
+            let plan = FaultPlan::seeded(seed).arm_at(FaultPoint::EdgemapRound, action, 1);
             let engine = engine_with(plan, 2);
             let q = Query::PageRank { iters: 4 };
 
             let h1 = engine.submit(q.clone(), None).expect("submit");
             let s1 = h1.wait();
             match action {
-                // An injected cache error degrades to a cache miss; the
-                // caller still gets its result.
-                FaultAction::Error => assert_eq!(s1, QueryStatus::Done, "seed {seed}"),
-                // A panic at the cache point is contained and typed.
+                // An injected error unwinds out of the round but is
+                // retired as a typed transient failure.
+                FaultAction::Error => assert_eq!(s1, QueryStatus::Failed, "seed {seed}"),
+                // An injected panic is contained and typed.
                 _ => assert_eq!(s1, QueryStatus::Panicked, "seed {seed}"),
             }
 
@@ -226,26 +190,9 @@ fn cache_never_serves_a_value_from_a_faulted_run() {
 }
 
 #[test]
-fn transient_dispatch_faults_retry_and_count_in_spans() {
-    for &seed in &SEEDS {
-        let plan =
-            FaultPlan::seeded(seed).arm_at(FaultPoint::EngineDispatch, FaultAction::Error, 1);
-        let engine = engine_with(plan, 2);
-        let h = engine.submit(Query::Bfs { source: 0 }, None).expect("submit");
-        // The first dispatch attempt absorbs the injected transient
-        // error; the retry completes the query.
-        assert_eq!(h.wait(), QueryStatus::Done, "seed {seed}");
-        let span = h.span().expect("span");
-        assert_eq!(span.retries, 1, "seed {seed}: retry not recorded in span");
-        assert_eq!(engine.metrics().retries.get(), 1, "seed {seed}");
-        assert!(engine.workers_alive());
-    }
-}
-
-#[test]
 fn periodic_faults_under_load_leave_the_engine_consistent() {
-    // Heavier mixed run: a fault every third dispatch, across seeds, with
-    // concurrent clients. Terminal accounting must balance exactly.
+    // Heavier mixed run: a panic every seventh edgeMap round, across
+    // seeds, with concurrent clients. Terminal accounting must balance exactly.
     for &seed in &SEEDS[..4] {
         let plan =
             FaultPlan::seeded(seed).arm_every(FaultPoint::EdgemapRound, FaultAction::Panic, 7);
@@ -459,15 +406,15 @@ fn panicked_compaction_never_poisons_the_store() {
 }
 
 /// Lock-order certification of the chaos path itself: after a faulted
-/// mixed workload (worker panics, contained compaction failures, retry
-/// re-enqueues), the global lock oracle must still hold an acyclic
+/// mixed workload (a worker panic mid-traversal beside mutation applies
+/// and a compaction), the global lock oracle must still hold an acyclic
 /// acquisition graph — fault recovery takes the same locks in the same
 /// order as the happy path. Needs both features: the fault hooks to
 /// drive the workload, the tracked guards to observe it.
 #[cfg(feature = "lock-check")]
 #[test]
 fn chaos_workload_certifies_lock_order() {
-    let plan = FaultPlan::seeded(7).arm_at(FaultPoint::EngineDispatch, FaultAction::Panic, 3);
+    let plan = FaultPlan::seeded(7).arm_at(FaultPoint::EdgemapRound, FaultAction::Panic, 3);
     let engine = engine_with(plan, 3);
     let log = Arc::new(MutationLog::new(Arc::clone(&engine), MutationConfig::default()));
     for i in 0..8u32 {

@@ -2,23 +2,22 @@
 //! request handler `ligra-serve` runs) and one loopback `Server`
 //! listener (the one connection loop both binaries run).
 //!
-//! Each test replays the session of a former `scripts/*_smoke.sh` and
-//! makes that script's assertions, pattern for pattern:
+//! Each test drives one session and matches its replies by pattern:
 //!
-//! * `serve_session_*` — `serve_smoke.sh`: BFS, cache hit, 0 ms deadline
-//!   shed, stats, two Prometheus scrapes, shutdown gate;
+//! * `serve_session_*` — BFS, cache hit, 0 ms deadline shed, stats, two
+//!   Prometheus scrapes, shutdown gate;
 //! * `every_family_*` — the `stats` / `route-stats` reply against the
 //!   scrape, row by row of the metric tables both are rendered from;
 //! * `scrape_listener_*` — the bounded scrape request head;
-//! * `mutation_session_*` — `mutate_smoke.sh`: epoch lifecycle through
-//!   mutate → compact → delete, `ligra_mutation_*` counters (run with
-//!   `--features lock-check` it is also the lock-order certification
-//!   the script gave under the oracle);
-//! * `injected_*`, `graph_load_*` — `chaos_smoke.sh` phase 1 (needs
-//!   `--features fault-inject`).
-//!
-//! `out_of_range_gen_*` has no script: it pins the error replies of `gen`
-//! parameters outside the ranges their generators assert.
+//! * `mutation_session_*` — epoch lifecycle through mutate → compact →
+//!   delete, `ligra_mutation_*` counters (run with `--features
+//!   lock-check` it also certifies the lock order under the oracle);
+//! * `load_*` — a saved graph installs; a missing or truncated file gets
+//!   an error reply naming what failed, and the epoch stays;
+//! * `hostile_lines_*` — malformed, oversized and non-UTF-8 lines each
+//!   get an error reply over loopback, and the connection keeps serving;
+//! * `out_of_range_gen_*` — the error replies of `gen` parameters outside
+//!   the ranges their generators assert.
 //!
 //! What only real processes can show — exit codes, SIGKILL, restart —
 //! stays in `scripts/route_smoke.sh`; the `--client` retry pump is
@@ -549,35 +548,24 @@ fn out_of_range_gen_parameters_get_error_replies() {
     expect(&replies, 9, r#"{"ok":true,"epoch":1,"vertices":16"#, "valid gen after the errors");
 }
 
-/// `chaos_smoke.sh` phase 1: an armed `wire.read` fault, a malformed
-/// line, an oversized line and a non-UTF-8 line each get an error
-/// *reply*, and the same connection then serves a BFS.
-#[cfg(feature = "fault-inject")]
+/// A malformed line, an oversized line and a non-UTF-8 line each get an
+/// error *reply*, and the same connection then serves a BFS.
 #[test]
-fn injected_wire_fault_and_hostile_lines_get_replies_and_the_connection_survives() {
-    use ligra_engine::{FaultPlan, FaultPoint};
-
-    // wire.read hits: ping=1, ping=2 (injected), garbage=3; the oversized
-    // and non-UTF-8 lines are rejected before the fault hook, so the
-    // final ping is hit 4.
-    let plan = FaultPlan::seeded(11).arm_spec("wire.read:error:2").expect("arm wire.read");
-    let replica =
-        replica_with(EngineConfig { fault: Some(Arc::new(plan)), ..EngineConfig::default() });
+fn hostile_lines_get_replies_and_the_connection_survives() {
+    let replica = replica_with(EngineConfig::default());
     let server = Server::new(Arc::clone(&replica));
     let addr = server.listen("127.0.0.1:0").expect("bind");
     let mut conn = Conn::open(addr);
 
-    conn.send(b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}\nthis line is not a request\n");
+    conn.send(b"{\"op\":\"ping\"}\nthis line is not a request\n");
     conn.send(&[vec![b'x'; 70_000], b"\n".to_vec()].concat());
     conn.send(b"{\"op\":\"\xff\xfe\"}\n{\"op\":\"ping\"}\n");
-    let replies: Vec<String> = (0..6).map(|_| conn.reply().expect("one reply per line")).collect();
+    let replies: Vec<String> = (0..5).map(|_| conn.reply().expect("one reply per line")).collect();
     expect(&replies, 1, "\"pong\"", "first ping answers");
-    expect(&replies, 2, "injected fault at wire.read", "armed hit surfaces as a typed error");
-    expect(&replies, 2, "\"transient\":true", "injected wire error is marked transient");
-    expect(&replies, 3, "\"ok\":false", "malformed line gets an error response");
-    expect(&replies, 4, "too long", "oversized line is drained and reported");
-    expect(&replies, 5, "not valid UTF-8", "non-UTF-8 line is reported");
-    expect(&replies, 6, "\"pong\"", "the same connection keeps serving");
+    expect(&replies, 2, "\"ok\":false", "malformed line gets an error response");
+    expect(&replies, 3, "too long", "oversized line is drained and reported");
+    expect(&replies, 4, "not valid UTF-8", "non-UTF-8 line is reported");
+    expect(&replies, 5, "\"pong\"", "the same connection keeps serving");
 
     let gen = conn.ask(r#"{"op":"gen","family":"rmat","log_n":10}"#);
     assert_eq!(ligra_engine::wire::field_bool(&gen, "ok"), Some(true), "{gen}");
@@ -585,34 +573,52 @@ fn injected_wire_fault_and_hostile_lines_get_replies_and_the_connection_survives
     let done = conn.ask(r#"{"op":"wait","id":1}"#);
     assert!(done.contains("\"status\":\"done\"") && done.contains("\"reached\":"), "{done}");
 
-    let plan = replica.engine().fault_plan().expect("plan installed");
-    assert_eq!(plan.injected(FaultPoint::WireRead), 1);
     let stats = replica.handle_line(r#"{"op":"stats"}"#).0;
     assert!(stats.contains("\"wire_malformed\":3"), "garbage, oversized, non-UTF-8: {stats}");
-    assert!(stats.contains("\"fault_wire_read\":1"), "{stats}");
 }
 
-/// A `graph.load` fault — returned or unwound — comes back as a load
-/// error the client sees; the next load goes through.
-#[cfg(feature = "fault-inject")]
+/// The `load` op: a saved graph installs as epoch 1 with its counts. A
+/// missing file, on the unweighted and the weighted branch, and a
+/// truncated file each get an error reply that says what failed; the
+/// epoch stays where it was and the next `ping` is answered.
 #[test]
-fn graph_load_faults_come_back_as_load_errors() {
-    use ligra_engine::{FaultAction, FaultPlan, FaultPoint};
+fn load_installs_a_saved_graph_and_failed_loads_name_the_file() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let good = dir.join(format!("ligra-serve-load-{pid}.adj"));
+    let truncated = dir.join(format!("ligra-serve-load-{pid}-truncated.adj"));
+    let missing = dir.join(format!("ligra-serve-load-{pid}-missing.adj"));
+    let g = ligra_graph::generators::grid3d(3);
+    ligra_graph::io::save_graph(&g, &good).expect("write graph");
+    let bytes = std::fs::read(&good).expect("read graph back");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("write truncated graph");
+    let load = |path: &std::path::Path, weighted: bool| {
+        format!(r#"{{"op":"load","path":"{}","weighted":{weighted}}}"#, path.display())
+    };
 
-    let path = std::env::temp_dir().join(format!("ligra-serve-test-{}.adj", std::process::id()));
-    ligra_graph::io::save_graph(&ligra_graph::generators::grid3d(3), &path).expect("write graph");
-    let load = format!("{{\"op\":\"load\",\"path\":\"{}\"}}", path.display());
-    for action in [FaultAction::Error, FaultAction::Panic] {
-        let plan = FaultPlan::seeded(3).arm_at(FaultPoint::GraphLoad, action, 1);
-        let replica =
-            replica_with(EngineConfig { fault: Some(Arc::new(plan)), ..EngineConfig::default() });
-        let replies = session(&replica, &[&load, &load, r#"{"op":"graph-stats"}"#]);
-        expect(&replies, 1, "\"ok\":false", "faulted load is refused");
-        expect(&replies, 1, "graph.load", "naming the fault point");
-        assert_eq!(replies[1], r#"{"ok":true,"epoch":1}"#, "{}: retried load", action.name());
-        expect(&replies, 3, "\"vertices\":27", "and serves");
-        // The same hook guards the `--graph` preload path.
-        assert_eq!(replica.install_from_file(&path.display().to_string(), true, false), Ok(2));
+    let replica = replica_with(EngineConfig::default());
+    let replies = session(&replica, &[&load(&good, false), r#"{"op":"graph-stats"}"#]);
+    assert_eq!(replies[0], r#"{"ok":true,"epoch":1}"#);
+    let counts = format!(r#""epoch":1,"loaded":true,"vertices":27,"edges":{}"#, g.num_edges());
+    expect(&replies, 2, &counts, "the loaded graph is served");
+
+    let missing_path = missing.display().to_string();
+    for (label, line, names) in [
+        ("unweighted missing file", load(&missing, false), missing_path.as_str()),
+        ("weighted missing file", load(&missing, true), missing_path.as_str()),
+        ("truncated file", load(&truncated, false), "parse error"),
+    ] {
+        let replies = session(&replica, &[&line, r#"{"op":"ping"}"#, r#"{"op":"graph-stats"}"#]);
+        expect(&replies, 1, "\"ok\":false", label);
+        expect(&replies, 1, names, label);
+        expect(&replies, 2, "\"pong\"", label);
+        expect(&replies, 3, "\"epoch\":1,", label);
     }
-    let _ = std::fs::remove_file(&path);
+    // `ligra-serve --graph` preloads through the same path.
+    let preload = replica.install_from_file(&missing_path, true, false);
+    assert!(preload.as_ref().is_err_and(|e| e.contains(&missing_path)), "{preload:?}");
+
+    for path in [good, truncated] {
+        let _ = std::fs::remove_file(path);
+    }
 }

@@ -437,8 +437,7 @@ fn noop_recorder_matches_traced_results() {
 fn engine_span_jsonl_keys_are_a_closed_vocabulary() {
     // Pin the per-query span schema next to the trace pins: the failure
     // counters ride in these spans (`status` gained "panicked" and
-    // "shed"; `retries` counts transient-fault re-dispatches), and
-    // downstream consumers key on exact field names in exact order. The
+    // "shed"), and downstream consumers key on exact field names in exact order. The
     // `span` op's reply is the one place a span is serialized.
     use ligra_engine::{Engine, EngineConfig, MutationConfig, MutationLog, Replica};
     use std::sync::Arc;
@@ -472,8 +471,7 @@ fn engine_span_jsonl_keys_are_a_closed_vocabulary() {
             "run_ns",
             "run_bucket",
             "rounds",
-            "events",
-            "retries"
+            "events"
         ],
         "span schema changed: {line}"
     );
@@ -500,7 +498,6 @@ fn prometheus_families_are_a_closed_vocabulary() {
         ("ligra_queries_submitted_total", "counter", ""),
         ("ligra_queries_rejected_total", "counter", ""),
         ("ligra_queries_retired_total", "counter", "status"),
-        ("ligra_dispatch_retries_total", "counter", ""),
         ("ligra_worker_busy_ns_total", "counter", ""),
         ("ligra_worker_idle_ns_total", "counter", ""),
         ("ligra_cache_hits_total", "counter", ""),
